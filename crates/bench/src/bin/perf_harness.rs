@@ -12,11 +12,11 @@
 //!
 //! It also times the same 96-thread fig07 sweep sequentially and in
 //! parallel through `smart_bench::sweep`, and the decomposed
-//! fig07/fig_serve runners at 1 vs 4 engine workers, recording the
-//! speedups. On a single-CPU host the parallel legs are *skipped*, not
-//! simulated: timing oversubscribed threads would record scheduling
-//! noise as "speedup", so the harness prints a perf-note and writes
-//! `null` in their place.
+//! fig07/fig_serve runners at 1 vs `min(4, host CPUs)` engine workers,
+//! recording the speedups. On a single-CPU host the parallel legs are
+//! *skipped*, not simulated: timing oversubscribed threads would record
+//! scheduling noise as "speedup", so the harness prints a perf-note and
+//! writes `null` in their place.
 //!
 //! If a previous `BENCH_SIM.json` exists, each config's new `ns/event`
 //! is compared against it: a regression beyond 25 % prints a warning
@@ -49,8 +49,8 @@ use smart_workloads::ycsb::Mix;
 /// harness complains.
 const REGRESSION_TOLERANCE: f64 = 0.25;
 
-/// Engine workers for the decomposed parallel legs, and the speedup the
-/// strict gate demands from them on a genuinely multi-core host.
+/// Engine workers for the decomposed parallel legs on a host with at
+/// least that many CPUs, and the speedup the strict gate demands there.
 const DECOMPOSED_WORKERS: usize = 4;
 const DECOMPOSED_SPEEDUP_GATE: f64 = 1.3;
 
@@ -92,6 +92,13 @@ fn sim_workers() -> usize {
 
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Engine workers of the recorded decomposed parallel leg: one lane per
+/// CPU up to [`DECOMPOSED_WORKERS`], so a narrow host records a real
+/// ratio instead of an oversubscribed one.
+fn decomposed_workers() -> usize {
+    DECOMPOSED_WORKERS.min(host_cpus())
 }
 
 /// Runs `run` `reps()` times and keeps the fastest wall clock (the rep
@@ -259,7 +266,7 @@ fn sweep_speedup() -> SweepResult {
 }
 
 /// One decomposed runner timed at 1 engine worker and (on multi-core
-/// hosts) at [`DECOMPOSED_WORKERS`]. The two legs execute the identical
+/// hosts) at [`decomposed_workers`]. The two legs execute the identical
 /// partition, so their reports are byte-identical and the wall-clock
 /// ratio is a pure scheduling measurement.
 struct DecomposedResult {
@@ -300,13 +307,14 @@ fn time_decomposed(
     let parallel = if host_cpus() == 1 {
         None
     } else {
-        Some(time_leg(DECOMPOSED_WORKERS).0)
+        Some(time_leg(decomposed_workers()).0)
     };
     match parallel {
         Some(par) => eprintln!(
             "  {name} [{plan_desc}, {domains} domains]: sequential {:.1} ms, \
-             {DECOMPOSED_WORKERS} workers {:.1} ms -> {:.2}x",
+             {} workers {:.1} ms -> {:.2}x",
             sequential.as_secs_f64() * 1e3,
+            decomposed_workers(),
             par.as_secs_f64() * 1e3,
             sequential.as_secs_f64() / par.as_secs_f64()
         ),
@@ -459,7 +467,7 @@ fn render_json(
             d.name,
             d.plan,
             d.domains,
-            DECOMPOSED_WORKERS,
+            decomposed_workers(),
             d.events,
             d.sequential.as_secs_f64() * 1e3,
             ms_or_null(d.parallel),

@@ -4,7 +4,7 @@
 //! queue. This module partitions a simulation into **scheduling
 //! domains** — one per blade / thread group, one for the fabric — each
 //! owning its *own* executor (timer wheel, ready queue, slab, PRNG) and
-//! optionally its own OS thread. Domains interact **only** through
+//! hosted by one of the run's OS threads. Domains interact **only** through
 //! bounded, fixed-latency inter-domain channels, the simulated analogue
 //! of NIC verbs crossing the fabric: that isolation is exactly what
 //! smart-lint's `cross-domain-shared-state` / `rc-escape` rules prove
@@ -42,6 +42,23 @@
 //! order, same RNG draws, same trace bytes. `tests/scheduler_equiv.rs`
 //! and `crates/rt/tests/pdes_prop.rs` enforce exactly that, at workers
 //! 1, 2 and 4, before any of this is allowed to matter.
+//!
+//! ## Threads: lanes, mailboxes, spin-then-park
+//!
+//! `run(k)` uses `k` OS threads *including the caller*. The caller is
+//! **lane 0**: it is the coordinator, hosts every local domain and its
+//! round-robin share of the `Send` domains. Each further lane is a
+//! scoped thread with a private **mailbox** — inject batches and the
+//! horizon in, emitted envelopes and next-event times out, the same
+//! buffers swapped back and forth every epoch — handed over by bumping
+//! the mailbox's epoch-generation atomic. A waiter polls that atomic for
+//! a bounded budget and then parks; it polls at all only when the lanes
+//! fit [`std::thread::available_parallelism`], because on an
+//! oversubscribed host a spinner only delays the lane it waits for. A
+//! lane none of whose domains has an envelope to inject or a local event
+//! below the horizon is neither signalled nor waited for: advancing it
+//! would be a no-op. A panic on any lane poisons the run through a drop
+//! guard, so the other side of the barrier fails instead of hanging.
 //!
 //! ## Example
 //!
@@ -84,10 +101,11 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::rc::Rc;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Mutex;
 use std::task::{Context, Poll, Waker};
 // The one deliberate exception to the `os-concurrency` rule (see
 // PDES_ENGINE_FILES in smart-lint): this module IS the engine that hosts
@@ -186,10 +204,9 @@ type DeliverFn = Rc<dyn Fn(Box<dyn Any + Send>)>;
 struct DomainShared {
     /// Envelopes emitted this epoch, drained by the runtime.
     outbox: RefCell<Vec<Envelope>>,
-    /// Per-channel delivery closures registered by `bind_rx`.
-    rx: RefCell<BTreeMap<u32, DeliverFn>>,
-    /// Per-channel send sequence counters.
-    tx_seq: RefCell<BTreeMap<u32, u64>>,
+    /// Delivery closures registered by `bind_rx`, indexed by the dense
+    /// channel id (grown on bind).
+    rx: RefCell<Vec<Option<DeliverFn>>>,
     /// Envelopes delivered into this domain, total.
     delivered: Cell<u64>,
 }
@@ -250,6 +267,7 @@ impl DomainCtx {
             shared: Rc::clone(&self.shared),
             chan: token.chan,
             latency_ns: token.latency_ns,
+            seq: Cell::new(0),
             _marker: PhantomData,
         }
     }
@@ -281,7 +299,12 @@ impl DomainCtx {
                 w.wake();
             }
         });
-        let prev = self.shared.rx.borrow_mut().insert(token.chan, deliver);
+        let mut rx = self.shared.rx.borrow_mut();
+        let chan = token.chan as usize;
+        if rx.len() <= chan {
+            rx.resize(chan + 1, None);
+        }
+        let prev = rx[chan].replace(deliver);
         assert!(
             prev.is_none(),
             "bind_rx: channel {} bound twice",
@@ -305,6 +328,9 @@ pub struct PdesSender<T> {
     shared: Rc<DomainShared>,
     chan: u32,
     latency_ns: u64,
+    /// Next send sequence number. A [`TxToken`] binds once and senders
+    /// do not clone, so this is the channel's only counter.
+    seq: Cell<u64>,
     _marker: PhantomData<fn(T)>,
 }
 
@@ -312,13 +338,7 @@ impl<T: Send + 'static> PdesSender<T> {
     /// Sends `value` across the domain boundary; it becomes visible to
     /// the receiver exactly `latency` after the current virtual time.
     pub fn send(&self, value: T) {
-        let seq = {
-            let mut seqs = self.shared.tx_seq.borrow_mut();
-            let s = seqs.entry(self.chan).or_insert(0);
-            let out = *s;
-            *s += 1;
-            out
-        };
+        let seq = self.seq.replace(self.seq.get() + 1);
         self.shared.outbox.borrow_mut().push(Envelope {
             chan: self.chan,
             deliver_ns: self.handle.now().as_nanos() + self.latency_ns,
@@ -386,7 +406,7 @@ impl<T> std::future::Future for Recv<'_, T> {
 pub type DomainFinish = Box<dyn FnOnce(&DomainCtx) -> Vec<u8>>;
 
 enum DomainSlot {
-    /// Setup is `Send`: the domain may be hosted by a worker thread.
+    /// Setup is `Send`: the domain may be hosted by any lane.
     Remote {
         name: String,
         setup: Box<dyn FnOnce(&DomainCtx) -> DomainFinish + Send>,
@@ -402,7 +422,7 @@ enum DomainSlot {
 /// A worker-hosted domain in transit to its thread (only the `Send`
 /// variant of [`DomainSlot`] ever takes this form).
 struct RemoteDomain {
-    id: u32,
+    id: usize,
     name: String,
     setup: Box<dyn FnOnce(&DomainCtx) -> DomainFinish + Send>,
 }
@@ -497,7 +517,7 @@ impl PdesBuilder {
     }
 
     /// Adds a scheduling domain whose setup closure is `Send`, so the
-    /// domain can be hosted by a dedicated worker thread. The closure
+    /// domain can be hosted by any of the run's threads. The closure
     /// runs exactly once on the hosting thread: it builds the domain's
     /// task graph (all `Rc` state stays on that thread) and returns the
     /// finish hook producing the domain's artifact.
@@ -535,12 +555,14 @@ impl PdesBuilder {
     /// Runs the partitioned simulation to quiescence and returns the
     /// per-domain artifacts and counters.
     ///
-    /// `workers` is the number of OS threads hosting [`Self::add_domain`]
-    /// domains: `1` runs everything inline on the calling thread (the
-    /// sequential reference), `k > 1` spreads remote domains round-robin
-    /// over `min(k, remote domains)` threads. Local domains always run
-    /// on the calling thread. **The result is byte-identical for every
-    /// value of `workers`.**
+    /// `workers` is the number of OS threads *including the caller*: `1`
+    /// runs everything inline on the calling thread (the sequential
+    /// reference, no thread spawned); `k > 1` makes the caller lane 0 and
+    /// spawns up to `k - 1` further lanes. Local domains always run on
+    /// the calling thread; [`Self::add_domain`] domains are dealt
+    /// round-robin over all lanes, starting at the first lane that holds
+    /// no local domain. **The result is byte-identical for every value
+    /// of `workers`.**
     ///
     /// # Panics
     ///
@@ -648,12 +670,14 @@ struct DomainRuntime {
 
 impl DomainRuntime {
     fn build(
-        index: u32,
+        index: usize,
         name: String,
         seed: u64,
         policy: SchedulePolicy,
         setup: impl FnOnce(&DomainCtx) -> DomainFinish,
     ) -> Self {
+        // Ids fit `u32`: `add_domain` checked when it assigned them.
+        let index = index as u32;
         let sim = Simulation::with_policy(domain_seed(seed, index), policy);
         let ctx = DomainCtx {
             id: DomainId(index),
@@ -661,8 +685,7 @@ impl DomainRuntime {
             handle: sim.handle(),
             shared: Rc::new(DomainShared {
                 outbox: RefCell::new(Vec::new()),
-                rx: RefCell::new(BTreeMap::new()),
-                tx_seq: RefCell::new(BTreeMap::new()),
+                rx: RefCell::new(Vec::new()),
                 delivered: Cell::new(0),
             }),
         };
@@ -674,23 +697,22 @@ impl DomainRuntime {
         }
     }
 
-    /// Drains envelopes emitted so far and reports the next local event
-    /// time. Used once after setup (sends from setup run at `t = 0`).
-    fn initial_out(&mut self) -> (Vec<Envelope>, Option<u64>) {
-        let emitted = std::mem::take(&mut *self.ctx.shared.outbox.borrow_mut());
-        (emitted, self.sim.next_event_at().map(SimTime::as_nanos))
+    /// Moves the envelopes emitted so far into the (empty) `io`, whose
+    /// buffer becomes the next outbox, and reports the next local event
+    /// time. Called on its own once after setup (sends from setup run at
+    /// `t = 0`).
+    fn collect(&mut self, io: &mut Vec<Envelope>) -> Option<u64> {
+        debug_assert!(io.is_empty());
+        std::mem::swap(io, &mut *self.ctx.shared.outbox.borrow_mut());
+        self.sim.next_event_at().map(SimTime::as_nanos)
     }
 
-    /// Injects routed envelopes (already in merge order) and advances
-    /// the domain through every event strictly below `horizon`
-    /// (`None` = run to quiescence). Returns the envelopes emitted this
-    /// epoch and the next local event time.
-    fn advance(
-        &mut self,
-        inject: Vec<Envelope>,
-        horizon: Option<u64>,
-    ) -> (Vec<Envelope>, Option<u64>) {
-        for env in inject {
+    /// Injects the routed envelopes in `io` (already in merge order) and
+    /// advances the domain through every event strictly below `horizon`
+    /// (`None` = run to quiescence). Leaves the envelopes emitted this
+    /// epoch in `io` and returns the next local event time.
+    fn advance(&mut self, io: &mut Vec<Envelope>, horizon: Option<u64>) -> Option<u64> {
+        for env in io.drain(..) {
             let shared = Rc::clone(&self.ctx.shared);
             let deliver_at = SimTime::from_nanos(env.deliver_ns);
             let chan = env.chan;
@@ -702,8 +724,9 @@ impl DomainRuntime {
                 let deliver = shared
                     .rx
                     .borrow()
-                    .get(&chan)
+                    .get(chan as usize)
                     .cloned()
+                    .flatten()
                     .unwrap_or_else(|| panic!("channel {chan} delivered before bind_rx"));
                 shared.delivered.set(shared.delivered.get() + 1);
                 deliver(payload);
@@ -713,8 +736,7 @@ impl DomainRuntime {
             Some(h) => self.sim.run_events_before(SimTime::from_nanos(h)),
             None => self.sim.run(),
         }
-        let emitted = std::mem::take(&mut *self.ctx.shared.outbox.borrow_mut());
-        (emitted, self.sim.next_event_at().map(SimTime::as_nanos))
+        self.collect(io)
     }
 
     fn finish(mut self) -> DomainReport {
@@ -731,24 +753,213 @@ impl DomainRuntime {
     }
 }
 
-/// Commands the coordinator sends to a worker thread.
-enum Cmd {
-    /// Advance every hosted domain one epoch: per-domain injected
-    /// envelope batches (in hosting order) plus the shared horizon.
-    Advance {
-        batches: Vec<Vec<Envelope>>,
-        horizon: Option<u64>,
-    },
-    /// Run finish hooks and return the per-domain reports.
-    Finish,
+/// Polls of a mailbox generation a waiter burns before it parks: about
+/// 80 µs, the order of one futex sleep/wake round trip on a slow host, so
+/// a wait never costs more than twice what parking at once would have. A
+/// peer lane's epoch is shorter than that and is normally caught
+/// spinning; a lane that sits idle for many epochs, or whose peer is
+/// descheduled, gives the CPU back.
+const SPIN_BUDGET: u32 = 1 << 12;
+
+/// Values of [`LaneShared::stop`].
+const RUNNING: u8 = 0;
+/// The last epoch is over: lanes run their finish hooks and return.
+const FINISH: u8 = 1;
+/// Some lane panicked: every waiter gives up at once.
+const POISON: u8 = 2;
+
+/// Run-wide state every lane of one [`PdesBuilder::run`] call borrows.
+struct LaneShared {
+    /// `RUNNING`, `FINISH` or `POISON`. Stored `Release`, read `Acquire`
+    /// by [`Mailbox::wait`]; a store is always followed by an `unpark`
+    /// of the threads that may be parked on it.
+    stop: AtomicU8,
+    /// Whether waiters busy-poll before parking: only when every lane can
+    /// have a CPU of its own, otherwise a spinner just delays the lane it
+    /// waits for.
+    spin: bool,
 }
 
-/// Replies from a worker thread, one per command (plus one initial
-/// reply straight after setup).
-enum Reply {
-    /// `(domain index, emitted, next event time)` per hosted domain.
-    Advanced(Vec<(u32, Vec<Envelope>, Option<u64>)>),
-    Done(Vec<(u32, DomainReport)>),
+/// What crosses a lane boundary each epoch. Buffers are swapped through,
+/// never reallocated: an inject batch's buffer comes back holding the
+/// emitted envelopes and is reused for a later batch.
+struct Mail {
+    horizon: Option<u64>,
+    /// Per hosted domain: the inject batch (merge order) on the way in,
+    /// the envelopes it emitted on the way out.
+    io: Vec<Vec<Envelope>>,
+    /// Per hosted domain: next local event time, on the way out.
+    next: Vec<Option<u64>>,
+}
+
+/// The private hand-off slot between the coordinator and one lane.
+#[repr(align(128))] // generations of neighbouring lanes never share a line
+struct Mailbox {
+    /// Epoch generation: `mail` belongs to the lane while even and to the
+    /// coordinator while odd. Bumped `Release` by the side handing over,
+    /// read `Acquire` by the side waiting, so the mail contents are
+    /// ordered by it (the mutex is there for safe interior mutability and
+    /// is never contended).
+    gen: AtomicU64,
+    mail: Mutex<Mail>,
+}
+
+impl Mailbox {
+    fn new(domains: usize) -> Self {
+        Mailbox {
+            gen: AtomicU64::new(0),
+            mail: Mutex::new(Mail {
+                horizon: None,
+                io: (0..domains).map(|_| Vec::new()).collect(),
+                next: vec![None; domains],
+            }),
+        }
+    }
+
+    fn mail(&self) -> std::sync::MutexGuard<'_, Mail> {
+        self.mail
+            .lock()
+            .expect("the generation protocol never reopens a mailbox whose owner panicked")
+    }
+
+    /// Hands the mail to the other side and wakes it if it parked.
+    fn publish(&self, peer: &thread::Thread) {
+        self.gen.fetch_add(1, Ordering::Release);
+        peer.unpark();
+    }
+
+    /// Waits until the generation has `parity` (the caller's turn) and
+    /// returns `RUNNING`, or returns the stop state raised meanwhile.
+    /// No wake-up is lost: both `publish` and a stop store are followed
+    /// by `unpark`, whose token makes a later `park` return at once.
+    fn wait(&self, parity: u64, shared: &LaneShared) -> u8 {
+        let mut budget = if shared.spin { SPIN_BUDGET } else { 0 };
+        loop {
+            if self.gen.load(Ordering::Acquire) & 1 == parity {
+                return RUNNING;
+            }
+            let stop = shared.stop.load(Ordering::Acquire);
+            if stop != RUNNING {
+                return stop;
+            }
+            if budget > 0 {
+                budget -= 1;
+                std::hint::spin_loop();
+            } else {
+                thread::park();
+            }
+        }
+    }
+}
+
+/// Drop guard held by every lane, the coordinator's included: a panic
+/// unwinding through it poisons the run and wakes the threads that may be
+/// waiting on this one, so neither side of the barrier can hang.
+struct PoisonOnPanic<'a> {
+    shared: &'a LaneShared,
+    wake: Vec<thread::Thread>,
+}
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.shared.stop.store(POISON, Ordering::Release);
+            self.wake.iter().for_each(thread::Thread::unpark);
+        }
+    }
+}
+
+/// The coordinator's end of one worker lane.
+struct LaneLink<'scope, 'env> {
+    /// Hosted domain ids, in the order `Mail::io` / `Mail::next` lay them out.
+    hosted: Vec<usize>,
+    mailbox: &'env Mailbox,
+    handle: thread::ScopedJoinHandle<'scope, Vec<(usize, DomainReport)>>,
+    /// Whether the lane was signalled in the current epoch.
+    ran: bool,
+}
+
+/// The coordinator's view of every domain between epochs, indexed by
+/// domain id.
+struct Routes {
+    /// Next local event time, as last reported.
+    next: Vec<Option<u64>>,
+    /// Routed-but-uninjected envelopes, in merge order.
+    pending: Vec<Vec<Envelope>>,
+    /// Envelopes emitted in the epoch just run, awaiting [`Self::absorb`];
+    /// empty between epochs, when the buffers serve as swap partners.
+    emitted: Vec<Vec<Envelope>>,
+    /// Pending queues that received an out-of-order envelope.
+    unsorted: Vec<bool>,
+    /// Per-channel occupancy for the capacity check.
+    in_flight: Vec<usize>,
+    envelopes: u64,
+}
+
+impl Routes {
+    /// Earliest event anywhere: a domain's local queue or the head of a
+    /// (sorted) pending queue.
+    fn lbts(&self) -> Option<u64> {
+        let heads = self.pending.iter().filter_map(|q| q.first());
+        let local = self.next.iter().flatten().copied();
+        local.chain(heads.map(|e| e.deliver_ns)).min()
+    }
+
+    /// Whether domain `i` has anything to do below `horizon`. When it has
+    /// not, `advance(∅, horizon)` is a no-op — `run_events_before` finds
+    /// the ready queue empty and the wheel head at or past the horizon —
+    /// so the domain (and a lane hosting only such domains) is skipped.
+    fn active(&self, i: usize, horizon: Option<u64>) -> bool {
+        !self.pending[i].is_empty() || self.next[i].is_some_and(|t| horizon.is_none_or(|h| t < h))
+    }
+
+    /// Moves domain `i`'s pending queue into the (empty) `io` for
+    /// injection, releasing channel occupancy.
+    fn take_batch(&mut self, i: usize, io: &mut Vec<Envelope>) {
+        for env in &self.pending[i] {
+            self.in_flight[env.chan as usize] -= 1;
+        }
+        std::mem::swap(&mut self.pending[i], io);
+    }
+
+    /// Takes over what a lane left in its mail: emitted envelopes and
+    /// next-event times of the domains it hosts.
+    fn collect(&mut self, hosted: &[usize], mail: &mut Mail) {
+        for (j, &i) in hosted.iter().enumerate() {
+            std::mem::swap(&mut self.emitted[i], &mut mail.io[j]);
+            self.next[i] = mail.next[j];
+        }
+    }
+
+    /// Routes the epoch's emitted envelopes into per-destination pending
+    /// queues and restores merge order. Sources are visited in domain-id
+    /// order so that even an overflow panic is independent of the lane
+    /// layout; the sorted result is anyway, because merge keys are unique.
+    fn absorb(&mut self, channels: &[ChannelMeta]) {
+        for out in &mut self.emitted {
+            for env in out.drain(..) {
+                let meta = channels[env.chan as usize];
+                self.in_flight[env.chan as usize] += 1;
+                assert!(
+                    self.in_flight[env.chan as usize] <= meta.capacity,
+                    "pdes channel {} overflowed its capacity {}",
+                    env.chan,
+                    meta.capacity
+                );
+                let queue = &mut self.pending[meta.dst as usize];
+                if queue.last().is_some_and(|last| last.key() > env.key()) {
+                    self.unsorted[meta.dst as usize] = true;
+                }
+                queue.push(env);
+                self.envelopes += 1;
+            }
+        }
+        for (queue, unsorted) in self.pending.iter_mut().zip(&mut self.unsorted) {
+            if std::mem::take(unsorted) {
+                queue.sort_unstable_by_key(Envelope::key);
+            }
+        }
+    }
 }
 
 struct Coordinator {
@@ -761,150 +972,156 @@ struct Coordinator {
 impl Coordinator {
     fn run(self, domains: Vec<DomainSlot>, workers: usize) -> PdesReport {
         let n = domains.len();
-        // Split into coordinator-hosted and worker-hosted domains. With
-        // one worker everything is local: the sequential reference path.
-        let mut local: Vec<(u32, DomainSlot)> = Vec::new();
-        let mut remote: Vec<RemoteDomain> = Vec::new();
-        for (i, slot) in domains.into_iter().enumerate() {
-            let i = i as u32;
+        // Deal domains onto lanes. Lane 0 is the calling thread: it hosts
+        // every Local domain and takes its turn in the round-robin of the
+        // `Send` ones, which starts at the first lane without a Local
+        // domain. With one worker everything lands on lane 0: the
+        // sequential reference path, no thread and no mailbox.
+        let sendable = |d: &DomainSlot| matches!(d, DomainSlot::Remote { .. });
+        let first = usize::from(!domains.iter().all(sendable));
+        let lanes = workers
+            .min(first + domains.iter().filter(|d| sendable(d)).count())
+            .max(1);
+        let mut local: Vec<(usize, DomainSlot)> = Vec::new();
+        let mut bundles: Vec<Vec<RemoteDomain>> = (1..lanes).map(|_| Vec::new()).collect();
+        let mut dealt = first;
+        for (id, slot) in domains.into_iter().enumerate() {
+            let lane = if sendable(&slot) {
+                dealt += 1;
+                (dealt - 1) % lanes
+            } else {
+                0
+            };
             match slot {
-                DomainSlot::Remote { name, setup } if workers > 1 => {
-                    remote.push(RemoteDomain { id: i, name, setup });
+                DomainSlot::Remote { name, setup } if lane > 0 => {
+                    bundles[lane - 1].push(RemoteDomain { id, name, setup });
                 }
-                slot => local.push((i, slot)),
+                slot => local.push((id, slot)),
             }
         }
-        let threads = workers.min(remote.len());
-        let mut per_thread: Vec<Vec<RemoteDomain>> = (0..threads).map(|_| Vec::new()).collect();
-        for (j, d) in remote.into_iter().enumerate() {
-            per_thread[j % threads].push(d);
-        }
-        // The hosting map: which domain ids each worker thread owns, in
-        // the order its Advance batches are laid out.
-        let hosted: Vec<Vec<u32>> = per_thread
-            .iter()
-            .map(|b| b.iter().map(|d| d.id).collect())
-            .collect();
+        let mailboxes: Vec<Mailbox> = bundles.iter().map(|b| Mailbox::new(b.len())).collect();
+        let shared = LaneShared {
+            stop: AtomicU8::new(RUNNING),
+            spin: lanes > 1
+                && thread::available_parallelism().is_ok_and(|cpus| lanes <= cpus.get()),
+        };
+        let (shared, seed, policy) = (&shared, self.seed, self.policy);
 
         let (slots, epochs, envelopes) = thread::scope(|scope| {
-            let mut links: Vec<(mpsc::Sender<Cmd>, mpsc::Receiver<Reply>)> = Vec::new();
-            for bundle in per_thread {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-                let (rep_tx, rep_rx) = mpsc::channel::<Reply>();
-                let seed = self.seed;
-                let policy = self.policy;
-                scope.spawn(move || worker_main(bundle, seed, policy, cmd_rx, rep_tx));
-                links.push((cmd_tx, rep_rx));
+            let caller = thread::current();
+            let mut guard = PoisonOnPanic {
+                shared,
+                wake: Vec::new(),
+            };
+            let mut links: Vec<LaneLink> = Vec::new();
+            for (bundle, mailbox) in bundles.into_iter().zip(&mailboxes) {
+                let hosted = bundle.iter().map(|d| d.id).collect();
+                let caller = caller.clone();
+                let handle =
+                    scope.spawn(move || lane_main(bundle, seed, policy, mailbox, shared, caller));
+                guard.wake.push(handle.thread().clone());
+                links.push(LaneLink {
+                    hosted,
+                    mailbox,
+                    handle,
+                    ran: true,
+                });
             }
 
-            let mut local_rt: Vec<(u32, DomainRuntime)> = local
+            let mut local_rt: Vec<(usize, DomainRuntime)> = local
                 .into_iter()
                 .map(|(i, slot)| {
                     let rt = match slot {
                         DomainSlot::Remote { name, setup } => {
-                            DomainRuntime::build(i, name, self.seed, self.policy, setup)
+                            DomainRuntime::build(i, name, seed, policy, setup)
                         }
                         DomainSlot::Local { name, setup } => {
-                            DomainRuntime::build(i, name, self.seed, self.policy, setup)
+                            DomainRuntime::build(i, name, seed, policy, setup)
                         }
                     };
                     (i, rt)
                 })
                 .collect();
 
-            // Per-domain next-event time and routed-but-uninjected
-            // envelopes; per-channel occupancy for the capacity check.
-            let mut next: Vec<Option<u64>> = vec![None; n];
-            let mut pending: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
-            let mut in_flight: Vec<usize> = vec![0; self.channels.len()];
+            let mut routes = Routes {
+                next: vec![None; n],
+                pending: (0..n).map(|_| Vec::new()).collect(),
+                emitted: (0..n).map(|_| Vec::new()).collect(),
+                unsorted: vec![false; n],
+                in_flight: vec![0; self.channels.len()],
+                envelopes: 0,
+            };
             let mut epochs = 0u64;
-            let mut envelopes = 0u64;
 
             // Initial state: setups may already have emitted (sends from
             // setup are stamped `t = 0`).
-            let mut outputs: Vec<(u32, Vec<Envelope>, Option<u64>)> = Vec::new();
             for (i, rt) in &mut local_rt {
-                let (emitted, nx) = rt.initial_out();
-                outputs.push((*i, emitted, nx));
+                routes.next[*i] = rt.collect(&mut routes.emitted[*i]);
             }
-            for (_, rep_rx) in &links {
-                match rep_rx.recv() {
-                    Ok(Reply::Advanced(out)) => outputs.extend(out),
-                    _ => panic!("pdes worker thread died during setup"),
+            for link in &links {
+                if link.mailbox.wait(1, shared) != RUNNING {
+                    panic!("pdes worker thread died during setup");
                 }
+                routes.collect(&link.hosted, &mut link.mailbox.mail());
             }
-            self.absorb(
-                outputs,
-                &mut next,
-                &mut pending,
-                &mut in_flight,
-                &mut envelopes,
-            );
+            routes.absorb(&self.channels);
 
-            loop {
-                // LBTS: earliest event anywhere — local queues or routed
-                // envelopes awaiting delivery. Nothing left => done.
-                let lbts = next
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .chain(pending.iter().flatten().map(|e| e.deliver_ns))
-                    .min();
-                let Some(lbts) = lbts else { break };
+            // LBTS: earliest event anywhere. Nothing left => done.
+            while let Some(lbts) = routes.lbts() {
                 let horizon = self.lookahead_ns.map(|l| lbts.saturating_add(l));
                 epochs += 1;
 
-                // Fan out to workers first so they run while the
-                // coordinator advances its own domains.
-                for (t, (cmd_tx, _)) in links.iter().enumerate() {
-                    let batches = hosted[t]
-                        .iter()
-                        .map(|&i| take_batch(&mut pending[i as usize], &mut in_flight))
-                        .collect();
-                    if cmd_tx.send(Cmd::Advance { batches, horizon }).is_err() {
-                        panic!("pdes worker thread died");
+                // Signal the busy worker lanes first so they run while
+                // lane 0 advances its own domains; idle lanes are neither
+                // signalled nor waited for.
+                for link in &mut links {
+                    link.ran = link.hosted.iter().any(|&i| routes.active(i, horizon));
+                    if !link.ran {
+                        continue;
                     }
+                    let mut mail = link.mailbox.mail();
+                    mail.horizon = horizon;
+                    for (j, &i) in link.hosted.iter().enumerate() {
+                        routes.take_batch(i, &mut mail.io[j]);
+                    }
+                    drop(mail);
+                    link.mailbox.publish(link.handle.thread());
                 }
-                let mut outputs: Vec<(u32, Vec<Envelope>, Option<u64>)> = Vec::new();
                 for (i, rt) in &mut local_rt {
-                    let batch = take_batch(&mut pending[*i as usize], &mut in_flight);
-                    let (emitted, nx) = rt.advance(batch, horizon);
-                    outputs.push((*i, emitted, nx));
-                }
-                for (_, rep_rx) in &links {
-                    match rep_rx.recv() {
-                        Ok(Reply::Advanced(out)) => outputs.extend(out),
-                        _ => panic!("pdes worker thread panicked during an epoch"),
+                    if routes.active(*i, horizon) {
+                        let mut io = std::mem::take(&mut routes.emitted[*i]);
+                        routes.take_batch(*i, &mut io);
+                        routes.next[*i] = rt.advance(&mut io, horizon);
+                        routes.emitted[*i] = io;
                     }
                 }
-                self.absorb(
-                    outputs,
-                    &mut next,
-                    &mut pending,
-                    &mut in_flight,
-                    &mut envelopes,
-                );
+                for link in links.iter().filter(|l| l.ran) {
+                    if link.mailbox.wait(1, shared) != RUNNING {
+                        panic!("pdes worker thread panicked during an epoch");
+                    }
+                    routes.collect(&link.hosted, &mut link.mailbox.mail());
+                }
+                routes.absorb(&self.channels);
             }
 
-            // Quiescent: collect reports in domain order.
+            // Quiescent: release the lanes into their finish hooks and
+            // collect reports in domain order.
+            shared.stop.store(FINISH, Ordering::Release);
+            guard.wake.iter().for_each(thread::Thread::unpark);
             let mut slots: Vec<Option<DomainReport>> = (0..n).map(|_| None).collect();
-            for (cmd_tx, _) in &links {
-                let _ = cmd_tx.send(Cmd::Finish);
-            }
             for (i, rt) in local_rt {
-                slots[i as usize] = Some(rt.finish());
+                slots[i] = Some(rt.finish());
             }
-            for (_, rep_rx) in &links {
-                match rep_rx.recv() {
-                    Ok(Reply::Done(done)) => {
-                        for (i, r) in done {
-                            slots[i as usize] = Some(r);
-                        }
-                    }
-                    _ => panic!("pdes worker thread panicked during finish"),
+            for link in links {
+                let done = link
+                    .handle
+                    .join()
+                    .unwrap_or_else(|_| panic!("pdes worker thread panicked during finish"));
+                for (i, r) in done {
+                    slots[i] = Some(r);
                 }
             }
-            (slots, epochs, envelopes)
+            (slots, epochs, routes.envelopes)
         });
 
         PdesReport {
@@ -917,99 +1134,56 @@ impl Coordinator {
             lookahead_ns: self.lookahead_ns,
         }
     }
-
-    /// Applies one round of domain outputs: records next-event times and
-    /// routes emitted envelopes into per-destination pending queues in
-    /// merge order. Outputs are sorted by domain id first so the result
-    /// is independent of reply arrival order.
-    fn absorb(
-        &self,
-        mut outputs: Vec<(u32, Vec<Envelope>, Option<u64>)>,
-        next: &mut [Option<u64>],
-        pending: &mut [Vec<Envelope>],
-        in_flight: &mut [usize],
-        envelopes: &mut u64,
-    ) {
-        outputs.sort_by_key(|(i, _, _)| *i);
-        for (i, emitted, nx) in outputs {
-            next[i as usize] = nx;
-            for env in emitted {
-                let meta = self.channels[env.chan as usize];
-                in_flight[env.chan as usize] += 1;
-                assert!(
-                    in_flight[env.chan as usize] <= meta.capacity,
-                    "pdes channel {} overflowed its capacity {}",
-                    env.chan,
-                    meta.capacity
-                );
-                pending[meta.dst as usize].push(env);
-                *envelopes += 1;
-            }
-        }
-        for queue in pending.iter_mut() {
-            queue.sort_by_key(Envelope::key);
-        }
-    }
 }
 
-/// Drains a domain's pending queue for injection, releasing channel
-/// occupancy.
-fn take_batch(pending: &mut Vec<Envelope>, in_flight: &mut [usize]) -> Vec<Envelope> {
-    let batch = std::mem::take(pending);
-    for env in &batch {
-        in_flight[env.chan as usize] -= 1;
-    }
-    batch
-}
-
-/// A worker thread's main loop: build hosted domains, report initial
-/// state, then serve Advance/Finish commands until told to stop.
-fn worker_main(
+/// A worker lane's main loop: build the hosted domains, report their
+/// initial state, then advance them one epoch per mailbox hand-over until
+/// the run finishes (returning the domain reports) or is poisoned.
+fn lane_main(
     bundle: Vec<RemoteDomain>,
     seed: u64,
     policy: SchedulePolicy,
-    cmd_rx: mpsc::Receiver<Cmd>,
-    rep_tx: mpsc::Sender<Reply>,
-) {
-    let mut runtimes: Vec<(u32, DomainRuntime)> = bundle
+    mailbox: &Mailbox,
+    shared: &LaneShared,
+    coordinator: thread::Thread,
+) -> Vec<(usize, DomainReport)> {
+    let guard = PoisonOnPanic {
+        shared,
+        wake: vec![coordinator],
+    };
+    let coordinator = &guard.wake[0];
+    let mut runtimes: Vec<(usize, DomainRuntime)> = bundle
         .into_iter()
         .map(|d| {
             let rt = DomainRuntime::build(d.id, d.name, seed, policy, d.setup);
             (d.id, rt)
         })
         .collect();
-    let initial = runtimes
-        .iter_mut()
-        .map(|(i, rt)| {
-            let (emitted, nx) = rt.initial_out();
-            (*i, emitted, nx)
-        })
-        .collect();
-    if rep_tx.send(Reply::Advanced(initial)).is_err() {
-        return;
-    }
-    while let Ok(cmd) = cmd_rx.recv() {
-        match cmd {
-            Cmd::Advance { batches, horizon } => {
-                let out = runtimes
-                    .iter_mut()
-                    .zip(batches)
-                    .map(|((i, rt), batch)| {
-                        let (emitted, nx) = rt.advance(batch, horizon);
-                        (*i, emitted, nx)
-                    })
-                    .collect();
-                if rep_tx.send(Reply::Advanced(out)).is_err() {
-                    return;
-                }
-            }
-            Cmd::Finish => {
-                let done = runtimes.drain(..).map(|(i, rt)| (i, rt.finish())).collect();
-                let _ = rep_tx.send(Reply::Done(done));
-                return;
-            }
+    {
+        let mail = &mut *mailbox.mail();
+        for (j, (_, rt)) in runtimes.iter_mut().enumerate() {
+            mail.next[j] = rt.collect(&mut mail.io[j]);
         }
     }
+    mailbox.publish(coordinator);
+    loop {
+        match mailbox.wait(0, shared) {
+            RUNNING => {}
+            FINISH => break,
+            _ => return Vec::new(),
+        }
+        {
+            let mail = &mut *mailbox.mail();
+            for (j, (_, rt)) in runtimes.iter_mut().enumerate() {
+                mail.next[j] = rt.advance(&mut mail.io[j], mail.horizon);
+            }
+        }
+        mailbox.publish(coordinator);
+    }
+    runtimes
+        .into_iter()
+        .map(|(i, rt)| (i, rt.finish()))
+        .collect()
 }
 
 /// Hosts a complete (phase-driven) simulation job on a dedicated OS
@@ -1060,12 +1234,15 @@ pub fn env_workers(default: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// A ping-pong ring: each of `k` domains forwards a token to the
     /// next, `rounds` times around. Returns the full render.
     fn ring(seed: u64, k: u32, rounds: u64, workers: usize) -> String {
+        ring_report(seed, k, rounds, workers).render()
+    }
+
+    fn ring_report(seed: u64, k: u32, rounds: u64, workers: usize) -> PdesReport {
         let mut b = PdesBuilder::new(seed);
         let mut links = Vec::new();
         for i in 0..k {
@@ -1115,7 +1292,7 @@ mod tests {
                 })
             });
         }
-        b.run(workers).render()
+        b.run(workers)
     }
 
     #[test]
@@ -1226,52 +1403,206 @@ mod tests {
         }
     }
 
-    #[test]
-    fn remote_domains_actually_run_on_worker_threads() {
-        let seen = Arc::new(AtomicUsize::new(0));
-        let main_thread = thread::current().id();
+    /// The distinct threads that ran the setup or an event of `domains`
+    /// sleeping `Send` domains under `run(workers)`.
+    fn hosting_threads(domains: u32, workers: usize) -> Vec<thread::ThreadId> {
+        let seen: Arc<Mutex<Vec<thread::ThreadId>>> = Arc::default();
         let mut b = PdesBuilder::new(5);
-        for i in 0..3u32 {
+        for i in 0..domains {
             let seen = Arc::clone(&seen);
             b.add_domain(&format!("d{i}"), move |ctx| {
-                if thread::current().id() != main_thread {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                }
+                let note = move || {
+                    let mut seen = seen.lock().unwrap();
+                    if !seen.contains(&thread::current().id()) {
+                        seen.push(thread::current().id());
+                    }
+                };
+                note();
                 let h = ctx.handle();
                 ctx.handle().spawn(async move {
                     h.sleep(Duration::from_nanos(10)).await;
+                    note();
                 });
                 Box::new(|_: &DomainCtx| Vec::new())
             });
         }
-        b.run(4);
-        assert_eq!(
-            seen.load(Ordering::SeqCst),
-            3,
-            "all domains off the main thread"
-        );
-
-        // With workers=1 everything stays inline on the caller.
-        let seen1 = Arc::new(AtomicUsize::new(0));
-        let mut b = PdesBuilder::new(5);
-        let s = Arc::clone(&seen1);
-        b.add_domain("d", move |ctx| {
-            if thread::current().id() != main_thread {
-                s.fetch_add(1, Ordering::SeqCst);
-            }
-            let h = ctx.handle();
-            ctx.handle().spawn(async move {
-                h.sleep(Duration::from_nanos(10)).await;
-            });
-            Box::new(|_: &DomainCtx| Vec::new())
-        });
-        b.run(1);
-        assert_eq!(seen1.load(Ordering::SeqCst), 0);
+        b.run(workers);
+        let seen = seen.lock().unwrap().clone();
+        seen
     }
 
     #[test]
-    #[should_panic(expected = "overflowed its capacity")]
-    fn bounded_channel_overflow_panics() {
+    fn run_uses_exactly_k_threads_including_the_caller() {
+        let caller = thread::current().id();
+        for (domains, workers) in [(3, 2), (3, 3), (3, 4), (5, 2), (1, 4)] {
+            let threads = hosting_threads(domains, workers);
+            assert_eq!(
+                threads.len(),
+                workers.min(domains as usize),
+                "{domains} domains at workers={workers}"
+            );
+            assert!(threads.contains(&caller), "the caller is lane 0");
+        }
+        // With workers=1 nothing ever leaves the caller.
+        assert_eq!(hosting_threads(3, 1), [caller]);
+    }
+
+    /// One client fanning out to four servers over 300 ns channels, eight
+    /// requests outstanding per server: client-only and server-only
+    /// epochs alternate, so a lane without the client is idle (neither
+    /// signalled nor waited for) every second epoch.
+    fn fanout(workers: usize, rounds: u32) -> PdesReport {
+        let mut b = PdesBuilder::new(11);
+        let client = b.domain_id(0);
+        let mut client_links = Vec::new();
+        let mut server_links = Vec::new();
+        for i in 0..4 {
+            let server = b.domain_id(1 + i);
+            let (req_tx, req_rx) = b.channel::<u32>(client, server, Duration::from_nanos(300));
+            let (rsp_tx, rsp_rx) = b.channel::<u32>(server, client, Duration::from_nanos(300));
+            client_links.push((req_tx, rsp_rx));
+            server_links.push((req_rx, rsp_tx));
+        }
+        b.add_domain("client", move |ctx| {
+            let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
+            for (tx, rx) in client_links {
+                let (tx, rx) = (ctx.bind_tx(tx), ctx.bind_rx(rx));
+                for slot in 0..8 {
+                    tx.send(slot);
+                }
+                let (h, log) = (ctx.handle(), Rc::clone(&log));
+                ctx.handle().spawn(async move {
+                    for _ in 0..rounds * 8 {
+                        let slot = rx.recv().await;
+                        log.borrow_mut().push((h.now().as_nanos(), slot));
+                        tx.send(slot);
+                    }
+                });
+            }
+            Box::new(move |ctx: &DomainCtx| {
+                let sum = log.borrow().iter().fold(0u64, |a, (t, s)| {
+                    a.wrapping_mul(31).wrapping_add(t ^ u64::from(*s))
+                });
+                format!(
+                    "{} replies, digest {sum}, end {}",
+                    log.borrow().len(),
+                    ctx.now().as_nanos()
+                )
+                .into_bytes()
+            })
+        });
+        for (i, (rx, tx)) in server_links.into_iter().enumerate() {
+            b.add_domain(&format!("server{i}"), move |ctx| {
+                let (rx, tx) = (ctx.bind_rx(rx), Rc::new(ctx.bind_tx(tx)));
+                let h = ctx.handle();
+                ctx.handle().spawn(async move {
+                    loop {
+                        let slot = rx.recv().await;
+                        let (tx, h2) = (Rc::clone(&tx), h.clone());
+                        h.spawn(async move {
+                            let d = h2.with_rng(|r| r.next_u64_below(40));
+                            h2.sleep(Duration::from_nanos(20 + d)).await;
+                            tx.send(slot);
+                        });
+                    }
+                });
+                Box::new(|ctx: &DomainCtx| ctx.envelopes_delivered().to_string().into_bytes())
+            });
+        }
+        b.run(workers)
+    }
+
+    #[test]
+    fn fanout_with_idle_lanes_matches_the_pinned_sequential_run() {
+        let seq = fanout(1, 50);
+        // Pinned from the parent commit's engine (mpsc epoch path, no
+        // lane 0, no idle skip): the rewrite must not move an event.
+        assert_eq!((seq.epochs, seq.envelopes), (104, 3264));
+        assert_eq!(fnv1a(seq.render().as_bytes()), 0x4a60_fab7_21c8_58c2);
+        for workers in [2, 3, 5] {
+            assert_eq!(
+                seq.render(),
+                fanout(workers, 50).render(),
+                "workers={workers}"
+            );
+        }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Every hop of the ring token is an epoch with one busy domain, so
+    /// each one is a hand-off to (and back from) a single lane while all
+    /// others stay asleep: a lost wake-up hangs the run, a skipped or
+    /// doubled epoch changes the render.
+    #[test]
+    fn twenty_thousand_one_event_epochs_lose_no_wakeup() {
+        let seq = ring_report(7, 8, 2_500, 1);
+        assert!(seq.epochs >= 20_000, "{} epochs", seq.epochs);
+        // workers=2 spins on a multi-core host; workers=8 oversubscribes
+        // anything below eight CPUs and takes the park path at once.
+        for workers in [2, 8] {
+            assert_eq!(
+                seq.render(),
+                ring(7, 8, 2_500, workers),
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// Three domains; `d1` (on a worker lane whenever `workers > 1`)
+    /// panics at `t = 500` while the others keep exchanging envelopes.
+    fn run_with_panicking_domain(workers: usize) {
+        let mut b = PdesBuilder::new(3);
+        let (d0, d2) = (b.domain_id(0), b.domain_id(2));
+        let (tx02, rx02) = b.channel::<u64>(d0, d2, Duration::from_nanos(100));
+        let (tx20, rx20) = b.channel::<u64>(d2, d0, Duration::from_nanos(100));
+        let echo = |tx: TxToken<u64>, rx: RxToken<u64>, kick: bool| {
+            move |ctx: &DomainCtx| -> DomainFinish {
+                let (tx, rx) = (ctx.bind_tx(tx), ctx.bind_rx(rx));
+                if kick {
+                    tx.send(0);
+                }
+                ctx.handle().spawn(async move {
+                    loop {
+                        let v = rx.recv().await;
+                        if v < 100 {
+                            tx.send(v + 1);
+                        }
+                    }
+                });
+                Box::new(|_: &DomainCtx| Vec::new())
+            }
+        };
+        b.add_domain("d0", echo(tx02, rx20, true));
+        b.add_domain("d1", |ctx| {
+            let h = ctx.handle();
+            ctx.handle().spawn(async move {
+                h.sleep(Duration::from_nanos(500)).await;
+                panic!("domain d1 failed at t=500");
+            });
+            Box::new(|_: &DomainCtx| Vec::new())
+        });
+        b.add_domain("d2", echo(tx20, rx02, false));
+        b.run(workers);
+    }
+
+    #[test]
+    #[should_panic(expected = "pdes worker thread panicked during an epoch")]
+    fn panicking_worker_domain_fails_the_run_spinning() {
+        run_with_panicking_domain(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pdes worker thread panicked during an epoch")]
+    fn panicking_worker_domain_fails_the_run_parked() {
+        run_with_panicking_domain(8);
+    }
+
+    fn overflow_bounded_channel(workers: usize) {
         let mut b = PdesBuilder::new(3);
         let a = b.domain_id(0);
         let z = b.domain_id(1);
@@ -1287,7 +1618,21 @@ mod tests {
             let _rx = ctx.bind_rx(rx);
             Box::new(|_: &DomainCtx| Vec::new())
         });
-        b.run(1);
+        b.run(workers);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed its capacity")]
+    fn bounded_channel_overflow_panics() {
+        overflow_bounded_channel(1);
+    }
+
+    /// The coordinator panics while lane 1 waits for its first epoch: the
+    /// lane must be released or `thread::scope` would never join it.
+    #[test]
+    #[should_panic(expected = "overflowed its capacity")]
+    fn bounded_channel_overflow_panics_with_a_waiting_lane() {
+        overflow_bounded_channel(2);
     }
 
     #[test]
