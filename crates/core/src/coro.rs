@@ -249,7 +249,7 @@ impl SmartCoro {
     /// consume fresh credits like any other post, which is what keeps the
     /// throttle's conservation invariant intact under injected errors.
     async fn ship(&self, wrs: Vec<WorkRequest>) -> Vec<u64> {
-        let cfg = self.thread.context().config().clone();
+        let cfg = self.thread.context().config();
         let mut shipped = Vec::with_capacity(wrs.len());
         // Partition by target blade, preserving per-blade order.
         let mut groups: BTreeMap<u32, Vec<WorkRequest>> = BTreeMap::new();
@@ -344,7 +344,7 @@ impl SmartCoro {
             return Ok(Vec::new());
         }
         let thread = &self.thread;
-        let cfg = thread.context().config().clone();
+        let cfg = thread.context().config();
         let handle = thread.handle().clone();
         let start = handle.now();
         let mut done: DetMap<Cqe> = DetMap::new();

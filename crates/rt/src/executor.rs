@@ -2,7 +2,7 @@ use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
@@ -12,12 +12,12 @@ use crate::join::{JoinHandle, JoinState};
 use crate::metrics::ExecutorMetrics;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::wheel::{TimerToken, TimerWheel};
+use crate::wheel::{TimerToken, TimerWake, TimerWheel};
 
 /// A task identity: slab index in the low half, slot generation in the
 /// high half. The generation lets the executor drop a wake that was
 /// enqueued for a previous occupant of a reused slot.
-type TaskId = u64;
+pub(crate) type TaskId = u64;
 
 fn pack(idx: u32, gen: u32) -> TaskId {
     ((gen as u64) << 32) | idx as u64
@@ -35,6 +35,8 @@ fn unpack(id: TaskId) -> (u32, u32) {
 /// wake was the hottest line in the old executor). This is a spin-guarded
 /// `VecDeque`: uncontended (always, here) it costs one uncontended
 /// compare-exchange, while remaining sound if a waker ever did migrate.
+/// Both wake paths ([`SlotWaker`] and [`Inner::wake_task`]) push here;
+/// a fired task-id timer never touches it (see [`Simulation::step`]).
 #[derive(Default)]
 struct ReadyQueue {
     locked: AtomicBool,
@@ -75,6 +77,12 @@ impl ReadyQueue {
 /// allocates a fresh `Arc` pair per task. `gen` mirrors the slot's
 /// current generation so wakes are stamped with the occupant they were
 /// meant for.
+///
+/// This is the runtime's only `Waker` implementation and the wake path
+/// of every context the runtime cannot name: `wake_at`, a combinator
+/// that polls with a waker of its own, a waker that left the thread.
+/// The runtime's own futures, polled with their task's own context, park
+/// a [`Wakeup::Task`] instead and never clone, wake or drop one of these.
 struct SlotWaker {
     idx: u32,
     gen: AtomicU32,
@@ -99,24 +107,85 @@ impl Wake for SlotWaker {
 }
 
 /// One slab slot: the resident future (when occupied) plus the slot's
-/// permanent waker machinery.
+/// permanent waker machinery. `waker` is moved out for the duration of a
+/// poll and back with the future, so a poll clones nothing.
 struct TaskSlot {
     future: Option<Pin<Box<dyn Future<Output = ()>>>>,
     gen: u32,
-    waker: Waker,
+    waker: Option<Waker>,
     slot: Arc<SlotWaker>,
 }
 
-/// Executor-side counters behind [`SimHandle::metrics`]. `wakes` is
-/// atomic because it is bumped from inside the `Send + Sync` waker; the
-/// timer cancellation/purge counters live in the [`TimerWheel`] itself.
+/// Executor-side counters behind [`SimHandle::metrics`]; the timer
+/// cancellation/purge counters live in the [`TimerWheel`] itself.
 #[derive(Default)]
 struct ExecStats {
     tasks_spawned: Cell<u64>,
     polls: Cell<u64>,
+    /// Deduplicated wakes through a `Waker`: atomic because it is bumped
+    /// from inside the `Send + Sync` [`SlotWaker`].
     wakes: Arc<AtomicU64>,
+    /// Deduplicated wakes by task id (always on the executor's thread);
+    /// `ExecutorMetrics::wakes` is the sum of the two.
+    task_wakes: Cell<u64>,
     timers_scheduled: Cell<u64>,
     timers_fired: Cell<u64>,
+}
+
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
+}
+
+thread_local! {
+    /// The executor stepping on this thread, set and restored by
+    /// [`Simulation::enter`]: how a future that holds no [`SimHandle`]
+    /// finds the executor whose task is polling it.
+    static CURRENT: RefCell<Option<Rc<Inner>>> = const { RefCell::new(None) };
+}
+
+/// Restores the previously stepping executor when dropped, so PDES
+/// domains sharing a lane and a `Simulation` run from inside a task nest.
+struct Stepping(Option<Rc<Inner>>);
+
+impl Drop for Stepping {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.replace(self.0.take()));
+    }
+}
+
+/// How a parked runtime future (`Notified`, `Acquire`, `JoinHandle`, the
+/// PDES receiver) resumes its task.
+pub(crate) enum Wakeup {
+    /// Polled with the context of the task its executor was polling: the
+    /// task is named by id and woken with no atomic read-modify-write.
+    /// The executor is held weakly — a handle that outlives its
+    /// `Simulation` wakes nothing and keeps nothing alive.
+    Task(Weak<Inner>, TaskId),
+    /// Any other context: whatever waker it came with.
+    Waker(Waker),
+}
+
+impl Wakeup {
+    /// The cheapest way to resume whoever polls with `cx`.
+    pub(crate) fn of(cx: &Context<'_>) -> Wakeup {
+        let task = CURRENT.with(|c| {
+            let current = c.borrow();
+            let inner = current.as_ref()?;
+            Some(Wakeup::Task(Rc::downgrade(inner), inner.polled_by(cx)?))
+        });
+        task.unwrap_or_else(|| Wakeup::Waker(cx.waker().clone()))
+    }
+
+    pub(crate) fn wake(self) {
+        match self {
+            Wakeup::Task(exec, id) => {
+                if let Some(inner) = exec.upgrade() {
+                    inner.wake_task(id);
+                }
+            }
+            Wakeup::Waker(waker) => waker.wake(),
+        }
+    }
 }
 
 /// How the executor breaks ties among timers that fire at the same virtual
@@ -167,9 +236,39 @@ pub(crate) struct Inner {
     ready: Arc<ReadyQueue>,
     tasks: RefCell<Vec<TaskSlot>>,
     free: RefCell<Vec<u32>>,
+    /// The task `poll_task` is polling right now: its waker's data
+    /// pointer (what a `Context` is recognised by) and its id.
+    polling: Cell<Option<(*const (), TaskId)>>,
     rng: RefCell<SimRng>,
     tracer: RefCell<Option<smart_trace::TraceSink>>,
     stats: ExecStats,
+}
+
+impl Inner {
+    /// The id of the task being polled, if `cx` is that task's own context.
+    fn polled_by(&self, cx: &Context<'_>) -> Option<TaskId> {
+        match self.polling.get() {
+            Some((data, id)) if data == cx.waker().data() => Some(id),
+            _ => None,
+        }
+    }
+
+    /// The task-id twin of [`SlotWaker::wake_by_ref`]: same dedup flag,
+    /// same queue, but a plain flag test and a `Cell` bump. Only ever
+    /// runs on the executor's thread; a migrated waker racing the flag can
+    /// at worst enqueue the task twice, which costs one spurious poll.
+    fn wake_task(&self, id: TaskId) {
+        let (idx, gen) = unpack(id);
+        let tasks = self.tasks.borrow();
+        let Some(slot) = tasks.get(idx as usize) else {
+            return; // the simulation was dropped
+        };
+        if slot.gen == gen && !slot.slot.scheduled.load(Ordering::Relaxed) {
+            slot.slot.scheduled.store(true, Ordering::Relaxed);
+            bump(&self.stats.task_wakes);
+            self.ready.push(id);
+        }
+    }
 }
 
 /// A cheaply clonable handle onto a running [`Simulation`].
@@ -246,7 +345,7 @@ impl SimHandle {
                 tasks.push(TaskSlot {
                     future: None,
                     gen: 0,
-                    waker: Waker::from(Arc::clone(&slot)),
+                    waker: Some(Waker::from(Arc::clone(&slot))),
                     slot,
                 });
                 idx
@@ -257,8 +356,7 @@ impl SimHandle {
         slot.future = Some(future);
         slot.slot.scheduled.store(true, Ordering::Relaxed);
         let gen = slot.gen;
-        let stats = &self.inner.stats;
-        stats.tasks_spawned.set(stats.tasks_spawned.get() + 1);
+        bump(&self.inner.stats.tasks_spawned);
         self.inner.ready.push(pack(idx, gen));
     }
 
@@ -270,7 +368,7 @@ impl SimHandle {
         ExecutorMetrics {
             tasks_spawned: s.tasks_spawned.get(),
             polls: s.polls.get(),
-            wakes: s.wakes.load(Ordering::Relaxed),
+            wakes: s.wakes.load(Ordering::Relaxed) + s.task_wakes.get(),
             timers_scheduled: s.timers_scheduled.get(),
             timers_fired: s.timers_fired.get(),
             timers_cancelled: timers.cancelled,
@@ -283,22 +381,21 @@ impl SimHandle {
     /// This is the low-level primitive beneath [`sleep`](Self::sleep); the
     /// queueing primitives in [`crate::sync`] use it directly.
     pub fn wake_at(&self, at: SimTime, waker: Waker) {
-        self.register_timer(at, waker);
+        self.register_timer(at, TimerWake::Waker(waker));
     }
 
     /// Registers a timer and returns its cancellation token; used by
     /// [`Sleep`] so a dropped sleep tombstones its entry instead of
     /// firing a dead waker at the deadline.
-    fn register_timer(&self, at: SimTime, waker: Waker) -> TimerToken {
+    fn register_timer(&self, at: SimTime, wake: TimerWake) -> TimerToken {
         let seq = self.inner.seq.get();
         self.inner.seq.set(seq + 1);
         let key = self.inner.policy.get().tie_key(seq);
-        let stats = &self.inner.stats;
-        stats.timers_scheduled.set(stats.timers_scheduled.get() + 1);
+        bump(&self.inner.stats.timers_scheduled);
         self.inner
             .timers
             .borrow_mut()
-            .insert(at.as_nanos(), key, seq, waker)
+            .insert(at.as_nanos(), key, seq, wake)
     }
 
     /// Tombstones a pending timer; stale tokens are ignored.
@@ -402,6 +499,11 @@ impl SimHandle {
 
 /// Future returned by [`SimHandle::sleep`] and [`SimHandle::sleep_until`].
 ///
+/// Polled with its task's own context it registers the task's id, and the
+/// executor polls that task in place when the timer fires; polled through
+/// any other waker (a hand-written combinator) it registers a clone of
+/// that waker, exactly like [`SimHandle::wake_at`].
+///
 /// Dropping a `Sleep` before its deadline (losing a `with_timeout` race,
 /// a select taken by another branch) cancels the underlying timer: the
 /// entry is tombstoned and purged without firing, instead of waking a
@@ -424,9 +526,11 @@ impl Future for Sleep {
             return Poll::Ready(());
         }
         if self.token.is_none() {
-            let deadline = self.deadline;
-            let token = self.handle.register_timer(deadline, cx.waker().clone());
-            self.token = Some(token);
+            let wake = match self.handle.inner.polled_by(cx) {
+                Some(id) => TimerWake::Task(id),
+                None => TimerWake::Waker(cx.waker().clone()),
+            };
+            self.token = Some(self.handle.register_timer(self.deadline, wake));
         }
         Poll::Pending
     }
@@ -496,6 +600,7 @@ impl Simulation {
                     // slot, never per event.
                     tasks: RefCell::new(Vec::new()),
                     free: RefCell::new(Vec::new()),
+                    polling: Cell::new(None),
                     rng: RefCell::new(SimRng::new(seed)),
                     tracer: RefCell::new(None),
                     stats: ExecStats::default(),
@@ -537,10 +642,18 @@ impl Simulation {
         self.handle.spawn(future)
     }
 
+    /// Names this simulation as the thread's stepping executor until the
+    /// guard drops (see [`CURRENT`]).
+    fn enter(&self) -> Stepping {
+        let inner = Rc::clone(&self.handle.inner);
+        Stepping(CURRENT.with(|c| c.replace(Some(inner))))
+    }
+
     fn poll_task(&self, id: TaskId) {
         let (idx, gen) = unpack(id);
+        let inner = &*self.handle.inner;
         let (mut future, waker) = {
-            let mut tasks = self.handle.inner.tasks.borrow_mut();
+            let mut tasks = inner.tasks.borrow_mut();
             let Some(slot) = tasks.get_mut(idx as usize) else {
                 return;
             };
@@ -551,65 +664,62 @@ impl Simulation {
             let Some(future) = slot.future.take() else {
                 return; // task already completed
             };
-            (future, slot.waker.clone())
+            (future, slot.waker.take().expect("waker parked with future"))
         };
-        let stats = &self.handle.inner.stats;
-        stats.polls.set(stats.polls.get() + 1);
-        let mut cx = Context::from_waker(&waker);
-        match future.as_mut().poll(&mut cx) {
+        bump(&inner.stats.polls);
+        let outer = inner.polling.replace(Some((waker.data(), id)));
+        let polled = future.as_mut().poll(&mut Context::from_waker(&waker));
+        inner.polling.set(outer);
+        let mut tasks = inner.tasks.borrow_mut();
+        let slot = &mut tasks[idx as usize];
+        slot.waker = Some(waker);
+        match polled {
             Poll::Ready(()) => {
-                let mut tasks = self.handle.inner.tasks.borrow_mut();
-                let slot = &mut tasks[idx as usize];
                 // Retire this occupancy: bump the generation (mirrored
                 // into the waker) so in-flight wakes for the finished
                 // task die at the queue instead of poking its successor.
                 slot.gen = slot.gen.wrapping_add(1);
                 slot.slot.gen.store(slot.gen, Ordering::Relaxed);
-                self.handle.inner.free.borrow_mut().push(idx);
+                inner.free.borrow_mut().push(idx);
             }
-            Poll::Pending => {
-                self.handle.inner.tasks.borrow_mut()[idx as usize].future = Some(future);
-            }
+            Poll::Pending => slot.future = Some(future),
         }
     }
 
-    /// Runs one scheduling step. Returns `false` if no work remains.
-    fn step(&mut self, limit: Option<SimTime>) -> bool {
-        let id = self.handle.inner.ready.pop();
-        if let Some(id) = id {
+    /// Runs one scheduling step: a ready task if there is one, otherwise
+    /// the earliest timer at or before `last` ns (`None`: no timer may
+    /// fire). Returns `false` if no such work remains.
+    fn step(&self, last: Option<u64>) -> bool {
+        let inner = &*self.handle.inner;
+        if let Some(id) = inner.ready.pop() {
             self.poll_task(id);
             return true;
         }
-        let fired = {
-            let mut timers = self.handle.inner.timers.borrow_mut();
-            match timers.peek_at() {
-                Some(at) => {
-                    if limit.is_some_and(|l| at > l.as_nanos()) {
-                        None
-                    } else {
-                        Some(timers.pop().expect("peeked"))
-                    }
-                }
-                None => None,
-            }
+        let fired = last.and_then(|last| inner.timers.borrow_mut().pop_through(last));
+        let Some((at, wake)) = fired else {
+            return false;
         };
-        match fired {
-            Some((at, waker)) => {
-                let at = SimTime::from_nanos(at);
-                debug_assert!(at >= self.handle.now());
-                let stats = &self.handle.inner.stats;
-                stats.timers_fired.set(stats.timers_fired.get() + 1);
-                self.handle.inner.now.set(at);
-                waker.wake();
-                true
+        let at = SimTime::from_nanos(at);
+        debug_assert!(at >= inner.now.get());
+        bump(&inner.stats.timers_fired);
+        inner.now.set(at);
+        match wake {
+            // Timers fire only when the ready queue is empty, so pushing
+            // the task and popping it straight back is the same schedule
+            // as polling it here; the wake is counted all the same.
+            TimerWake::Task(id) => {
+                bump(&inner.stats.task_wakes);
+                self.poll_task(id);
             }
-            None => false,
+            TimerWake::Waker(waker) => waker.wake(),
         }
+        true
     }
 
     /// Runs until no ready tasks and no timers remain.
     pub fn run(&mut self) {
-        while self.step(None) {}
+        let _stepping = self.enter();
+        while self.step(Some(u64::MAX)) {}
     }
 
     /// The virtual time of the earliest pending work: `now` when a task
@@ -640,36 +750,16 @@ impl Simulation {
     /// observe time `limit` itself, because a cross-domain event may
     /// still be delivered exactly there by another domain.
     pub fn run_events_before(&mut self, limit: SimTime) {
-        loop {
-            if let Some(id) = self.handle.inner.ready.pop() {
-                self.poll_task(id);
-                continue;
-            }
-            let fired = {
-                let mut timers = self.handle.inner.timers.borrow_mut();
-                match timers.peek_at() {
-                    Some(at) if at < limit.as_nanos() => Some(timers.pop().expect("peeked")),
-                    _ => None,
-                }
-            };
-            match fired {
-                Some((at, waker)) => {
-                    let at = SimTime::from_nanos(at);
-                    debug_assert!(at >= self.handle.now());
-                    let stats = &self.handle.inner.stats;
-                    stats.timers_fired.set(stats.timers_fired.get() + 1);
-                    self.handle.inner.now.set(at);
-                    waker.wake();
-                }
-                None => break,
-            }
-        }
+        let _stepping = self.enter();
+        let last = limit.as_nanos().checked_sub(1);
+        while self.step(last) {}
     }
 
     /// Runs until virtual time `deadline`: every event at or before the
     /// deadline is processed, then the clock is set to the deadline.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.step(Some(deadline)) {}
+        let _stepping = self.enter();
+        while self.step(Some(deadline.as_nanos())) {}
         if self.handle.now() < deadline {
             self.handle.inner.now.set(deadline);
         }
@@ -694,8 +784,9 @@ impl Simulation {
         F::Output: 'static,
     {
         let join = self.spawn(future);
+        let _stepping = self.enter();
         while !join.is_finished() {
-            if !self.step(None) {
+            if !self.step(Some(u64::MAX)) {
                 panic!("simulation deadlock: no events left but block_on future is pending");
             }
         }
@@ -708,8 +799,10 @@ impl Drop for Simulation {
         // Break Rc cycles: tasks hold SimHandles which hold Inner which
         // holds the tasks. Dropping the futures may cancel their pending
         // sleeps (Sleep::drop), which borrows the timer wheel — so the
-        // wheel is cleared strictly afterwards.
-        self.handle.inner.tasks.borrow_mut().clear();
+        // wheel is cleared strictly afterwards — and may wake parked
+        // tasks by id, which reads the slab, so it is emptied first.
+        let tasks = std::mem::take(&mut *self.handle.inner.tasks.borrow_mut());
+        drop(tasks);
         self.handle.inner.timers.borrow_mut().clear();
         self.handle.inner.ready.with(|q| q.clear());
     }
@@ -1015,5 +1108,284 @@ mod tests {
         assert_eq!(m.wakes, 3, "one deduplicated wake per timer fire");
         assert_eq!(m.timers_cancelled, 0);
         assert_eq!(m.events(), m.polls + m.timers_fired);
+    }
+
+    // --- wake-path contract --------------------------------------------
+
+    use crate::sync::{Notify, Semaphore};
+    use std::future::poll_fn;
+
+    /// Polls `fut` once with the calling task's own context.
+    async fn poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
+        poll_fn(|cx| Poll::Ready(Pin::new(&mut *fut).poll(cx))).await
+    }
+
+    /// Wakes counted on the `Waker` path (as opposed to by task id).
+    fn waker_wakes(sim: &Simulation) -> u64 {
+        sim.handle.inner.stats.wakes.load(Ordering::Relaxed)
+    }
+
+    fn stepping_is_none() -> bool {
+        CURRENT.with(|c| c.borrow().is_none())
+    }
+
+    /// 64 tasks x 5 rounds of sleep / semaphore hand-off / sleep /
+    /// `notify_all` barrier, one `with_timeout` loser per task, joined
+    /// from the root task.
+    fn fixed_scenario() -> Simulation {
+        let mut sim = Simulation::new(15);
+        let h = sim.handle();
+        let sem = Semaphore::new(8);
+        let barrier = Notify::new();
+        let joins: Vec<_> = (0..64u64)
+            .map(|i| {
+                let (h, sem, barrier) = (h.clone(), sem.clone(), barrier.clone());
+                sim.spawn(async move {
+                    for _ in 0..5 {
+                        h.sleep(Duration::from_nanos(10 + i)).await;
+                        sem.acquire(1).await;
+                        h.sleep(Duration::from_nanos(7)).await;
+                        sem.release(1);
+                        barrier.notified().await;
+                    }
+                    let never = Notify::new();
+                    let lost =
+                        crate::with_timeout(&h, Duration::from_nanos(3), never.notified()).await;
+                    assert!(lost.is_err());
+                    i
+                })
+            })
+            .collect();
+        let sum = sim.block_on(async move {
+            for _ in 0..5 {
+                h.sleep(Duration::from_nanos(500)).await;
+                barrier.notify_all();
+            }
+            let mut sum = 0;
+            for j in joins {
+                sum += j.await;
+            }
+            sum
+        });
+        assert_eq!(sum, 63 * 64 / 2);
+        sim
+    }
+
+    #[test]
+    fn fixed_scenario_metrics_match_the_waker_only_executor() {
+        let sim = fixed_scenario();
+        // Literals recorded from the parent commit, where every wake went
+        // through an `Arc<SlotWaker>`.
+        assert_eq!(
+            sim.handle().metrics(),
+            ExecutorMetrics {
+                tasks_spawned: 65,
+                polls: 1158,
+                wakes: 1093,
+                timers_scheduled: 709,
+                timers_fired: 709,
+                timers_cancelled: 0,
+                timers_purged: 0,
+            }
+        );
+        assert_eq!(sim.now().as_nanos(), 2_503);
+        // ... and here not one of them did.
+        assert_eq!(waker_wakes(&sim), 0);
+    }
+
+    #[test]
+    fn timeout_races_tombstone_and_purge() {
+        let mut sim = Simulation::new(0);
+        let h = sim.handle();
+        sim.block_on(async move {
+            // Future wins: the 50 ns deadline is tombstoned.
+            let won = crate::with_timeout(
+                &h,
+                Duration::from_nanos(50),
+                h.sleep(Duration::from_nanos(20)),
+            );
+            assert!(won.await.is_ok());
+            // Deadline wins: the 900 ns sleep is tombstoned.
+            let lost = crate::with_timeout(
+                &h,
+                Duration::from_nanos(10),
+                h.sleep(Duration::from_nanos(900)),
+            );
+            assert!(lost.await.is_err());
+        });
+        let m = sim.handle().metrics();
+        assert_eq!((m.timers_scheduled, m.timers_fired), (4, 2));
+        assert_eq!((m.timers_cancelled, m.timers_purged), (2, 0));
+        assert_eq!((m.polls, m.wakes), (3, 2));
+        sim.run(); // the cursor reaches both tombstones without firing them
+        let m = sim.handle().metrics();
+        assert_eq!((m.timers_fired, m.timers_purged), (2, 2));
+        assert_eq!(sim.now().as_nanos(), 30);
+    }
+
+    #[test]
+    fn parked_task_handles_outlive_their_simulation_harmlessly() {
+        let (notify, sem) = (Notify::new(), Semaphore::new(0));
+        let stash = Rc::new(RefCell::new(None));
+        let mut sim = Simulation::new(0);
+        let weak = Rc::downgrade(&sim.handle.inner);
+        {
+            let (notify, sem, stash) = (notify.clone(), sem.clone(), Rc::clone(&stash));
+            sim.spawn(async move {
+                let (mut notified, mut acquire) = (notify.notified(), sem.acquire(1));
+                assert!(poll_once(&mut notified).await.is_pending());
+                assert!(poll_once(&mut acquire).await.is_pending());
+                // Registered by task id; now they leave the task.
+                *stash.borrow_mut() = Some((notified, acquire));
+            });
+        }
+        sim.run();
+        let spare = sim.handle();
+        drop(sim);
+        notify.notify_one(); // executor alive through `spare`, slab gone
+        drop(spare);
+        assert!(weak.upgrade().is_none(), "parked handles keep it alive");
+        sem.release(1); // executor gone
+        assert_eq!(sem.available(), 0, "the stashed acquire was granted");
+    }
+
+    #[test]
+    fn stale_wakes_are_discarded_and_double_wakes_poll_once() {
+        let mut sim = Simulation::new(0);
+        let (old, new) = (Notify::new(), Notify::new());
+        let stash = Rc::new(RefCell::new(None));
+        {
+            let (old, stash) = (old.clone(), Rc::clone(&stash));
+            sim.spawn(async move {
+                let mut notified = old.notified();
+                assert!(poll_once(&mut notified).await.is_pending());
+                *stash.borrow_mut() = Some(notified);
+            });
+        }
+        sim.run();
+        // B reuses A's slot; A's task-id handle is still queued in `old`.
+        let polls = Rc::new(Cell::new(0u32));
+        let waker = Rc::new(RefCell::new(None::<Waker>));
+        {
+            let (new, polls, waker) = (new.clone(), Rc::clone(&polls), Rc::clone(&waker));
+            sim.spawn(async move {
+                let mut notified = new.notified();
+                poll_fn(|cx| {
+                    polls.set(polls.get() + 1);
+                    *waker.borrow_mut() = Some(cx.waker().clone());
+                    Pin::new(&mut notified).poll(cx)
+                })
+                .await
+            });
+        }
+        sim.run();
+        assert_eq!(sim.handle.inner.tasks.borrow().len(), 1, "slot reused");
+        let parked = sim.handle().metrics();
+        assert_eq!(polls.get(), 1);
+        old.notify_one();
+        sim.run();
+        assert_eq!(
+            sim.handle().metrics(),
+            parked,
+            "wake for the previous occupant"
+        );
+        // One wake by id and two through the waker before B runs: one poll.
+        new.notify_one();
+        let waker = waker.borrow_mut().take().expect("stashed");
+        waker.wake_by_ref();
+        waker.wake();
+        sim.run();
+        assert_eq!(polls.get(), 2);
+        assert_eq!(sim.handle().metrics().wakes, parked.wakes + 1);
+        assert_eq!(sim.live_tasks(), 0);
+
+        // Queue-level discard: C wakes itself and completes, D takes the
+        // slot before the stale entry is popped.
+        sim.spawn(poll_fn(|cx| {
+            cx.waker().wake_by_ref();
+            Poll::Ready(())
+        }));
+        assert!(sim.step(Some(u64::MAX)));
+        let d_polls = Rc::new(Cell::new(0u32));
+        let d = Rc::clone(&d_polls);
+        sim.spawn(poll_fn(move |_| {
+            d.set(d.get() + 1);
+            Poll::<()>::Pending
+        }));
+        sim.run();
+        assert_eq!(d_polls.get(), 1);
+        assert_eq!(sim.handle.inner.tasks.borrow().len(), 1, "slot reused");
+    }
+
+    #[test]
+    fn nested_simulation_restores_the_stepping_executor() {
+        let mut outer = Simulation::new(1);
+        let h = outer.handle();
+        let gate = Notify::new();
+        {
+            let (h, gate) = (h.clone(), gate.clone());
+            outer.spawn(async move {
+                h.sleep(Duration::from_nanos(50)).await;
+                gate.notify_one();
+            });
+        }
+        let inner_metrics = outer.block_on(async move {
+            let mut inner = Simulation::new(2);
+            let (ih, n) = (inner.handle(), Notify::new());
+            let n2 = n.clone();
+            inner.spawn(async move { n2.notified().await });
+            inner.spawn(async move {
+                ih.sleep(Duration::from_nanos(10)).await;
+                n.notify_one();
+            });
+            inner.run();
+            assert_eq!((inner.live_tasks(), waker_wakes(&inner)), (0, 0));
+            let m = inner.handle().metrics();
+            drop(inner);
+            // Back in the outer task: this must park with the outer
+            // executor again, by task id.
+            gate.notified().await;
+            h.sleep(Duration::from_nanos(5)).await;
+            m
+        });
+        assert_eq!(inner_metrics.wakes, 2);
+        assert_eq!(outer.now().as_nanos(), 55);
+        assert_eq!(outer.handle().metrics().wakes, 3);
+        assert_eq!(waker_wakes(&outer), 0);
+        assert!(stepping_is_none());
+    }
+
+    #[test]
+    fn simulations_interleaved_on_one_thread_wake_into_their_own_executor() {
+        // What a PDES lane hosting two domains does: alternate epochs.
+        let mut sims: Vec<Simulation> = (0..2).map(Simulation::new).collect();
+        let done = Rc::new(Cell::new(0u32));
+        for sim in &sims {
+            let (h, n, done) = (sim.handle(), Notify::new(), Rc::clone(&done));
+            let n2 = n.clone();
+            sim.spawn(async move {
+                for _ in 0..4 {
+                    n2.notified().await;
+                }
+                done.set(done.get() + 1);
+            });
+            sim.spawn(async move {
+                for _ in 0..4 {
+                    h.sleep(Duration::from_nanos(30)).await;
+                    n.notify_one();
+                }
+            });
+        }
+        for epoch in 1..=13 {
+            for sim in &mut sims {
+                sim.run_events_before(SimTime::from_nanos(epoch * 10));
+                assert!(stepping_is_none());
+            }
+        }
+        assert_eq!(done.get(), 2);
+        for sim in &sims {
+            assert_eq!(sim.handle().metrics().wakes, 8);
+            assert_eq!((sim.live_tasks(), waker_wakes(sim)), (0, 0));
+        }
     }
 }

@@ -2,13 +2,15 @@ use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
+
+use crate::executor::Wakeup;
 
 /// Shared completion state between a spawned task and its [`JoinHandle`].
 pub(crate) struct JoinState<T> {
     result: Option<T>,
     taken: bool,
-    waker: Option<Waker>,
+    waker: Option<Wakeup>,
 }
 
 impl<T> Default for JoinState<T> {
@@ -99,7 +101,7 @@ impl<T> Future for JoinHandle<T> {
             return Poll::Ready(v);
         }
         assert!(!s.taken, "JoinHandle output already taken");
-        s.waker = Some(cx.waker().clone());
+        s.waker = Some(Wakeup::of(cx));
         Poll::Pending
     }
 }

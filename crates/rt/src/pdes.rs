@@ -106,7 +106,7 @@ use std::marker::PhantomData;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 // The one deliberate exception to the `os-concurrency` rule (see
 // PDES_ENGINE_FILES in smart-lint): this module IS the engine that hosts
 // deterministic domains on OS threads. Determinism is guaranteed by the
@@ -115,7 +115,7 @@ use std::task::{Context, Poll, Waker};
 use std::thread;
 use std::time::Duration;
 
-use crate::executor::{SchedulePolicy, SimHandle, Simulation};
+use crate::executor::{SchedulePolicy, SimHandle, Simulation, Wakeup};
 use crate::metrics::ExecutorMetrics;
 use crate::time::SimTime;
 
@@ -355,7 +355,7 @@ impl<T: Send + 'static> PdesSender<T> {
 
 struct RxState<T> {
     queue: RefCell<VecDeque<T>>,
-    waker: RefCell<Option<Waker>>,
+    waker: RefCell<Option<Wakeup>>,
 }
 
 /// The receiving half of an inter-domain channel (single consumer).
@@ -394,7 +394,7 @@ impl<T> std::future::Future for Recv<'_, T> {
         if let Some(v) = self.rx.state.queue.borrow_mut().pop_front() {
             return Poll::Ready(v);
         }
-        *self.rx.state.waker.borrow_mut() = Some(cx.waker().clone());
+        *self.rx.state.waker.borrow_mut() = Some(Wakeup::of(cx));
         Poll::Pending
     }
 }
@@ -1304,6 +1304,20 @@ mod tests {
         // A different seed gives a different (but still stable) run.
         assert_ne!(seq, ring(43, 5, 8, 1));
         assert_eq!(ring(43, 5, 8, 1), ring(43, 5, 8, 4));
+    }
+
+    #[test]
+    fn domains_sharing_a_lane_count_the_same_wakes_as_domains_apart() {
+        // On one lane the five executors take turns on one thread; each
+        // receiver must park with, and be woken into, its own domain.
+        let metrics = |workers| -> Vec<ExecutorMetrics> {
+            let report = ring_report(42, 5, 8, workers);
+            report.domains.iter().map(|d| d.metrics).collect()
+        };
+        let together = metrics(1);
+        assert!(together.iter().all(|m| m.wakes > 0 && m.polls > m.wakes));
+        assert_eq!(together, metrics(2));
+        assert_eq!(together, metrics(8));
     }
 
     #[test]

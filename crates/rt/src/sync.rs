@@ -18,12 +18,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 use std::time::Duration;
 
 use smart_trace::{Actor, Args, Category, SyncOp};
 
-use crate::executor::{SimHandle, Sleep};
+use crate::executor::{SimHandle, Sleep, Wakeup};
 use crate::time::SimTime;
 
 // ---------------------------------------------------------------------------
@@ -34,7 +34,7 @@ use crate::time::SimTime;
 struct NotifyInner {
     permit: Cell<bool>,
     next_key: Cell<u64>,
-    waiters: RefCell<VecDeque<(u64, Waker)>>,
+    waiters: RefCell<VecDeque<(u64, Wakeup)>>,
 }
 
 /// Wakes one or all waiting tasks; a `notify_one` with no waiter stores a
@@ -84,8 +84,13 @@ impl Notify {
 
     /// Wakes every current waiter (stores no permit).
     pub fn notify_all(&self) {
-        let waiters: Vec<(u64, Waker)> = self.inner.waiters.borrow_mut().drain(..).collect();
-        for (_, w) in waiters {
+        // In place, the queue borrow released around each wake: only the
+        // waiters present at entry, whatever a foreign waker does.
+        let queued = self.inner.waiters.borrow().len();
+        for _ in 0..queued {
+            let Some((_, w)) = self.inner.waiters.borrow_mut().pop_front() else {
+                break;
+            };
             w.wake();
         }
     }
@@ -107,6 +112,10 @@ impl Notify {
 /// `Pending`; only a real notification — which removes the entry —
 /// resolves it. Dropping a registered `Notified` (the losing branch of
 /// a timeout) deregisters, so its notification is never swallowed.
+///
+/// What is queued is the polling task's id when the poll came with that
+/// task's own context (the usual `.await`), and a clone of the caller's
+/// waker otherwise.
 #[derive(Debug)]
 pub struct Notified {
     notify: Notify,
@@ -129,9 +138,9 @@ impl Future for Notified {
         if let Some(key) = self.key {
             let mut waiters = self.notify.inner.waiters.borrow_mut();
             match waiters.iter_mut().find(|(k, _)| *k == key) {
-                // Spurious poll: still queued — refresh the waker.
+                // Spurious poll: still queued — refresh the wakeup.
                 Some((_, w)) => {
-                    w.clone_from(cx.waker());
+                    *w = Wakeup::of(cx);
                     return Poll::Pending;
                 }
                 // Our entry was removed by a notify: that is the signal.
@@ -145,10 +154,7 @@ impl Future for Notified {
         let inner = &self.notify.inner;
         let key = inner.next_key.get();
         inner.next_key.set(key + 1);
-        inner
-            .waiters
-            .borrow_mut()
-            .push_back((key, cx.waker().clone()));
+        inner.waiters.borrow_mut().push_back((key, Wakeup::of(cx)));
         self.key = Some(key);
         Poll::Pending
     }
@@ -172,7 +178,7 @@ impl Drop for Notified {
 
 struct SemWaiter {
     need: u64,
-    waker: Waker,
+    waker: Wakeup,
     state: Rc<Cell<WaitState>>,
 }
 
@@ -467,7 +473,7 @@ impl Future for Acquire {
             }
             let waiter = SemWaiter {
                 need: self.need,
-                waker: cx.waker().clone(),
+                waker: Wakeup::of(cx),
                 state: Rc::clone(&self.state),
             };
             self.sem.inner.waiters.borrow_mut().push_back(waiter);
@@ -1450,5 +1456,78 @@ mod tests {
         q.close();
         sim.run();
         assert_eq!(*order.borrow(), vec![(0, 10), (1, 11), (2, 12), (0, 13)]);
+    }
+
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::{Arc, OnceLock};
+    use std::task::{Wake, Waker};
+
+    /// A waker of the combinator's own: counts its wakes and relays them
+    /// to the task that polled the combinator.
+    #[derive(Default)]
+    struct Relay {
+        wakes: AtomicU32,
+        task: OnceLock<Waker>,
+    }
+
+    impl Wake for Relay {
+        fn wake(self: Arc<Self>) {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            self.task.get().expect("polled first").wake_by_ref();
+        }
+    }
+
+    /// Polls `F` through a [`Relay`] instead of the task's own context,
+    /// as a hand-written select/join combinator would.
+    struct ViaOwnWaker<F: ?Sized>(Pin<Box<F>>, Arc<Relay>);
+
+    impl<F: Future + ?Sized> Future for ViaOwnWaker<F> {
+        type Output = F::Output;
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            self.1.task.get_or_init(|| cx.waker().clone());
+            let waker = Waker::from(Arc::clone(&self.1));
+            self.0.as_mut().poll(&mut Context::from_waker(&waker))
+        }
+    }
+
+    #[test]
+    fn foreign_contexts_fall_back_to_their_own_waker() {
+        let mut sim = Simulation::new(0);
+        let h = sim.handle();
+        let (notify, sem) = (Notify::new(), Semaphore::new(0));
+        {
+            let (h, notify, sem) = (h.clone(), notify.clone(), sem.clone());
+            sim.spawn(async move {
+                h.sleep(Duration::from_nanos(40)).await;
+                notify.notify_one();
+                h.sleep(Duration::from_nanos(40)).await;
+                sem.release(1);
+            });
+        }
+        let relay = Arc::new(Relay::default());
+        let r = Arc::clone(&relay);
+        let via = move |f: Pin<Box<dyn Future<Output = ()>>>| ViaOwnWaker(f, r.clone());
+        let h2 = h.clone();
+        sim.block_on(async move {
+            via(Box::pin(h.sleep(Duration::from_nanos(10)))).await;
+            assert_eq!(h.now().as_nanos(), 10);
+            via(Box::pin(notify.notified())).await;
+            assert_eq!(h.now().as_nanos(), 40);
+            via(Box::pin(sem.acquire(1))).await;
+            assert_eq!(h.now().as_nanos(), 80);
+            // `wake_at` with an arbitrary waker: the relay itself.
+            let mut armed = false;
+            via(Box::pin(std::future::poll_fn(move |cx| {
+                if std::mem::replace(&mut armed, true) {
+                    return Poll::Ready(());
+                }
+                h.wake_at(h.now() + Duration::from_nanos(5), cx.waker().clone());
+                Poll::Pending
+            })))
+            .await;
+        });
+        assert_eq!(h2.now().as_nanos(), 85);
+        let wakes = relay.wakes.load(Ordering::Relaxed);
+        assert_eq!(wakes, 4, "each wait was resumed through the relay");
     }
 }

@@ -39,13 +39,15 @@
 //! Timers live in a slab and are addressed by generation-checked
 //! [`TimerToken`]s. Dropping a [`Sleep`](crate::executor::Sleep) whose
 //! deadline never fired (a `with_timeout` the wrapped future won, a
-//! select raced by) cancels its entry: the waker is released immediately
+//! select raced by) cancels its entry: the wake is released immediately
 //! and the tombstone is purged — without firing, without advancing
 //! virtual time — when the cursor next reaches it. The old heap kept such
 //! entries until their deadline and woke the dead task spuriously.
 
 use std::collections::BinaryHeap;
 use std::task::Waker;
+
+use crate::executor::TaskId;
 
 /// Slots per level (one 6-bit digit of the deadline per level).
 const SLOTS: usize = 64;
@@ -67,16 +69,40 @@ pub(crate) struct TimerToken {
     gen: u32,
 }
 
-/// One slab entry. `waker` is `None` once cancelled (the tombstone
-/// state); the node itself is freed when the cursor reaches it.
+/// What a timer resumes when it fires.
+pub(crate) enum TimerWake {
+    /// A task of the wheel's own executor (a [`Sleep`](crate::executor::Sleep)
+    /// polled with its task's context): the executor polls it in place.
+    Task(TaskId),
+    /// Anything else (`wake_at`, a `Sleep` inside a foreign combinator).
+    Waker(Waker),
+}
+
+/// What a cancelled (or free) node holds instead: no task has this id.
+/// A reserved id rather than an `Option` around the enum keeps the node
+/// at the 48 bytes it had with a bare `Option<Waker>` (the option would
+/// cost a seventh more memory per pending timer).
+const TOMBSTONE: TimerWake = TimerWake::Task(TaskId::MAX);
+
+/// One slab entry. `wake` is [`TOMBSTONE`] once cancelled; the node
+/// itself is freed when the cursor reaches it. A live node holds a plain
+/// task id for the runtime's own sleeps — no reference count to take at
+/// registration or give back at the fire — and a `Waker` only for
+/// contexts the executor cannot name.
 struct TimerNode {
     at: u64,
     key: u64,
     seq: u64,
-    waker: Option<Waker>,
+    wake: TimerWake,
     gen: u32,
     /// Next node in the bucket chain / free list.
     next: u32,
+}
+
+impl TimerNode {
+    fn is_live(&self) -> bool {
+        !matches!(self.wake, TimerWake::Task(TaskId::MAX))
+    }
 }
 
 /// Min-heap entry: `(at, key, seq)` is the executor's total order, the
@@ -125,7 +151,7 @@ impl TimerWheel {
     }
 
     /// Registers a timer; O(1) except for due/overflow heap pushes.
-    pub(crate) fn insert(&mut self, at: u64, key: u64, seq: u64, waker: Waker) -> TimerToken {
+    pub(crate) fn insert(&mut self, at: u64, key: u64, seq: u64, wake: TimerWake) -> TimerToken {
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
@@ -134,7 +160,7 @@ impl TimerWheel {
                     at: 0,
                     key: 0,
                     seq: 0,
-                    waker: None,
+                    wake: TOMBSTONE,
                     gen: 0,
                     next: NIL,
                 });
@@ -146,7 +172,7 @@ impl TimerWheel {
             node.at = at;
             node.key = key;
             node.seq = seq;
-            node.waker = Some(waker);
+            node.wake = wake;
             node.next = NIL;
             node.gen
         };
@@ -174,16 +200,16 @@ impl TimerWheel {
     }
 
     /// Cancels the timer behind `token` if it is still pending. Returns
-    /// `true` if a live timer was tombstoned. The waker is dropped
+    /// `true` if a live timer was tombstoned. The wake is dropped
     /// immediately; the node is reclaimed when the cursor reaches it.
     pub(crate) fn cancel(&mut self, token: TimerToken) -> bool {
         let Some(node) = self.slab.get_mut(token.idx as usize) else {
             return false;
         };
-        if node.gen != token.gen || node.waker.is_none() {
+        if node.gen != token.gen || !node.is_live() {
             return false; // already fired, purged or cancelled
         }
-        node.waker = None;
+        node.wake = TOMBSTONE;
         self.live -= 1;
         self.cancelled += 1;
         true
@@ -194,7 +220,7 @@ impl TimerWheel {
     pub(crate) fn peek_at(&mut self) -> Option<u64> {
         loop {
             if let Some(&std::cmp::Reverse((at, _, _, idx))) = self.due.peek() {
-                if self.slab[idx as usize].waker.is_some() {
+                if self.slab[idx as usize].is_live() {
                     return Some(at);
                 }
                 self.due.pop();
@@ -207,27 +233,16 @@ impl TimerWheel {
         }
     }
 
-    /// Removes and returns the earliest timer in `(at, key, seq)` order.
-    pub(crate) fn pop(&mut self) -> Option<(u64, Waker)> {
-        loop {
-            if let Some(std::cmp::Reverse((at, _, _, idx))) = self.due.pop() {
-                let waker = self.slab[idx as usize].waker.take();
-                match waker {
-                    Some(waker) => {
-                        self.live -= 1;
-                        self.release(idx, false);
-                        return Some((at, waker));
-                    }
-                    None => {
-                        self.release(idx, true);
-                        continue;
-                    }
-                }
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
+    /// Removes and returns the earliest timer in `(at, key, seq)` order
+    /// if it is due at or before `last`: the executor's one call per
+    /// timer event.
+    pub(crate) fn pop_through(&mut self, last: u64) -> Option<(u64, TimerWake)> {
+        let at = self.peek_at().filter(|&at| at <= last)?;
+        let std::cmp::Reverse((_, _, _, idx)) = self.due.pop().expect("peeked");
+        let wake = std::mem::replace(&mut self.slab[idx as usize].wake, TOMBSTONE);
+        self.live -= 1;
+        self.release(idx, false);
+        Some((at, wake))
     }
 
     /// Frees a slab node, bumping its generation so outstanding tokens
@@ -237,7 +252,7 @@ impl TimerWheel {
             self.purged += 1;
         }
         let node = &mut self.slab[idx as usize];
-        node.waker = None;
+        node.wake = TOMBSTONE;
         node.gen = node.gen.wrapping_add(1);
         node.next = NIL;
         self.free.push(idx);
@@ -267,7 +282,7 @@ impl TimerWheel {
                 let node = &mut self.slab[head as usize];
                 let next = std::mem::replace(&mut node.next, NIL);
                 let (at, key, seq) = (node.at, node.key, node.seq);
-                if node.waker.is_none() {
+                if !node.is_live() {
                     self.release(head, true);
                 } else {
                     debug_assert!(at >= slot_start && at < slot_start + width * SLOTS as u64);
@@ -297,7 +312,7 @@ impl TimerWheel {
                 break;
             }
             self.overflow.pop();
-            if self.slab[idx as usize].waker.is_none() {
+            if !self.slab[idx as usize].is_live() {
                 self.release(idx, true);
             } else {
                 self.place(idx, at, key, seq);
@@ -351,17 +366,20 @@ fn next_slot(occupied: u64, elapsed: u64, level: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::task::{RawWaker, RawWakerVTable, Waker};
 
-    fn noop_waker() -> Waker {
-        const VTABLE: RawWakerVTable = RawWakerVTable::new(
-            |_| RawWaker::new(std::ptr::null(), &VTABLE),
-            |_| {},
-            |_| {},
-            |_| {},
-        );
-        // SAFETY: every vtable entry is a no-op on a null pointer.
-        unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), &VTABLE)) }
+    fn noop_waker() -> TimerWake {
+        TimerWake::Waker(Waker::noop().clone())
+    }
+
+    impl TimerWheel {
+        fn pop(&mut self) -> Option<(u64, TimerWake)> {
+            self.pop_through(u64::MAX)
+        }
+    }
+
+    #[test]
+    fn node_stays_at_48_bytes() {
+        assert_eq!(std::mem::size_of::<TimerNode>(), 48);
     }
 
     fn drain(w: &mut TimerWheel) -> Vec<u64> {
