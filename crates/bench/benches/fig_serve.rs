@@ -36,13 +36,8 @@ fn main() {
         ],
     );
 
-    // `SMART_SIM_WORKERS` hosts each run on a dedicated OS thread via the
-    // PDES facade; reports are byte-identical at any worker count.
-    let sim_workers = smart_rt::pdes::env_workers(1);
     let reports = parallel_map(points.clone(), |i, (clients, scale)| {
-        let mut spec = serve_spec(clients, scale, 42 + i as u64);
-        spec.workers = sim_workers;
-        run_serve(&spec)
+        run_serve(&serve_spec(clients, scale, 42 + i as u64))
     });
 
     let mut table = BenchTable::new(

@@ -3,17 +3,18 @@
 //! Everything else in this repo measures *virtual* time; this binary is
 //! the one place that holds a stopwatch to the executor. It runs pinned
 //! fig03/fig07/fig14 configurations (fixed seeds, fixed windows —
-//! independent of `SMART_BENCH_MODE`), reports how many scheduling
-//! events (task polls + timer fires) the simulator processed per second
-//! of wall time, and writes `BENCH_SIM.json` (schema v3) at the repo
-//! root. Every result records the `DomainPlan` shape it ran under
-//! (`plan`/`domains`), so a recorded wall clock can never be mistaken
-//! for a differently-partitioned run.
+//! independent of `SMART_BENCH_MODE`) on the inline driver — one
+//! simulation on the calling thread, a genuinely single-domain plan —
+//! reports how many scheduling events (task polls + timer fires) the
+//! simulator processed per second of wall time, and writes
+//! `BENCH_SIM.json` (schema v4) at the repo root. Every result records
+//! the `DomainPlan` shape it ran under (`plan`/`domains`), so a recorded
+//! wall clock can never be mistaken for a differently-partitioned run.
 //!
 //! It also times the same 96-thread fig07 sweep sequentially and in
-//! parallel through `smart_bench::sweep`, and the decomposed
-//! fig07/fig_serve runners at 1 vs `min(4, host CPUs)` engine workers,
-//! recording the speedups. On a single-CPU host the parallel legs are
+//! parallel through `smart_bench::sweep`, and the engine drivers
+//! (decomposed fig07/fig_serve) at 1 vs `min(4, host CPUs)` engine
+//! workers, recording the speedups. On a single-CPU host the parallel legs are
 //! *skipped*, not simulated: timing oversubscribed threads would record
 //! scheduling noise as "speedup", so the harness prints a perf-note and
 //! writes `null` in their place.
@@ -27,11 +28,7 @@
 //! 4 engine workers — the payoff gate for the blade-domain partition.
 //!
 //! Env knobs: `SMART_PERF_REPS` (default 3, best-of wins),
-//! `SMART_PERF_OUT` (output path override), `SMART_PERF_STRICT`,
-//! `SMART_SIM_WORKERS` (simulation worker threads for the pinned
-//! configs; default 4 — results are byte-identical at any count, only
-//! wall clocks differ, and on single-core hosts hosting cannot beat the
-//! inline run, which the recorded `host_cpus` field makes legible).
+//! `SMART_PERF_OUT` (output path override), `SMART_PERF_STRICT`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -54,12 +51,10 @@ const REGRESSION_TOLERANCE: f64 = 0.25;
 const DECOMPOSED_WORKERS: usize = 4;
 const DECOMPOSED_SPEEDUP_GATE: f64 = 1.3;
 
+/// One pinned config timed on the inline driver: a single simulation on
+/// the calling thread, i.e. a single-domain plan by construction.
 struct PerfResult {
     name: &'static str,
-    /// `DomainPlan` shape the run executed under.
-    plan: String,
-    /// Scheduling domains in that plan.
-    domains: u32,
     events: u64,
     wall: std::time::Duration,
     mops: f64,
@@ -83,13 +78,6 @@ fn reps() -> u32 {
         .unwrap_or(3)
 }
 
-/// Simulation worker threads for the pinned configs: `SMART_SIM_WORKERS`
-/// override, default 4. Reports are byte-identical at any worker count
-/// (the PDES contract), so this only moves wall clocks.
-fn sim_workers() -> usize {
-    smart_rt::pdes::env_workers(4)
-}
-
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -104,12 +92,7 @@ fn decomposed_workers() -> usize {
 /// Runs `run` `reps()` times and keeps the fastest wall clock (the rep
 /// least disturbed by the OS; events are identical across reps because
 /// the simulation is deterministic).
-fn best_of(
-    name: &'static str,
-    plan: &str,
-    domains: u32,
-    run: impl Fn() -> (u64, f64),
-) -> PerfResult {
+fn best_of(name: &'static str, run: impl Fn() -> (u64, f64)) -> PerfResult {
     let mut best: Option<PerfResult> = None;
     for _ in 0..reps() {
         let start = Instant::now();
@@ -118,8 +101,6 @@ fn best_of(
         if best.as_ref().is_none_or(|b| wall < b.wall) {
             best = Some(PerfResult {
                 name,
-                plan: plan.to_string(),
-                domains,
                 events,
                 wall,
                 mops,
@@ -128,8 +109,7 @@ fn best_of(
     }
     let r = best.expect("reps() >= 1");
     eprintln!(
-        "  {name} [{}]: {} events in {:.1} ms -> {:.2} Mevents/s, {:.1} ns/event ({:.2} MOPS)",
-        r.plan,
+        "  {name} [single]: {} events in {:.1} ms -> {:.2} Mevents/s, {:.1} ns/event ({:.2} MOPS)",
         r.events,
         r.wall.as_secs_f64() * 1e3,
         r.events_per_sec() / 1e6,
@@ -142,7 +122,7 @@ fn best_of(
 /// Pinned Figure 3 point: baseline per-thread-doorbell READs at the top
 /// of the thread sweep — timer-heavy (doorbell pacing + sync waits).
 fn fig03() -> PerfResult {
-    best_of("fig03_read8_96t", "single", 1, || {
+    best_of("fig03_read8_96t", || {
         let mut spec = MicrobenchSpec::new(
             SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 96),
             96,
@@ -151,7 +131,6 @@ fn fig03() -> PerfResult {
         spec.op = MicroOp::Read(8);
         spec.warmup = Duration::from_millis(1);
         spec.measure = Duration::from_millis(4);
-        spec.workers = sim_workers();
         let (report, metrics) = run_microbench_metered(&spec);
         (metrics.events(), report.mops)
     })
@@ -162,14 +141,13 @@ fn fig07_params(seed: u64) -> HtParams {
     p.warmup = Duration::from_millis(1);
     p.measure = Duration::from_millis(2);
     p.seed = seed;
-    p.workers = sim_workers();
     p
 }
 
 /// Pinned Figure 7 point: SMART-HT write-heavy at 96 threads — the
 /// wake-path stress test (768 coroutines contending on buckets).
 fn fig07() -> PerfResult {
-    best_of("fig07_writeheavy_96t", "single", 1, || {
+    best_of("fig07_writeheavy_96t", || {
         let r = run_ht(&fig07_params(42));
         (r.sim_events, r.mops)
     })
@@ -178,7 +156,7 @@ fn fig07() -> PerfResult {
 /// Pinned Figure 14 point: all conflict-avoidance machinery on, 100 %
 /// updates — backoff timers dominate, exercising cancel/purge.
 fn fig14() -> PerfResult {
-    best_of("fig14_corothrot_96t", "single", 1, || {
+    best_of("fig14_corothrot_96t", || {
         let mut cfg =
             SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 96).with_work_req_throttle(true);
         cfg.conflict_backoff = true;
@@ -187,7 +165,6 @@ fn fig14() -> PerfResult {
         let mut p = HtParams::new(cfg, 96, 100_000, Mix::UpdateOnly);
         p.warmup = Duration::from_millis(1);
         p.measure = Duration::from_millis(2);
-        p.workers = sim_workers();
         let r = run_ht(&p);
         (r.sim_events, r.mops)
     })
@@ -335,7 +312,7 @@ fn time_decomposed(
 }
 
 /// Decomposed fig07: blades as engine domains under a `per_blade`
-/// partition. Smaller than the pinned hosted point — the virtual window
+/// partition. Smaller than the pinned inline point — the virtual window
 /// is dominated by the tuned 30 ms warmup either way, and the epoch
 /// barriers are what this entry prices.
 fn fig07_decomposed() -> DecomposedResult {
@@ -346,9 +323,7 @@ fn fig07_decomposed() -> DecomposedResult {
     let plan = DomainPlan::per_blade(1, p.blades as u32);
     let domains = plan.domains();
     time_decomposed("fig07_decomposed", "per_blade", domains, move |workers| {
-        run_ht_decomposed(&p, &plan, workers, false)
-            .report
-            .sim_events
+        run_ht_decomposed(&p, &plan, workers).report.sim_events
     })
 }
 
@@ -365,7 +340,7 @@ fn fig_serve_decomposed() -> DecomposedResult {
         "for_workers",
         domains,
         move |workers| {
-            run_serve_decomposed(&spec, &plan, workers, false)
+            run_serve_decomposed(&spec, &plan, workers)
                 .report
                 .sim_events
         },
@@ -424,18 +399,15 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"smart-bench-sim-perf/v3\",");
+    let _ = writeln!(s, "  \"schema\": \"smart-bench-sim-perf/v4\",");
     let _ = writeln!(s, "  \"reps\": {},", reps());
     let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
-    let _ = writeln!(s, "  \"sim_workers\": {},", sim_workers());
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"name\": \"{}\", \"plan\": \"{}\", \"domains\": {}, \"events\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"ns_per_event\": {:.2}, \"mops\": {:.3}}}{}",
+            "    {{\"name\": \"{}\", \"plan\": \"single\", \"domains\": 1, \"events\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"ns_per_event\": {:.2}, \"mops\": {:.3}}}{}",
             r.name,
-            r.plan,
-            r.domains,
             r.events,
             r.wall.as_secs_f64() * 1e3,
             r.events_per_sec(),
@@ -483,25 +455,22 @@ fn render_json(
 
 fn main() {
     eprintln!(
-        "=== simulator wall-clock perf harness ({} reps, best-of, {} sim workers, {} host cpus) ===",
+        "=== simulator wall-clock perf harness ({} reps, best-of, {} host cpus) ===",
         reps(),
-        sim_workers(),
         host_cpus()
     );
-    if host_cpus() < sim_workers() {
-        eprintln!(
-            "perf-note: host has {} cpu(s) but {} sim workers requested; \
-             results stay byte-identical, but hosted runs cannot beat the \
-             inline wall clock without real cores",
-            host_cpus(),
-            sim_workers()
-        );
-    }
     if host_cpus() == 1 {
         eprintln!(
             "perf-note: single-cpu host; every parallel comparison leg is \
              skipped and recorded as null — rerun on a multi-core host to \
              measure the decomposed speedup"
+        );
+    } else if host_cpus() < DECOMPOSED_WORKERS {
+        eprintln!(
+            "perf-note: host has {} cpus; the decomposed parallel legs run \
+             at {} engine workers instead of {DECOMPOSED_WORKERS}",
+            host_cpus(),
+            decomposed_workers()
         );
     }
     let results = [fig03(), fig07(), fig14()];

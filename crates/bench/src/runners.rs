@@ -1,6 +1,12 @@
 //! End-to-end experiment runners: build a cluster, load an application,
 //! drive it with N simulated threads × depth coroutines, measure
 //! throughput and latency over a virtual-time window.
+//!
+//! Every `run_*` here is the **inline driver**: one [`Simulation`] owns
+//! compute nodes and blades alike and is stepped imperatively through
+//! warmup → measure → drain. The hash-table scenario body
+//! ([`HtScenario`]) is also what `crate::run_ht_decomposed`, the engine
+//! driver, runs in its compute domain.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -8,10 +14,10 @@ use std::rc::Rc;
 use smart::{SmartConfig, SmartContext, SmartThread};
 use smart_fault::{FaultInjector, FaultPlan};
 use smart_ford::{backoff_after_abort, SmallBank, Tatp};
-use smart_race::{RaceConfig, RaceHashTable};
-use smart_rnic::{BladeConfig, Cluster, ClusterConfig, DomainPlan};
+use smart_race::{RaceConfig, RaceHashTable, RETRY_HIST_BUCKETS};
+use smart_rnic::{BladeConfig, Cluster, ClusterConfig, MemoryBlade};
 use smart_rt::metrics::Counter;
-use smart_rt::{Duration, Simulation};
+use smart_rt::{Duration, SimHandle, Simulation};
 use smart_serve::{AdmissionConfig, MembershipPlan, RatePlan, ServeSpec};
 use smart_sherman::{ShermanConfig, ShermanTree};
 use smart_trace::LogHistogram;
@@ -69,15 +75,15 @@ pub struct RunReport {
 }
 
 /// Shared per-run measurement plumbing.
-pub(crate) struct Probe {
-    pub(crate) ops: Counter,
-    pub(crate) measuring: Rc<Cell<bool>>,
-    pub(crate) stop: Rc<Cell<bool>>,
-    pub(crate) latency: Rc<RefCell<LatencyRecorder>>,
+struct Probe {
+    ops: Counter,
+    measuring: Rc<Cell<bool>>,
+    stop: Rc<Cell<bool>>,
+    latency: Rc<RefCell<LatencyRecorder>>,
 }
 
 impl Probe {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Probe {
             ops: Counter::new(),
             measuring: Rc::new(Cell::new(false)),
@@ -92,29 +98,29 @@ impl Probe {
 /// credit-conservation audit in [`FaultProbe::fill`] is meaningful (and
 /// generous enough to cover a pending fault-recovery backoff or a blade
 /// crash window from a chaos plan).
-pub(crate) const DRAIN: Duration = Duration::from_millis(5);
+const DRAIN: Duration = Duration::from_millis(5);
 
 /// Chaos-layer plumbing: installs the injector (when the run has a fault
 /// plan) and tracks every thread so recovery outcomes can be aggregated
 /// into the report after the run.
-pub(crate) struct FaultProbe {
+struct FaultProbe {
     injector: Option<Rc<FaultInjector>>,
     threads: RefCell<Vec<Rc<SmartThread>>>,
 }
 
 impl FaultProbe {
-    pub(crate) fn install(cluster: &Cluster, plan: &Option<FaultPlan>) -> Self {
+    fn install(cluster: &Cluster, plan: &Option<FaultPlan>) -> Self {
         FaultProbe {
             injector: plan.clone().map(|pl| FaultInjector::install(cluster, pl)),
             threads: RefCell::new(Vec::new()),
         }
     }
 
-    pub(crate) fn track(&self, thread: &Rc<SmartThread>) {
+    fn track(&self, thread: &Rc<SmartThread>) {
         self.threads.borrow_mut().push(Rc::clone(thread));
     }
 
-    pub(crate) fn fill(&self, report: &mut RunReport) {
+    fn fill(&self, report: &mut RunReport) {
         let mut hist = LogHistogram::new();
         for th in self.threads.borrow().iter() {
             report.faults_seen += th.stats().faults_seen.get();
@@ -139,7 +145,7 @@ impl FaultProbe {
 /// stable phase fits the run, and the warm-up is extended to cover the
 /// first update phase (measuring inside it would observe the probing
 /// candidates rather than the tuned `C_max`).
-pub(crate) fn tune_for_window(
+fn tune_for_window(
     cfg: &SmartConfig,
     warmup: Duration,
     measure: Duration,
@@ -198,12 +204,6 @@ pub struct HtParams {
     /// Optional chaos schedule injected into the run (must eventually
     /// heal; permanent errors would abort the benchmark workers).
     pub fault: Option<FaultPlan>,
-    /// Simulation worker threads (`1` = inline sequential run). Larger
-    /// values host the run on a dedicated OS thread via
-    /// [`smart_rt::pdes::host`] with a [`DomainPlan::for_workers`]
-    /// partition — byte-identical results either way (the PDES contract,
-    /// gated by `tests/scheduler_equiv.rs`).
-    pub workers: usize,
 }
 
 impl HtParams {
@@ -224,12 +224,11 @@ impl HtParams {
             seed: 42,
             trace: None,
             fault: None,
-            workers: 1,
         }
     }
 }
 
-pub(crate) fn ht_table_config(keys: u64) -> RaceConfig {
+fn ht_table_config(keys: u64) -> RaceConfig {
     // Size for ~50 % slot occupancy: slots = 2^depth × buckets × 8.
     let buckets_per_subtable = 1 << 12;
     let slots_per_subtable = (buckets_per_subtable * 8) as u64;
@@ -244,123 +243,190 @@ pub(crate) fn ht_table_config(keys: u64) -> RaceConfig {
     }
 }
 
-/// Runs a hash-table experiment. `p.workers > 1` hosts the run on a
-/// dedicated OS thread (see [`crate::hosted`]); results are
-/// byte-identical to the inline run.
-pub fn run_ht(p: &HtParams) -> RunReport {
-    if p.workers > 1 {
-        return crate::hosted::run_ht_hosted(p, false).0;
-    }
-    run_ht_inline(p)
-}
-
-pub(crate) fn run_ht_inline(p: &HtParams) -> RunReport {
-    let mut sim = Simulation::new(p.seed);
-    if let Some(sink) = &p.trace {
-        sim.handle().install_tracer(sink.clone());
-    }
-    let region = 64 * 1024 * 1024 + p.keys * 96;
-    let cluster = Cluster::new_with_plan(
-        sim.handle(),
-        ClusterConfig {
-            compute_nodes: p.compute_nodes,
-            memory_blades: p.blades,
-            blade: BladeConfig {
-                region_bytes: region,
-                ..Default::default()
-            },
+/// The cluster shape a hash-table run needs.
+pub(crate) fn ht_cluster_config(p: &HtParams) -> ClusterConfig {
+    ClusterConfig {
+        compute_nodes: p.compute_nodes,
+        memory_blades: p.blades,
+        blade: BladeConfig {
+            region_bytes: 64 * 1024 * 1024 + p.keys * 96,
             ..Default::default()
         },
-        DomainPlan::for_workers(p.workers, p.compute_nodes as u32, p.blades as u32),
-    );
-    let chaos = FaultProbe::install(&cluster, &p.fault);
-    let table = RaceHashTable::create(cluster.blades(), ht_table_config(p.keys));
-    for k in 0..p.keys {
+        ..Default::default()
+    }
+}
+
+/// Creates the table and preloads `keys` keys. Only the bump allocator
+/// and direct writes are used — no RNG, no simulated time — so every
+/// domain of a decomposed run replays this and holds identical bytes.
+pub(crate) fn load_ht(blades: &[Rc<MemoryBlade>], keys: u64) -> Rc<RaceHashTable> {
+    let table = RaceHashTable::create(blades, ht_table_config(keys));
+    for k in 0..keys {
         table.load(&k.to_le_bytes(), &k.to_be_bytes());
     }
-    let base_gen = YcsbGenerator::new(p.keys, p.theta, p.mix, p.seed);
-    let probe = Probe::new();
-    let (tuned, warmup) = tune_for_window(&p.smart, p.warmup, p.measure);
+    table
+}
 
-    for node in 0..p.compute_nodes {
-        let mut cfg = tuned.clone();
-        cfg.expected_threads = p.threads;
-        cfg.coroutines_per_thread = p.depth;
-        let ctx = SmartContext::new(cluster.compute(node), cluster.blades(), cfg);
-        for t in 0..p.threads {
-            let thread = ctx.create_thread();
-            chaos.track(&thread);
-            for c in 0..p.depth {
-                let coro = thread.coroutine();
-                let table = Rc::clone(&table);
-                let mut gen =
-                    base_gen.fork(p.seed ^ ((node as u64) << 40) ^ ((t as u64) << 20) ^ c as u64);
-                let ops = probe.ops.clone();
-                let measuring = Rc::clone(&probe.measuring);
-                let stop = Rc::clone(&probe.stop);
-                let latency = Rc::clone(&probe.latency);
-                let pace = p.pace;
-                let handle = sim.handle();
-                sim.spawn(async move {
-                    while !stop.get() {
-                        if let Some(d) = pace {
-                            handle.sleep(d).await;
-                        }
-                        let start = handle.now();
-                        match gen.next_op() {
-                            YcsbOp::Lookup(k) => {
-                                let _ = table.get(&coro, &k.to_le_bytes()).await;
+/// Operation and CAS-retry counters: absolute readings when a
+/// measurement window opens, the window's deltas once it has closed.
+pub(crate) struct HtWindow {
+    ops: u64,
+    retries: u64,
+    hist: [u64; RETRY_HIST_BUCKETS],
+}
+
+/// A started hash-table scenario: table loaded, every worker coroutine
+/// spawned, nothing has run yet. The driver advances virtual time
+/// through [`Self::warmup`] and the measure window, bracketing the latter
+/// with [`Self::open_window`]/[`Self::close_window`], lets the workers
+/// drain, then calls [`Self::report`].
+pub(crate) struct HtScenario {
+    probe: Probe,
+    chaos: FaultProbe,
+    table: Rc<RaceHashTable>,
+    /// One per compute node (their tuner/controller coroutines must be
+    /// quiesced by a run-to-quiescence driver).
+    pub(crate) contexts: Vec<Rc<SmartContext>>,
+    /// Warm-up to run before the window, extended for controller
+    /// convergence ([`tune_for_window`]).
+    pub(crate) warmup: Duration,
+}
+
+impl HtScenario {
+    /// Installs `p.trace`, builds the scenario on `cluster` and spawns
+    /// its workers on `h`.
+    pub(crate) fn start(h: &SimHandle, cluster: &Cluster, p: &HtParams) -> HtScenario {
+        if let Some(sink) = &p.trace {
+            h.install_tracer(sink.clone());
+        }
+        let chaos = FaultProbe::install(cluster, &p.fault);
+        let table = load_ht(cluster.blades(), p.keys);
+        let base_gen = YcsbGenerator::new(p.keys, p.theta, p.mix, p.seed);
+        let probe = Probe::new();
+        let (tuned, warmup) = tune_for_window(&p.smart, p.warmup, p.measure);
+
+        let mut contexts = Vec::new();
+        for node in 0..p.compute_nodes {
+            let mut cfg = tuned.clone();
+            cfg.expected_threads = p.threads;
+            cfg.coroutines_per_thread = p.depth;
+            let ctx = SmartContext::new(cluster.compute(node), cluster.blades(), cfg);
+            for t in 0..p.threads {
+                let thread = ctx.create_thread();
+                chaos.track(&thread);
+                for c in 0..p.depth {
+                    let coro = thread.coroutine();
+                    let table = Rc::clone(&table);
+                    let mut gen = base_gen
+                        .fork(p.seed ^ ((node as u64) << 40) ^ ((t as u64) << 20) ^ c as u64);
+                    let ops = probe.ops.clone();
+                    let measuring = Rc::clone(&probe.measuring);
+                    let stop = Rc::clone(&probe.stop);
+                    let latency = Rc::clone(&probe.latency);
+                    let pace = p.pace;
+                    let handle = h.clone();
+                    h.spawn(async move {
+                        while !stop.get() {
+                            if let Some(d) = pace {
+                                handle.sleep(d).await;
                             }
-                            YcsbOp::Update(k) => {
-                                let _ = table
-                                    .update(
-                                        &coro,
-                                        &k.to_le_bytes(),
-                                        &handle.now().as_nanos().to_le_bytes(),
-                                    )
-                                    .await;
+                            let start = handle.now();
+                            match gen.next_op() {
+                                YcsbOp::Lookup(k) => {
+                                    let _ = table.get(&coro, &k.to_le_bytes()).await;
+                                }
+                                YcsbOp::Update(k) => {
+                                    let _ = table
+                                        .update(
+                                            &coro,
+                                            &k.to_le_bytes(),
+                                            &handle.now().as_nanos().to_le_bytes(),
+                                        )
+                                        .await;
+                                }
+                            }
+                            ops.incr();
+                            if measuring.get() {
+                                latency.borrow_mut().record(handle.now() - start);
                             }
                         }
-                        ops.incr();
-                        if measuring.get() {
-                            latency.borrow_mut().record(handle.now() - start);
-                        }
-                    }
-                });
+                    });
+                }
             }
+            contexts.push(ctx);
+        }
+        HtScenario {
+            probe,
+            chaos,
+            table,
+            contexts,
+            warmup,
         }
     }
 
-    sim.run_for(warmup);
-    probe.measuring.set(true);
-    let ops0 = probe.ops.get();
-    let retries0 = table.stats().cas_retries.get();
-    let hist0 = table.stats().retry_histogram();
+    fn counters(&self) -> HtWindow {
+        HtWindow {
+            ops: self.probe.ops.get(),
+            retries: self.table.stats().cas_retries.get(),
+            hist: self.table.stats().retry_histogram(),
+        }
+    }
+
+    /// Starts recording latencies and marks the window's start.
+    pub(crate) fn open_window(&self) -> HtWindow {
+        self.probe.measuring.set(true);
+        self.counters()
+    }
+
+    /// Ends the window opened at `mark` and tells the workers to exit
+    /// after their in-flight operation.
+    pub(crate) fn close_window(&self, mark: HtWindow) -> HtWindow {
+        let now = self.counters();
+        self.probe.measuring.set(false);
+        self.probe.stop.set(true);
+        HtWindow {
+            ops: now.ops - mark.ops,
+            retries: now.retries - mark.retries,
+            hist: std::array::from_fn(|i| now.hist[i] - mark.hist[i]),
+        }
+    }
+
+    /// Assembles the report of a quiesced run (`sim_events` is left for
+    /// the driver to fill).
+    pub(crate) fn report(&self, window: HtWindow, measure: Duration) -> RunReport {
+        let hist_ops: u64 = window.hist.iter().sum();
+        let lat = self.probe.latency.borrow();
+        let mut report = RunReport {
+            ops: window.ops,
+            mops: window.ops as f64 / measure.as_secs_f64() / 1e6,
+            median: lat.median(),
+            p99: lat.p99(),
+            avg_retries: if hist_ops == 0 {
+                0.0
+            } else {
+                window.retries as f64 / hist_ops as f64
+            },
+            retry_hist: window.hist.to_vec(),
+            ..RunReport::default()
+        };
+        self.chaos.fill(&mut report);
+        report
+    }
+}
+
+/// Runs a hash-table experiment on the inline driver.
+pub fn run_ht(p: &HtParams) -> RunReport {
+    let mut sim = Simulation::new(p.seed);
+    let cluster = Cluster::new(sim.handle(), ht_cluster_config(p));
+    let scenario = HtScenario::start(&sim.handle(), &cluster, p);
+
+    sim.run_for(scenario.warmup);
+    let mark = scenario.open_window();
     sim.run_for(p.measure);
-    let ops = probe.ops.get() - ops0;
-    let hist1 = table.stats().retry_histogram();
-    let hist: Vec<u64> = hist1.iter().zip(hist0.iter()).map(|(a, b)| a - b).collect();
-    let hist_ops: u64 = hist.iter().sum();
-    let retries = table.stats().cas_retries.get() - retries0;
-    probe.measuring.set(false);
-    probe.stop.set(true);
+    let window = scenario.close_window(mark);
     sim.run_for(DRAIN);
-    let lat = probe.latency.borrow();
-    let mut report = RunReport {
-        ops,
-        mops: ops as f64 / p.measure.as_secs_f64() / 1e6,
-        median: lat.median(),
-        p99: lat.p99(),
-        avg_retries: if hist_ops == 0 {
-            0.0
-        } else {
-            retries as f64 / hist_ops as f64
-        },
-        retry_hist: hist,
-        sim_events: sim.handle().metrics().events(),
-        ..RunReport::default()
-    };
-    chaos.fill(&mut report);
+    let mut report = scenario.report(window, p.measure);
+    report.sim_events = sim.handle().metrics().events();
     report
 }
 
@@ -403,9 +469,6 @@ pub struct DtxParams {
     /// Optional chaos schedule injected into the run (must eventually
     /// heal; permanent errors would abort the benchmark workers).
     pub fault: Option<FaultPlan>,
-    /// Simulation worker threads (`1` = inline sequential run); see
-    /// [`HtParams::workers`].
-    pub workers: usize,
 }
 
 impl DtxParams {
@@ -423,26 +486,17 @@ impl DtxParams {
             seed: 7,
             trace: None,
             fault: None,
-            workers: 1,
         }
     }
 }
 
 /// Runs a transaction experiment (always 2 memory blades, as in §6.2.2).
-/// `p.workers > 1` hosts the run on a dedicated OS thread.
 pub fn run_dtx(p: &DtxParams) -> RunReport {
-    if p.workers > 1 {
-        return crate::hosted::run_dtx_hosted(p, false).0;
-    }
-    run_dtx_inline(p)
-}
-
-pub(crate) fn run_dtx_inline(p: &DtxParams) -> RunReport {
     let mut sim = Simulation::new(p.seed);
     if let Some(sink) = &p.trace {
         sim.handle().install_tracer(sink.clone());
     }
-    let cluster = Cluster::new_with_plan(
+    let cluster = Cluster::new(
         sim.handle(),
         ClusterConfig {
             compute_nodes: 1,
@@ -453,7 +507,6 @@ pub(crate) fn run_dtx_inline(p: &DtxParams) -> RunReport {
             },
             ..Default::default()
         },
-        DomainPlan::for_workers(p.workers, 1, 2),
     );
     let chaos = FaultProbe::install(&cluster, &p.fault);
     enum App {
@@ -633,9 +686,6 @@ pub struct BtParams {
     /// Optional chaos schedule injected into the run (must eventually
     /// heal; permanent errors would abort the benchmark workers).
     pub fault: Option<FaultPlan>,
-    /// Simulation worker threads (`1` = inline sequential run); see
-    /// [`HtParams::workers`].
-    pub workers: usize,
 }
 
 impl BtParams {
@@ -655,28 +705,19 @@ impl BtParams {
             seed: 13,
             trace: None,
             fault: None,
-            workers: 1,
         }
     }
 }
 
 /// Runs a B+Tree experiment. Blades mirror compute nodes (the paper
-/// co-locates a memory blade with every server). `p.workers > 1` hosts
-/// the run on a dedicated OS thread.
+/// co-locates a memory blade with every server).
 pub fn run_bt(p: &BtParams) -> RunReport {
-    if p.workers > 1 {
-        return crate::hosted::run_bt_hosted(p, false).0;
-    }
-    run_bt_inline(p)
-}
-
-pub(crate) fn run_bt_inline(p: &BtParams) -> RunReport {
     let mut sim = Simulation::new(p.seed);
     if let Some(sink) = &p.trace {
         sim.handle().install_tracer(sink.clone());
     }
     let blades = p.compute_nodes.max(2);
-    let cluster = Cluster::new_with_plan(
+    let cluster = Cluster::new(
         sim.handle(),
         ClusterConfig {
             compute_nodes: p.compute_nodes,
@@ -687,7 +728,6 @@ pub(crate) fn run_bt_inline(p: &BtParams) -> RunReport {
             },
             ..Default::default()
         },
-        DomainPlan::for_workers(p.workers, p.compute_nodes as u32, blades as u32),
     );
     let chaos = FaultProbe::install(&cluster, &p.fault);
     let (mut tree_cfg, smart_cfg) = p.variant.configs(p.threads);

@@ -12,11 +12,11 @@
 //! * the **lookahead** is the fabric's fixed one-way latency
 //!   ([`DomainPlan::lookahead`]): a work request posted at time *t* cannot
 //!   affect the responding blade before *t + latency*, which is precisely
-//!   the conservative-synchronization window the coordinator exploits;
-//! * a [`VerbLink`] is a typed pair of inter-domain channels carrying
-//!   [`WorkRequest`]s one way and [`VerbCompletion`]s back, both at fabric
-//!   latency, for PDES-native workloads whose requester and responder live
-//!   in different domains.
+//!   the conservative-synchronization window the coordinator exploits.
+//!
+//! The channels that carry verbs between domains, and the wiring that
+//! turns a plan into a running engine topology, live in
+//! [`crate::engine`].
 //!
 //! smart-flow's `cross-domain-shared-state` and `rc-escape` rules prove
 //! statically that simulated thread domains and the fabric interact only
@@ -27,10 +27,10 @@
 
 use std::time::Duration;
 
-use smart_rt::pdes::{DomainId, PdesBuilder, RxToken, TxToken};
+use smart_rt::pdes::DomainId;
 
 use crate::config::FabricConfig;
-use crate::types::{BladeId, NodeId, WorkRequest};
+use crate::types::{BladeId, NodeId};
 
 /// Assignment of compute nodes and memory blades to scheduling domains.
 ///
@@ -49,20 +49,12 @@ pub struct DomainPlan {
 impl DomainPlan {
     /// Everything in one domain: the sequential simulation.
     pub fn single(nodes: u32, blades: u32) -> DomainPlan {
-        DomainPlan {
-            domains: 1,
-            node_domain: vec![0; nodes as usize],
-            blade_domain: vec![0; blades as usize],
-        }
+        DomainPlan::custom(vec![0; nodes as usize], vec![0; blades as usize])
     }
 
     /// Nodes and fabric in domain 0; blade `i` in domain `1 + i`.
     pub fn per_blade(nodes: u32, blades: u32) -> DomainPlan {
-        DomainPlan {
-            domains: 1 + blades,
-            node_domain: vec![0; nodes as usize],
-            blade_domain: (1..=blades).collect(),
-        }
+        DomainPlan::custom(vec![0; nodes as usize], (1..=blades).collect())
     }
 
     /// Nodes and fabric in domain 0; blades round-robined over
@@ -73,15 +65,12 @@ impl DomainPlan {
             return DomainPlan::single(nodes, blades);
         }
         let groups = (workers as u32).min(blades);
-        DomainPlan {
-            domains: 1 + groups,
-            node_domain: vec![0; nodes as usize],
-            blade_domain: (0..blades).map(|i| 1 + (i % groups)).collect(),
-        }
+        let blade_domain = (0..blades).map(|i| 1 + (i % groups)).collect();
+        DomainPlan::custom(vec![0; nodes as usize], blade_domain)
     }
 
-    /// An arbitrary partition, for the property tests: element `i` of each
-    /// vector is the raw domain id of node/blade `i`. The domain count is
+    /// An arbitrary partition: element `i` of each vector is the raw
+    /// domain id of node/blade `i`. The domain count is
     /// `1 + max(assignments)` so domain 0 (the coordinator-side domain)
     /// always exists.
     pub fn custom(node_domain: Vec<u32>, blade_domain: Vec<u32>) -> DomainPlan {
@@ -140,60 +129,9 @@ impl DomainPlan {
     }
 }
 
-/// Completion of a [`WorkRequest`] shipped back over a [`VerbLink`]:
-/// the `wr_id` it answers plus the operation's result value (read data /
-/// atomic old value; zero for writes).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VerbCompletion {
-    /// The `wr_id` of the completed work request.
-    pub wr_id: u64,
-    /// Result payload (read value or atomic old value; 0 for writes).
-    pub value: u64,
-}
-
-/// A requester↔responder verb transport between two scheduling domains:
-/// work requests travel `requester → responder`, completions travel back,
-/// both at fabric latency. Bind each token inside its owning domain with
-/// [`smart_rt::pdes::DomainCtx::bind_tx`] / `bind_rx`.
-pub struct VerbLink {
-    /// Request send side — bind inside the requester domain.
-    pub req_tx: TxToken<WorkRequest>,
-    /// Request receive side — bind inside the responder domain.
-    pub req_rx: RxToken<WorkRequest>,
-    /// Completion send side — bind inside the responder domain.
-    pub cpl_tx: TxToken<VerbCompletion>,
-    /// Completion receive side — bind inside the requester domain.
-    pub cpl_rx: RxToken<VerbCompletion>,
-}
-
-/// Declares the pair of channels making up a [`VerbLink`] on `builder`.
-///
-/// # Panics
-///
-/// Panics if `requester == responder` (a same-domain link needs no
-/// channel) or if the fabric latency is zero (no lookahead to exploit).
-pub fn verb_link(
-    builder: &mut PdesBuilder,
-    requester: DomainId,
-    responder: DomainId,
-    fabric: &FabricConfig,
-) -> VerbLink {
-    let lat = fabric.one_way_latency;
-    let (req_tx, req_rx) = builder.channel::<WorkRequest>(requester, responder, lat);
-    let (cpl_tx, cpl_rx) = builder.channel::<VerbCompletion>(responder, requester, lat);
-    VerbLink {
-        req_tx,
-        req_rx,
-        cpl_tx,
-        cpl_rx,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{OneSidedOp, RemoteAddr};
-    use smart_rt::pdes::DomainCtx;
 
     #[test]
     fn single_plan_is_sequential() {
@@ -233,70 +171,5 @@ mod tests {
         assert_eq!(p.domains(), 3);
         assert!(p.crossing(NodeId(0), BladeId(0)));
         assert!(!p.crossing(NodeId(0), BladeId(2)));
-    }
-
-    /// A requester domain posts FAAs over a [`VerbLink`]; the responder
-    /// domain applies them to a counter and ships completions back. The
-    /// rendered run must be byte-identical at workers 1 and 2.
-    fn faa_over_link(workers: usize) -> String {
-        let fabric = FabricConfig::default();
-        let mut b = PdesBuilder::new(7);
-        let req_d = b.domain_id(0);
-        let rsp_d = b.domain_id(1);
-        let link = verb_link(&mut b, req_d, rsp_d, &fabric);
-        let (req_tx, cpl_rx) = (link.req_tx, link.cpl_rx);
-        b.add_domain("requester", move |ctx: &DomainCtx| {
-            let tx = ctx.bind_tx(req_tx);
-            let cpl = ctx.bind_rx(cpl_rx);
-            let h = ctx.handle();
-            ctx.handle().spawn(async move {
-                let mut log = Vec::new();
-                for i in 0..4u64 {
-                    tx.send(WorkRequest {
-                        wr_id: i,
-                        op: OneSidedOp::Faa {
-                            addr: RemoteAddr::new(BladeId(0), 0),
-                            add: 10,
-                        },
-                    });
-                    let c = cpl.recv().await;
-                    log.push(format!("wr{} old={} t={}", c.wr_id, c.value, h.now()));
-                }
-                LOG.with(|l| *l.borrow_mut() = log.join("\n"));
-            });
-            Box::new(|_: &DomainCtx| LOG.with(|l| l.borrow().clone().into_bytes()))
-        });
-        b.add_domain("responder", move |ctx: &DomainCtx| {
-            let rx = ctx.bind_rx(link.req_rx);
-            let tx = ctx.bind_tx(link.cpl_tx);
-            ctx.handle().spawn(async move {
-                let mut cell = 0u64;
-                loop {
-                    let wr = rx.recv().await;
-                    let old = cell;
-                    if let OneSidedOp::Faa { add, .. } = wr.op {
-                        cell += add;
-                    }
-                    tx.send(VerbCompletion {
-                        wr_id: wr.wr_id,
-                        value: old,
-                    });
-                }
-            });
-            Box::new(|_: &DomainCtx| Vec::new())
-        });
-        b.run(workers).render()
-    }
-
-    thread_local! {
-        static LOG: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
-    }
-
-    #[test]
-    fn verb_link_round_trip_is_byte_identical() {
-        let seq = faa_over_link(1);
-        let par = faa_over_link(2);
-        assert_eq!(seq, par);
-        assert!(seq.contains("wr3 old=30"), "unexpected render:\n{seq}");
     }
 }

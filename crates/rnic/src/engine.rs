@@ -10,7 +10,8 @@
 //! [`BladeReply`] travelling back, each paying the fabric's one-way
 //! latency (exactly the plan's conservative lookahead).
 //!
-//! Wiring (done by the decomposed runners in `smart-bench`/`smart-serve`):
+//! Wiring ([`run_decomposed`], the one place it is written; the engine
+//! drivers in `smart-bench`/`smart-serve` supply the scenario):
 //!
 //! * every domain replays the *same deterministic bootstrap* — building
 //!   the full cluster and loading application state uses only the bump
@@ -19,9 +20,15 @@
 //!   authoritative, every other domain holds an inert shadow;
 //! * domain 0 binds the requester ends and attaches a [`RemotePort`] to
 //!   each crossing blade's shadow ([`MemoryBlade::attach_remote`]); the
-//!   verb lifecycle consults the port instead of executing locally;
-//! * each blade domain binds the responder ends and calls
-//!   [`spawn_blade_engine`] on its authoritative blades.
+//!   verb lifecycle consults the port instead of executing locally. A
+//!   blade the plan co-locates with domain 0 gets no port and keeps the
+//!   same-domain path;
+//! * each blade domain runs the caller's bootstrap callback (application
+//!   preload plus its lowered fault sub-plan — both stay out of this
+//!   crate), binds the responder ends and calls [`spawn_blade_engine`] on
+//!   its authoritative blades; its finish artifact is one line per blade;
+//! * the engine's [`smart_rt::pdes::PdesReport`] is folded into a
+//!   [`Decomposed`] result.
 //!
 //! Timing note: in the same-domain path the blade's ingress link is
 //! crossed *before* the one-way flight; here the channel pays the flight
@@ -35,15 +42,18 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use smart_rt::detmap::DetMap;
-use smart_rt::metrics::Counter;
-use smart_rt::pdes::{DomainId, PdesBuilder, PdesReceiver, PdesSender, RxToken, TxToken};
+use smart_rt::pdes::{
+    DomainCtx, DomainId, PdesBuilder, PdesReceiver, PdesSender, RxToken, TxToken,
+};
 use smart_rt::sync::Notify;
 use smart_rt::SimHandle;
 use smart_trace::{Actor, Category};
 
 use crate::blade::MemoryBlade;
-use crate::config::{FabricConfig, RnicConfig};
-use crate::types::{CqeError, OneSidedOp, OpResult};
+use crate::cluster::Cluster;
+use crate::config::{ClusterConfig, FabricConfig, RnicConfig};
+use crate::domain::DomainPlan;
+use crate::types::{BladeId, CqeError, NodeId, OneSidedOp, OpResult};
 
 /// A work request crossing to a blade engine domain. The `slot` is a
 /// per-port correlation id ([`RemotePort`] allocates them densely) —
@@ -123,13 +133,12 @@ pub struct RemotePort {
     tx: PdesSender<BladeRequest>,
     waiters: RefCell<DetMap<Rc<ReplyCell>>>,
     next_slot: Cell<u64>,
-    sent: Counter,
 }
 
 impl std::fmt::Debug for RemotePort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemotePort")
-            .field("sent", &self.sent.get())
+            .field("sent", &self.next_slot.get())
             .field("waiting", &self.waiters.borrow().len())
             .finish()
     }
@@ -147,7 +156,6 @@ impl RemotePort {
             tx,
             waiters: RefCell::new(DetMap::new()),
             next_slot: Cell::new(0),
-            sent: Counter::new(),
         });
         let dispatch = Rc::clone(&port);
         handle.spawn(async move {
@@ -165,11 +173,6 @@ impl RemotePort {
         port
     }
 
-    /// Requests shipped through this port so far.
-    pub fn requests_sent(&self) -> u64 {
-        self.sent.get()
-    }
-
     /// Ships `op` to the blade engine and waits for its reply. The
     /// request and reply channels each pay the fabric one-way latency;
     /// blade-side contention (ingress, responder pipeline, atomic unit,
@@ -182,7 +185,6 @@ impl RemotePort {
             notify: Notify::new(),
         });
         self.waiters.borrow_mut().insert(slot, Rc::clone(&cell));
-        self.sent.incr();
         self.tx.send(BladeRequest { slot, op, actor });
         loop {
             if let Some(result) = cell.result.borrow_mut().take() {
@@ -199,18 +201,18 @@ impl RemotePort {
 /// they do when requester and blade share a domain.
 ///
 /// Call once per authoritative blade from the blade domain's setup
-/// closure, with the domain-bound `rx`/`tx` ends of its [`BladeLink`].
+/// closure, with its cluster's config and the domain-bound `rx`/`tx`
+/// ends of the blade's [`BladeLink`].
 pub fn spawn_blade_engine(
     blade: &Rc<MemoryBlade>,
-    cfg: &RnicConfig,
-    fabric: &FabricConfig,
+    cluster: &ClusterConfig,
     rx: PdesReceiver<BladeRequest>,
     tx: PdesSender<BladeReply>,
 ) {
     let handle = blade.handle().clone();
     let blade = Rc::clone(blade);
-    let cfg = cfg.clone();
-    let header = fabric.header_bytes;
+    let cfg = cluster.rnic.clone();
+    let header = cluster.fabric.header_bytes;
     // The reply sender is shared by every per-request handler; per-channel
     // sequence numbers live in the engine's coordinator state, so shared
     // use keeps the exact (deliver_ns, channel, seq) merge order.
@@ -307,16 +309,154 @@ async fn serve_one(
     Ok(result)
 }
 
+/// A blade domain's per-blade artifact hook, returned by its bootstrap
+/// callback: extra `key=value ` text for blade `i`'s artifact line (the
+/// authoritative copy is passed in), or an empty string.
+pub type BladeArtifact = Box<dyn Fn(usize, &MemoryBlade) -> String>;
+
+/// Outcome of [`run_decomposed`]: the scenario's report plus the
+/// engine's partition counters. Everything in here is independent of the
+/// engine worker count.
+#[derive(Clone, Debug)]
+pub struct Decomposed<R> {
+    /// What the compute domain's finish hook returned.
+    pub report: R,
+    /// Scheduling events summed over *all* domains.
+    pub events: u64,
+    /// Scheduling domains in the plan (1 compute + blade domains).
+    pub domains: u32,
+    /// Conservative epochs the engine executed.
+    pub epochs: u64,
+    /// Envelopes routed across domains, requests and replies combined.
+    pub envelopes: u64,
+    /// Request envelopes delivered into blade domains. In a fault-free
+    /// run this equals `cross_domain_wrs` — every crossing work request
+    /// becomes exactly one [`BladeRequest`].
+    pub blade_requests: u64,
+    /// Work requests the compute side counted as crossing the partition
+    /// ([`crate::NodeCounters::cross_domain_wrs`] summed over nodes —
+    /// diagnostics-only, never part of golden-visible output).
+    pub cross_domain_wrs: u64,
+    /// Concatenated blade-domain artifacts: one
+    /// `blade<i> <extra>served=<n> epoch=<e>` line per remote blade,
+    /// from the authoritative copies.
+    pub blade_log: String,
+}
+
+/// Runs a cluster scenario decomposed over `plan` on up to
+/// `engine_workers` OS threads: compute nodes, fabric requester side and
+/// all client state live in domain 0 (a local domain on the calling
+/// thread, so the `Rc` graph `compute` builds — a caller-held trace sink
+/// included — never crosses a thread); every other domain of the plan
+/// runs its blades behind [`spawn_blade_engine`].
+///
+/// `compute` builds the scenario on domain 0's handle and cluster (ports
+/// already attached) and returns its finish hook, which runs once the
+/// engine is quiescent. `bootstrap` runs in every blade domain on that
+/// domain's own replica of the cluster, before the blade engines start:
+/// it must replay the same deterministic preload `compute` performs, and
+/// is the place to install the domain's lowered fault sub-plan.
+///
+/// # Panics
+///
+/// Panics if the plan is single-domain, hosts a compute node outside
+/// domain 0, or does not cover `cfg`'s cluster shape.
+pub fn run_decomposed<R: 'static>(
+    seed: u64,
+    cfg: ClusterConfig,
+    plan: &DomainPlan,
+    engine_workers: usize,
+    compute: impl FnOnce(&SimHandle, &Cluster) -> Box<dyn FnOnce() -> R> + 'static,
+    bootstrap: impl Fn(&Cluster, DomainId) -> BladeArtifact + Clone + Send + 'static,
+) -> Decomposed<R> {
+    assert!(
+        !plan.is_single(),
+        "decomposed runner needs a partition with at least one blade domain"
+    );
+    assert!(
+        (0..cfg.compute_nodes).all(|n| plan.node_domain(NodeId(n as u32)) == DomainId(0)),
+        "compute nodes must live in domain 0"
+    );
+
+    let mut b = PdesBuilder::new(seed);
+    // Channel pairs for every crossing blade; a blade co-located in
+    // domain 0 keeps the classic same-domain path (no port attached).
+    let mut ports = Vec::new();
+    let mut engines: Vec<Vec<_>> = (0..plan.domains()).map(|_| Vec::new()).collect();
+    for i in 0..cfg.memory_blades {
+        let d = plan.blade_domain(BladeId(i as u32));
+        if d != DomainId(0) {
+            let link = blade_link(&mut b, DomainId(0), d, &cfg.fabric);
+            ports.push((i, link.req_tx, link.rep_rx));
+            engines[d.index()].push((i, link.req_rx, link.rep_tx));
+        }
+    }
+
+    let out: Rc<RefCell<Option<(R, u64)>>> = Rc::new(RefCell::new(None));
+    let (out0, cfg0, plan0) = (Rc::clone(&out), cfg.clone(), plan.clone());
+    b.add_local_domain("compute", move |ctx: &DomainCtx| {
+        let h = ctx.handle();
+        let cluster = Cluster::new_with_plan(h.clone(), cfg0, plan0);
+        for (i, tx, rx) in ports {
+            let port = RemotePort::install(&h, ctx.bind_tx(tx), ctx.bind_rx(rx));
+            cluster.blade(i).attach_remote(port);
+        }
+        let finish = compute(&h, &cluster);
+        Box::new(move |_: &DomainCtx| {
+            *out0.borrow_mut() = Some((finish(), cluster.cross_domain_wrs()));
+            Vec::new()
+        })
+    });
+
+    for (d, ends) in engines.into_iter().enumerate().skip(1) {
+        let (cfg1, plan1, bootstrap) = (cfg.clone(), plan.clone(), bootstrap.clone());
+        b.add_domain(&format!("blades-d{d}"), move |ctx: &DomainCtx| {
+            let cluster = Cluster::new_with_plan(ctx.handle(), cfg1, plan1);
+            let extra = bootstrap(&cluster, DomainId(d as u32));
+            let mut blades = Vec::new();
+            for (i, rx, tx) in ends {
+                let blade = Rc::clone(cluster.blade(i));
+                spawn_blade_engine(&blade, cluster.config(), ctx.bind_rx(rx), ctx.bind_tx(tx));
+                blades.push((i, blade));
+            }
+            Box::new(move |_: &DomainCtx| {
+                let mut log = String::new();
+                for (i, blade) in &blades {
+                    let (served, epoch) = (blade.ops_served(), blade.epoch());
+                    log += &format!(
+                        "blade{i} {}served={served} epoch={epoch}\n",
+                        extra(*i, blade)
+                    );
+                }
+                log.into_bytes()
+            })
+        });
+    }
+
+    let engine = b.run(engine_workers);
+    let (report, cross_domain_wrs) = out.borrow_mut().take().expect("compute domain must finish");
+    let remote = &engine.domains[1..];
+    Decomposed {
+        report,
+        events: engine.events(),
+        domains: plan.domains(),
+        epochs: engine.epochs,
+        envelopes: engine.envelopes,
+        blade_requests: remote.iter().map(|d| d.delivered).sum(),
+        cross_domain_wrs,
+        blade_log: remote
+            .iter()
+            .map(|d| String::from_utf8_lossy(&d.artifact))
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Cluster;
-    use crate::config::ClusterConfig;
-    use crate::domain::DomainPlan;
     use crate::doorbell::DoorbellBinding;
     use crate::qp::Cq;
-    use crate::types::{BladeId, RemoteAddr, WorkRequest};
-    use smart_rt::pdes::DomainCtx;
+    use crate::types::{RemoteAddr, WorkRequest};
 
     const OPS: u64 = 6;
 
@@ -388,12 +528,9 @@ mod tests {
             let blade = Rc::clone(cluster.blade(0));
             let off = blade.alloc(8, 8);
             blade.write_u64(off, 100);
-            let rnic = cluster.config().rnic.clone();
-            let fab = cluster.config().fabric.clone();
             spawn_blade_engine(
                 &blade,
-                &rnic,
-                &fab,
+                cluster.config(),
                 ctx.bind_rx(link.req_rx),
                 ctx.bind_tx(link.rep_tx),
             );
@@ -458,12 +595,9 @@ mod tests {
             let cluster = Cluster::new_with_plan(ctx.handle(), cfg1, DomainPlan::per_blade(1, 1));
             let blade = Rc::clone(cluster.blade(0));
             blade.crash();
-            let rnic = cluster.config().rnic.clone();
-            let fab = cluster.config().fabric.clone();
             spawn_blade_engine(
                 &blade,
-                &rnic,
-                &fab,
+                cluster.config(),
                 ctx.bind_rx(link.req_rx),
                 ctx.bind_tx(link.rep_tx),
             );

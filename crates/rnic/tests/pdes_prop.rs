@@ -1,9 +1,9 @@
 //! Seeded property test: domain partitions are semantically invisible.
 //!
 //! For a sweep of random small topologies (1–3 memory blades, 1–3
-//! requesters driving fetch-and-add conversations over [`verb_link`]
-//! transports), every [`DomainPlan`] partition — the degenerate
-//! single-domain plan, one-domain-per-blade, and a seeded random
+//! requesters driving fetch-and-add conversations over a pair of
+//! fabric-latency channels), every [`DomainPlan`] partition — the
+//! degenerate single-domain plan, one-domain-per-blade, and a seeded random
 //! assignment — must produce the same per-requester event logs, the same
 //! RNG draw counts and the same [`LogHistogram`] bytes as the sequential
 //! single-domain reference. On top of that, re-running any one partition
@@ -20,10 +20,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use smart_rnic::{
-    verb_link, BladeId, DomainPlan, FabricConfig, NodeId, OneSidedOp, RemoteAddr, VerbCompletion,
-    VerbLink, WorkRequest,
-};
+use smart_rnic::{BladeId, DomainPlan, FabricConfig, NodeId, OneSidedOp, RemoteAddr, WorkRequest};
 use smart_rt::pdes::{DomainCtx, DomainId, PdesBuilder, RxToken, TxToken};
 use smart_rt::rng::SimRng;
 use smart_trace::LogHistogram;
@@ -83,31 +80,25 @@ fn run_partition(topo: &Topology, plan: &DomainPlan, workers: usize) -> (String,
     let lat_ns = plan.lookahead(&fabric).as_nanos() as u64;
     let mut b = PdesBuilder::new(0x5EED ^ topo.seed);
 
-    // One private link (and responder) per crossing requester; None for
-    // requesters whose blade shares domain 0 — they model the round trip
-    // with a plain timer of the same duration.
-    let links: Vec<Option<VerbLink>> = (0..topo.requesters)
-        .map(|r| {
-            let blade = BladeId(topo.blade_of(r));
-            plan.crossing(NodeId(0), blade)
-                .then(|| verb_link(&mut b, DomainId(0), plan.blade_domain(blade), &fabric))
-        })
-        .collect();
-
-    // Responder endpoints grouped by owning domain, in requester order.
-    type ResponderEnd = (u32, RxToken<WorkRequest>, TxToken<VerbCompletion>);
+    // One private channel pair (work requests out, the cell's old value
+    // back) and responder per crossing requester; None for requesters
+    // whose blade shares domain 0 — they model the round trip with a
+    // plain timer of the same duration. Responder endpoints are grouped
+    // by owning domain, in requester order.
+    type ResponderEnd = (u32, RxToken<WorkRequest>, TxToken<u64>);
     let mut responders: Vec<Vec<ResponderEnd>> = (0..plan.domains()).map(|_| Vec::new()).collect();
-    let mut requester_ends: Vec<Option<(TxToken<WorkRequest>, RxToken<VerbCompletion>)>> =
-        Vec::new();
-    for (r, link) in links.into_iter().enumerate() {
-        match link {
-            Some(l) => {
-                let d = plan.blade_domain(BladeId(topo.blade_of(r as u32)));
-                responders[d.index()].push((r as u32, l.req_rx, l.cpl_tx));
-                requester_ends.push(Some((l.req_tx, l.cpl_rx)));
-            }
-            None => requester_ends.push(None),
+    let mut requester_ends: Vec<Option<(TxToken<WorkRequest>, RxToken<u64>)>> = Vec::new();
+    for r in 0..topo.requesters {
+        let blade = BladeId(topo.blade_of(r));
+        if !plan.crossing(NodeId(0), blade) {
+            requester_ends.push(None);
+            continue;
         }
+        let (d, lat) = (plan.blade_domain(blade), fabric.one_way_latency);
+        let (req_tx, req_rx) = b.channel::<WorkRequest>(DomainId(0), d, lat);
+        let (cpl_tx, cpl_rx) = b.channel::<u64>(d, DomainId(0), lat);
+        responders[d.index()].push((r, req_rx, cpl_tx));
+        requester_ends.push(Some((req_tx, cpl_rx)));
     }
 
     let topo_seed = topo.seed;
@@ -145,7 +136,7 @@ fn run_partition(topo: &Topology, plan: &DomainPlan, workers: usize) -> (String,
                                     add,
                                 },
                             });
-                            rx.recv().await.value
+                            rx.recv().await
                         }
                         None => {
                             // Same-domain blade: the verb round trip is
@@ -184,10 +175,7 @@ fn run_partition(topo: &Topology, plan: &DomainPlan, workers: usize) -> (String,
                         if let OneSidedOp::Faa { add, .. } = wr.op {
                             cell += add;
                         }
-                        tx.send(VerbCompletion {
-                            wr_id: wr.wr_id,
-                            value: old,
-                        });
+                        tx.send(old);
                     }
                 });
             }

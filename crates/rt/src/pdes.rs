@@ -1186,51 +1186,6 @@ fn lane_main(
         .collect()
 }
 
-/// Hosts a complete (phase-driven) simulation job on a dedicated OS
-/// thread when `workers > 1`, or runs it inline when `workers <= 1`.
-///
-/// The bench and serve runners drive their own [`Simulation`] through
-/// warmup/measure phases imperatively, which does not decompose into the
-/// epoch loop of [`PdesBuilder::run`]. This facade is the degenerate
-/// one-domain form of the same contract: the job is a pure function of
-/// its inputs, so *where* it runs (the calling thread or a fresh OS
-/// thread) cannot change a single output byte. The equivalence test
-/// matrix exercises exactly that claim for every pinned bench config.
-///
-/// ```rust
-/// let inline = smart_rt::pdes::host(1, || 6 * 7);
-/// let hosted = smart_rt::pdes::host(4, || 6 * 7);
-/// assert_eq!(inline, hosted);
-/// ```
-pub fn host<R, F>(workers: usize, job: F) -> R
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    if workers <= 1 {
-        return job();
-    }
-    std::thread::scope(|s| {
-        s.spawn(job)
-            .join()
-            .expect("pdes::host: hosted simulation job panicked")
-    })
-}
-
-/// Reads the `SMART_SIM_WORKERS` environment variable, clamping to at
-/// least 1. Unset, empty or unparsable values mean `default`.
-///
-/// Only binaries (e.g. `perf_harness`, `fig_serve`) should call this, at
-/// startup, and thread the resulting count through explicit `workers`
-/// fields — library code reading the environment mid-run would make
-/// results depend on ambient state.
-pub fn env_workers(default: usize) -> usize {
-    match std::env::var("SMART_SIM_WORKERS") {
-        Ok(v) if !v.trim().is_empty() => v.trim().parse::<usize>().map_or(default, |n| n.max(1)),
-        _ => default,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1672,50 +1627,5 @@ mod tests {
         assert_eq!(domain_seed(1234, 0), 1234);
         assert_ne!(domain_seed(1234, 1), domain_seed(1234, 2));
         assert_ne!(domain_seed(1234, 1), domain_seed(4321, 1));
-    }
-
-    /// A small full simulation (timers + RNG draws) run through `host` at
-    /// several worker counts must produce identical bytes, and at
-    /// `workers > 1` must actually run off the calling thread.
-    #[test]
-    fn host_facade_is_byte_identical_and_offloads() {
-        let run = || {
-            let mut sim = Simulation::new(99);
-            let h = sim.handle();
-            let tid = thread::current().id();
-            let out = sim.block_on(async move {
-                let mut log = Vec::new();
-                let mut rng = crate::rng::SimRng::new(0xB0B);
-                for i in 0..16u64 {
-                    h.sleep(Duration::from_nanos(10 + (rng.next_u64() % 90)))
-                        .await;
-                    log.push(format!("{i}@{}:{}", h.now().as_nanos(), rng.next_u64()));
-                }
-                log.join("\n")
-            });
-            let metrics = format!("{:?}", sim.handle().metrics());
-            (out, metrics, tid)
-        };
-        let main_thread = thread::current().id();
-        let (seq, seq_m, seq_tid) = host(1, run);
-        let (par, par_m, par_tid) = host(4, run);
-        assert_eq!(seq, par);
-        assert_eq!(seq_m, par_m);
-        assert_eq!(seq_tid, main_thread);
-        assert_ne!(par_tid, main_thread);
-    }
-
-    #[test]
-    fn env_workers_parses_and_clamps() {
-        // Serialized via a dedicated var name: nothing else reads it here.
-        std::env::remove_var("SMART_SIM_WORKERS");
-        assert_eq!(env_workers(3), 3);
-        std::env::set_var("SMART_SIM_WORKERS", "4");
-        assert_eq!(env_workers(1), 4);
-        std::env::set_var("SMART_SIM_WORKERS", "0");
-        assert_eq!(env_workers(2), 1);
-        std::env::set_var("SMART_SIM_WORKERS", "garbage");
-        assert_eq!(env_workers(2), 2);
-        std::env::remove_var("SMART_SIM_WORKERS");
     }
 }

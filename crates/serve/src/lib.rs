@@ -23,9 +23,11 @@
 //! * [`session`] — the logical-client session pool and request queue;
 //! * [`membership`] — scripted blade leave/join windows lowered onto
 //!   the router and the fault layer;
-//! * [`engine`] — the scenario driver gluing it all together;
-//! * [`decomposed`] — the same scenario with memory blades running as
-//!   real PDES engine domains behind typed request/completion channels;
+//! * [`engine`] — the scenario body gluing it all together, and its
+//!   inline driver [`run_serve`];
+//! * [`decomposed`] — the engine driver [`run_serve_decomposed`]: the
+//!   same body with memory blades running as real PDES engine domains
+//!   behind typed request/completion channels;
 //! * [`report`] — per-phase SLO stats and the byte-stable report.
 
 pub mod admission;
@@ -38,7 +40,7 @@ pub mod session;
 
 pub use admission::{AdmissionConfig, AdmissionController, Rejected};
 pub use arrival::{Arrival, ArrivalEngine, PhaseSpec, RatePlan, ServeOp};
-pub use decomposed::{run_serve_decomposed, DecomposedServe};
+pub use decomposed::run_serve_decomposed;
 pub use engine::{run_serve, ServeSpec};
 pub use membership::{MembershipEvent, MembershipPlan};
 pub use report::{PhaseStats, ServeReport};

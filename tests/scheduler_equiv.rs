@@ -11,32 +11,29 @@
 //! `SMART_UPDATE_GOLDENS=1 cargo test -q --test scheduler_equiv`
 //! and review the golden diff like any other code change.
 //!
-//! The second half of this file is the sequential <-> parallel
-//! **differential matrix** gating the PDES hosting layer: every pinned
-//! bench shape (fig03 microbench, fig07 hash table, fig14 throttle
-//! stack, a serve phase and an 8-seed chaos sweep) runs at 1, 2 and 4
-//! simulation workers, and the `workers > 1` legs must reproduce the
-//! sequential report fingerprints and trace JSON byte-for-byte.
+//! The second section pins the **inline driver** on the remaining bench
+//! shapes — fig07-small, fig14-small, a serve phase (report fingerprint
+//! plus the FNV-1a-64 of the trace JSON) and an 8-seed chaos sweep —
+//! against goldens captured before the hosted path was removed.
 //!
-//! The third section is the **decomposed-plan matrix** gating the blade
-//! engine domains: fig07 and fig_serve run under `per_blade` and
-//! `for_workers` partitions at 1/2/4/8 engine workers, and every leg —
-//! report bytes, blade-domain artifacts, epoch/envelope counters and
-//! trace JSON — must reproduce the 1-worker reference exactly. The
-//! reference fingerprints are published under `target/equiv/` for the
-//! CI `pdes` job to upload.
+//! The third section is the **engine-driver matrix** gating the blade
+//! engine domains: fig07 and a serve phase run under partitions that
+//! cover a domain per blade, blades sharing one remote domain, and a
+//! blade co-located with the compute domain next to a remote one, at
+//! 1/2/4/8 engine workers. Every leg — report bytes, blade-domain
+//! artifacts, epoch/envelope counters and trace hash — must match the
+//! committed golden exactly, so the bytes are pinned across worker
+//! counts and across commits. The fingerprints are also published under
+//! `target/equiv/` for the CI `pdes` job to upload.
 
 use std::path::PathBuf;
 
-use smart_bench::{
-    run_ht, run_ht_decomposed, run_ht_hosted, run_microbench_hosted, run_serve_hosted, serve_spec,
-    HtParams, RunReport,
-};
+use smart_bench::{run_ht, run_ht_decomposed, serve_spec, HtParams, RunReport};
 use smart_lab::smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
 use smart_lab::smart_fault::FaultPlan;
 use smart_lab::smart_rnic::DomainPlan;
 use smart_lab::smart_rt::{Duration, SchedulePolicy};
-use smart_lab::smart_serve::run_serve_decomposed;
+use smart_lab::smart_serve::{run_serve, run_serve_decomposed, ServeReport, ServeSpec};
 use smart_lab::smart_trace::TraceSink;
 use smart_lab::smart_workloads::ycsb::Mix;
 
@@ -179,137 +176,126 @@ fn fault_plan_run_matches_heap_scheduler_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential <-> parallel differential matrix (PDES hosting layer)
+// Inline-driver pins (fig07-small, fig14-small, a serve phase, chaos sweep)
 // ---------------------------------------------------------------------------
 
-/// Worker counts every matrix cell runs at. The sequential leg
-/// (`workers == 1`, always first) is the reference; the others must
-/// reproduce its bytes exactly.
-///
-/// A single-*core* host is deliberately **not** a skip: hosting is an
-/// OS-thread mechanism and byte identity must hold under any time-slicing
-/// the kernel picks, so running the matrix on one core tests exactly the
-/// claim we care about. The only skip is a host where thread parallelism
-/// cannot be probed at all (`available_parallelism` erroring), in which
-/// case spawning worker threads is itself suspect and only the
-/// sequential leg runs. `SMART_SIM_WORKERS` appends an extra column so a
-/// CI job (or a curious human) can widen the matrix without editing the
-/// test.
-fn worker_matrix() -> Vec<usize> {
-    if let Err(e) = std::thread::available_parallelism() {
-        eprintln!(
-            "scheduler_equiv: cannot probe host parallelism ({e}); \
-             running the sequential leg only"
-        );
-        return vec![1];
-    }
-    let mut matrix = vec![1, 2, 4];
-    let extra = smart_lab::smart_rt::pdes::env_workers(1);
-    if !matrix.contains(&extra) {
-        matrix.push(extra);
-    }
-    matrix
+/// FNV-1a-64 of `bytes`. The cells below pin a trace export by hash
+/// instead of committing another ~120 kB JSON file per cell.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// Runs one matrix cell at every worker count and asserts the
-/// `(report fingerprint, trace JSON)` pair is byte-identical to the
-/// sequential leg.
-fn assert_workers_equivalent<F>(label: &str, run: F)
-where
-    F: Fn(usize) -> (String, String),
-{
-    let matrix = worker_matrix();
-    let (ref_fp, ref_trace) = run(matrix[0]);
-    assert!(
-        !ref_fp.is_empty(),
-        "{label}: sequential leg produced an empty fingerprint"
+/// The trace half of a cell fingerprint: export size plus hash.
+fn trace_line(json: &str) -> String {
+    format!(
+        "trace_bytes={} trace_fnv1a64={:016x}\n",
+        json.len(),
+        fnv1a64(json.as_bytes())
+    )
+}
+
+/// Renders a [`ServeReport`]: the byte-stable text form plus a hash of
+/// the full `Debug` form (every histogram bucket) with `sim_events`
+/// zeroed, for the same reason [`report_fingerprint`] leaves it out.
+fn serve_fingerprint(report: &ServeReport) -> String {
+    let mut r = report.clone();
+    r.sim_events = 0;
+    format!(
+        "{}debug_fnv1a64={:016x}\n",
+        report.render(),
+        fnv1a64(format!("{r:?}").as_bytes())
+    )
+}
+
+/// Runs one hash-table cell on the inline driver with a tracer installed.
+fn inline_ht_cell(mut p: HtParams) -> String {
+    let sink = TraceSink::with_capacity(TRACE_EVENTS);
+    p.trace = Some(sink.clone());
+    let report = run_ht(&p);
+    format!(
+        "{}{}",
+        report_fingerprint(&report),
+        trace_line(&sink.chrome_json())
+    )
+}
+
+fn serve_phase() -> ServeSpec {
+    let mut spec = serve_spec(800, 0.05, 42);
+    spec.threads = 2;
+    spec.depth = 4;
+    spec
+}
+
+#[test]
+fn fig07_small_inline_matches_golden() {
+    let mut p = HtParams::new(SmartConfig::smart_full(8), 8, 5_000, Mix::WriteHeavy);
+    p.warmup = Duration::from_micros(500);
+    p.measure = Duration::from_millis(1);
+    p.seed = 42;
+    assert_golden("inline_fig07_small.fp.txt", &inline_ht_cell(p));
+}
+
+#[test]
+fn fig14_small_inline_matches_golden() {
+    let mut cfg =
+        SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 8).with_work_req_throttle(true);
+    cfg.conflict_backoff = true;
+    cfg.dynamic_backoff_limit = true;
+    cfg.coroutine_throttle = true;
+    let mut p = HtParams::new(cfg, 8, 5_000, Mix::UpdateOnly);
+    p.warmup = Duration::from_micros(500);
+    p.measure = Duration::from_millis(1);
+    p.seed = 42;
+    assert_golden("inline_fig14_small.fp.txt", &inline_ht_cell(p));
+}
+
+#[test]
+fn serve_phase_inline_matches_golden() {
+    let sink = TraceSink::with_capacity(TRACE_EVENTS);
+    let mut spec = serve_phase();
+    spec.trace = Some(sink.clone());
+    let report = run_serve(&spec);
+    assert_golden(
+        "inline_serve_phase.fp.txt",
+        &format!(
+            "{}{}",
+            serve_fingerprint(&report),
+            trace_line(&sink.chrome_json())
+        ),
     );
-    for &workers in &matrix[1..] {
-        let (fp, trace) = run(workers);
-        assert_eq!(
-            fp, ref_fp,
-            "{label}: report bytes diverged between 1 and {workers} workers"
-        );
-        assert_eq!(
-            trace, ref_trace,
-            "{label}: trace JSON diverged between 1 and {workers} workers"
-        );
+}
+
+#[test]
+fn fault_seed_sweep_inline_matches_golden() {
+    // Eight seeded chaos plans (random packet loss / RNR / latency
+    // spikes / crash events) through the full recovery stack. No trace
+    // here — the other cells already pin trace bytes.
+    let mut fp = String::new();
+    for seed in 0..8u64 {
+        let plan = FaultPlan::random(seed, Duration::from_millis(1), 1, 2);
+        let mut p = HtParams::new(SmartConfig::smart_full(4), 4, 1_000, Mix::UpdateOnly);
+        p.warmup = Duration::from_micros(300);
+        p.measure = Duration::from_millis(1);
+        p.seed = 1907 + seed;
+        p.fault = Some(plan);
+        fp.push_str(&format!("seed={seed}\n{}", report_fingerprint(&run_ht(&p))));
     }
-}
-
-#[test]
-fn matrix_fig03_microbench_is_byte_identical_across_workers() {
-    assert_workers_equivalent("fig03", |workers| {
-        let mut spec = MicrobenchSpec::new(
-            SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 4),
-            4,
-            8,
-        );
-        spec.op = MicroOp::Read(8);
-        spec.warmup = Duration::from_micros(300);
-        spec.measure = Duration::from_millis(1);
-        spec.seed = 42;
-        spec.workers = workers;
-        let (report, metrics, trace) = run_microbench_hosted(&spec, true);
-        (format!("{report:?}\n{metrics:?}\n"), trace.unwrap())
-    });
-}
-
-#[test]
-fn matrix_fig07_hash_table_is_byte_identical_across_workers() {
-    assert_workers_equivalent("fig07-small", |workers| {
-        let mut p = HtParams::new(SmartConfig::smart_full(8), 8, 5_000, Mix::WriteHeavy);
-        p.warmup = Duration::from_micros(500);
-        p.measure = Duration::from_millis(1);
-        p.seed = 42;
-        p.workers = workers;
-        let (report, trace) = run_ht_hosted(&p, true);
-        (format!("{report:?}\n"), trace.unwrap())
-    });
-}
-
-#[test]
-fn matrix_fig14_throttle_stack_is_byte_identical_across_workers() {
-    assert_workers_equivalent("fig14-small", |workers| {
-        let mut cfg =
-            SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 8).with_work_req_throttle(true);
-        cfg.conflict_backoff = true;
-        cfg.dynamic_backoff_limit = true;
-        cfg.coroutine_throttle = true;
-        let mut p = HtParams::new(cfg, 8, 5_000, Mix::UpdateOnly);
-        p.warmup = Duration::from_micros(500);
-        p.measure = Duration::from_millis(1);
-        p.seed = 42;
-        p.workers = workers;
-        let (report, trace) = run_ht_hosted(&p, true);
-        (format!("{report:?}\n"), trace.unwrap())
-    });
-}
-
-#[test]
-fn matrix_serve_phase_is_byte_identical_across_workers() {
-    assert_workers_equivalent("serve", |workers| {
-        let mut spec = serve_spec(800, 0.05, 42);
-        spec.threads = 2;
-        spec.depth = 4;
-        spec.workers = workers;
-        let (report, trace) = run_serve_hosted(&spec, true);
-        (format!("{}\n{report:?}\n", report.render()), trace.unwrap())
-    });
+    assert_golden("inline_fault_sweep.fp.txt", &fp);
 }
 
 // ---------------------------------------------------------------------------
-// Decomposed-plan differential matrix (blades as real engine domains)
+// Engine-driver matrix (blades as real engine domains)
 // ---------------------------------------------------------------------------
 
-/// Engine worker counts every decomposed cell runs at. Unlike the hosted
-/// matrix — where `workers` picks the *partition* — a decomposed cell
-/// fixes its [`DomainPlan`] up front, so every count here executes the
-/// identical partition and the bytes must not move at all.
+/// Engine worker counts every decomposed cell runs at. A cell fixes its
+/// [`DomainPlan`] up front, so every count executes the identical
+/// partition and the bytes must not move at all.
 const ENGINE_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// Writes the reference fingerprint under `target/equiv/` so the CI
-/// `pdes` job can upload the whole matrix as a build artifact.
+/// Writes the cell fingerprint under `target/equiv/` so the CI `pdes`
+/// job can upload the whole matrix as a build artifact.
 fn publish_fingerprint(name: &str, fp: &str) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/equiv");
     if std::fs::create_dir_all(&dir).is_ok() {
@@ -319,48 +305,65 @@ fn publish_fingerprint(name: &str, fp: &str) {
 
 /// Runs one decomposed cell at every engine worker count and asserts the
 /// full fingerprint (report bytes, blade artifacts, engine counters and
-/// trace JSON) is byte-identical to the 1-worker reference.
-fn assert_decomposed_equivalent<F>(label: &str, run: F)
+/// trace hash) matches the committed golden each time — so the bytes are
+/// pinned across worker counts *and* across commits.
+fn assert_decomposed_golden<F>(label: &str, run: F)
 where
     F: Fn(usize) -> String,
 {
-    let ref_fp = run(ENGINE_WORKERS[0]);
-    assert!(
-        !ref_fp.is_empty(),
-        "{label}: sequential leg produced an empty fingerprint"
-    );
-    publish_fingerprint(&format!("{label}.fp.txt"), &ref_fp);
-    for &workers in &ENGINE_WORKERS[1..] {
+    for &workers in &ENGINE_WORKERS {
         let fp = run(workers);
-        assert_eq!(
-            fp, ref_fp,
-            "{label}: decomposed bytes diverged between 1 and {workers} engine workers"
-        );
+        if workers == ENGINE_WORKERS[0] {
+            publish_fingerprint(&format!("{label}.fp.txt"), &fp);
+        }
+        assert_remote_blades_served(label, &fp);
+        assert_golden(&format!("{label}.fp.txt"), &fp);
     }
+}
+
+/// Every remote blade's artifact line must report `served > 0`: a cell
+/// whose traffic never reaches a blade domain gates nothing there.
+fn assert_remote_blades_served(label: &str, fp: &str) {
+    let served: Vec<u64> = fp
+        .lines()
+        .filter(|l| l.starts_with("blade"))
+        .filter_map(|l| l.split_whitespace().find_map(|w| w.strip_prefix("served=")))
+        .map(|v| v.parse().expect("served count"))
+        .collect();
+    assert!(!served.is_empty(), "{label}: no blade artifact lines");
+    assert!(
+        served.iter().all(|&n| n > 0),
+        "{label}: a remote blade served nothing: {served:?}"
+    );
 }
 
 #[test]
 fn matrix_fig07_decomposed_plans_are_byte_identical_across_engine_workers() {
-    let mut p = HtParams::new(SmartConfig::smart_full(4), 4, 2_000, Mix::WriteHeavy);
+    // 20 000 keys build two subtables, so both blades hold buckets.
+    let mut p = HtParams::new(SmartConfig::smart_full(4), 4, 20_000, Mix::WriteHeavy);
     p.warmup = Duration::from_micros(500);
     p.measure = Duration::from_millis(1);
     p.seed = 42;
-    let blades = p.blades as u32;
     for (pname, plan) in [
-        ("per_blade", DomainPlan::per_blade(1, blades)),
-        ("for_workers4", DomainPlan::for_workers(4, 1, blades)),
+        ("per_blade", DomainPlan::per_blade(1, p.blades as u32)),
+        // Blade 0 shares the compute domain, blade 1 is remote: the
+        // same-domain verb path and the `RemotePort` path in one run.
+        ("colocated", DomainPlan::custom(vec![0], vec![0, 1])),
     ] {
         let p = p.clone();
-        assert_decomposed_equivalent(&format!("fig07_decomposed_{pname}"), move |workers| {
-            let d = run_ht_decomposed(&p, &plan, workers, true);
+        assert_decomposed_golden(&format!("decomposed_fig07_{pname}"), move |workers| {
+            let sink = TraceSink::with_capacity(TRACE_EVENTS);
+            let mut p = p.clone();
+            p.trace = Some(sink.clone());
+            let d = run_ht_decomposed(&p, &plan, workers);
             format!(
-                "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\ntrace:\n{}\n",
+                "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
                 report_fingerprint(&d.report),
                 d.blade_log,
                 d.epochs,
                 d.envelopes,
                 d.blade_requests,
-                d.trace.as_deref().unwrap_or("")
+                trace_line(&sink.chrome_json())
             )
         });
     }
@@ -368,25 +371,27 @@ fn matrix_fig07_decomposed_plans_are_byte_identical_across_engine_workers() {
 
 #[test]
 fn matrix_serve_decomposed_plans_are_byte_identical_across_engine_workers() {
-    let mut spec = serve_spec(800, 0.05, 42);
-    spec.threads = 2;
-    spec.depth = 4;
+    let spec = serve_phase();
     let blades = spec.blades as u32;
     for (pname, plan) in [
         ("per_blade", DomainPlan::per_blade(1, blades)),
-        ("for_workers4", DomainPlan::for_workers(4, 1, blades)),
+        // Blades 0 and 2 share one remote domain, blade 1 has its own.
+        ("shared", DomainPlan::for_workers(2, 1, blades)),
     ] {
         let spec = spec.clone();
-        assert_decomposed_equivalent(&format!("fig_serve_decomposed_{pname}"), move |workers| {
-            let d = run_serve_decomposed(&spec, &plan, workers, true);
+        assert_decomposed_golden(&format!("decomposed_serve_{pname}"), move |workers| {
+            let sink = TraceSink::with_capacity(TRACE_EVENTS);
+            let mut spec = spec.clone();
+            spec.trace = Some(sink.clone());
+            let d = run_serve_decomposed(&spec, &plan, workers);
             format!(
-                "{}\n{:?}\nblade_log:\n{}epochs={} envelopes={}\ntrace:\n{}\n",
-                d.report.render(),
-                d.report,
+                "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
+                serve_fingerprint(&d.report),
                 d.blade_log,
                 d.epochs,
                 d.envelopes,
-                d.trace.as_deref().unwrap_or("")
+                d.blade_requests,
+                trace_line(&sink.chrome_json())
             )
         });
     }
@@ -410,7 +415,7 @@ fn decomposed_envelope_accounting_matches_cross_domain_wrs() {
         p.measure = Duration::from_millis(1);
         p.seed = 7;
         let plan = DomainPlan::per_blade(1, p.blades as u32);
-        let d = run_ht_decomposed(&p, &plan, 2, false);
+        let d = run_ht_decomposed(&p, &plan, 2);
         assert!(d.report.ops > 0, "{label}: no ops through blade domains");
         assert_eq!(
             d.cross_domain_wrs, d.blade_requests,
@@ -422,27 +427,4 @@ fn decomposed_envelope_accounting_matches_cross_domain_wrs() {
             "{label}: request/completion envelope pairing broken"
         );
     }
-}
-
-#[test]
-fn matrix_fault_seed_sweep_is_byte_identical_across_workers() {
-    // Eight seeded chaos plans (random packet loss / RNR / latency
-    // spikes / crash events), each replayed at every worker count. No
-    // trace here — eight full recovery-path runs per leg is the cost
-    // budget; the other cells already pin trace bytes.
-    assert_workers_equivalent("fault-sweep", |workers| {
-        let mut fp = String::new();
-        for seed in 0..8u64 {
-            let plan = FaultPlan::random(seed, Duration::from_millis(1), 1, 2);
-            let mut p = HtParams::new(SmartConfig::smart_full(4), 4, 1_000, Mix::UpdateOnly);
-            p.warmup = Duration::from_micros(300);
-            p.measure = Duration::from_millis(1);
-            p.seed = 1907 + seed;
-            p.fault = Some(plan);
-            p.workers = workers;
-            let (report, _) = run_ht_hosted(&p, false);
-            fp.push_str(&format!("seed={seed}\n{}", report_fingerprint(&report)));
-        }
-        (fp, String::new())
-    });
 }
