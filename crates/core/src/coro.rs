@@ -3,7 +3,6 @@
 //! completions, and `backoff_cas_sync` adds conflict avoidance.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use smart_rnic::{Cqe, CqeError, OneSidedOp, RemoteAddr, WorkRequest};
@@ -248,46 +247,49 @@ impl SmartCoro {
     /// order. Shared by the first post and by recovery reposts — retries
     /// consume fresh credits like any other post, which is what keeps the
     /// throttle's conservation invariant intact under injected errors.
-    async fn ship(&self, wrs: Vec<WorkRequest>) -> Vec<u64> {
+    async fn ship(&self, mut wrs: Vec<WorkRequest>) -> Vec<u64> {
         let cfg = self.thread.context().config();
         let mut shipped = Vec::with_capacity(wrs.len());
-        // Partition by target blade, preserving per-blade order.
-        let mut groups: BTreeMap<u32, Vec<WorkRequest>> = BTreeMap::new();
-        for wr in wrs {
-            groups.entry(wr.op.target().0).or_default().push(wr);
+        // Post blade by blade in ascending order, each blade's requests in
+        // buffer order: a stable sort, skipped for the usual batch that
+        // targets one blade (or already runs in that order).
+        if !wrs.is_sorted_by_key(|wr| wr.op.target().0) {
+            wrs.sort_by_key(|wr| wr.op.target().0);
         }
-        for (blade, group) in groups {
-            let qp = Rc::clone(self.thread.qp_to(smart_rnic::BladeId(blade)));
-            let mut rest = group;
-            while !rest.is_empty() {
-                let want = rest.len().min(self.thread.throttle.chunk_limit());
-                let take = self
-                    .thread
-                    .throttle
-                    .acquire_chunk_as(want, self.thread.handle(), self.actor)
-                    .await;
-                let chunk: Vec<WorkRequest> = rest.drain(..take).collect();
-                self.thread.stats().rdma_posted.add(chunk.len() as u64);
-                self.thread
-                    .cpu
-                    .use_for(cfg.cpu_build_wr * chunk.len() as u32 + cfg.cpu_post_overhead)
-                    .await;
-                let ids: Vec<u64> = chunk.iter().map(|w| w.wr_id).collect();
-                {
-                    let mut in_flight = self.in_flight.borrow_mut();
-                    for wr in &chunk {
-                        in_flight.insert(wr.wr_id, wr.clone());
-                    }
+        while let Some(first) = wrs.first() {
+            let blade = first.op.target();
+            let group = wrs.iter().take_while(|wr| wr.op.target() == blade).count();
+            let want = group.min(self.thread.throttle.chunk_limit());
+            let take = self
+                .thread
+                .throttle
+                .acquire_chunk_as(want, self.thread.handle(), self.actor)
+                .await;
+            // Taking all that is left moves the buffer; nothing is copied.
+            let rest = wrs.split_off(take);
+            let chunk = std::mem::replace(&mut wrs, rest);
+            self.thread.stats().rdma_posted.add(chunk.len() as u64);
+            self.thread
+                .cpu
+                .use_for(cfg.cpu_build_wr * chunk.len() as u32 + cfg.cpu_post_overhead)
+                .await;
+            {
+                let mut in_flight = self.in_flight.borrow_mut();
+                for wr in &chunk {
+                    in_flight.insert(wr.wr_id, wr.clone());
+                    shipped.push(wr.wr_id);
                 }
-                // The QP-lock/doorbell serialization below delays this
-                // coroutine directly; it is NOT additionally charged to
-                // the thread CPU — coroutines of one thread never truly
-                // spin against each other (they share the OS thread), and
-                // charging inter-thread lock waits twice would compound
-                // the contention model quadratically.
-                qp.post_send_as(chunk, self.actor).await;
-                shipped.extend(ids);
             }
+            // The QP-lock/doorbell serialization below delays this
+            // coroutine directly; it is NOT additionally charged to
+            // the thread CPU — coroutines of one thread never truly
+            // spin against each other (they share the OS thread), and
+            // charging inter-thread lock waits twice would compound
+            // the contention model quadratically.
+            self.thread
+                .qp_to(blade)
+                .post_send_as(chunk, self.actor)
+                .await;
         }
         shipped
     }
@@ -322,8 +324,13 @@ impl SmartCoro {
     /// heals completes with exactly-once results. Permanent errors
     /// (remote access, length) and exhausted retry budgets return `Err`.
     pub async fn try_sync(&self) -> Result<Vec<Cqe>, FaultError> {
-        let ids = self.unsynced.take();
+        let mut ids = self.unsynced.take();
         let out = self.await_recovered(&ids).await;
+        // Hand the buffer back for the next lap's ids.
+        ids.clear();
+        if self.unsynced.borrow().is_empty() {
+            self.unsynced.replace(ids);
+        }
         // Inside an op_scope the slot is held until the guard drops; the
         // slot is released on the error path too, so a surfaced fault
         // never strands a concurrency slot.
@@ -347,12 +354,14 @@ impl SmartCoro {
         let cfg = thread.context().config();
         let handle = thread.handle().clone();
         let start = handle.now();
+        // Fault-path state; none of it allocates until a completion fails.
         let mut done: DetMap<Cqe> = DetMap::new();
         let mut fault_since: DetMap<SimTime> = DetMap::new();
-        let mut wait: Vec<u64> = ids.to_vec();
+        let mut reposted: Vec<u64> = Vec::new();
         let mut rounds: u32 = 0;
         loop {
-            let cqes = thread.hub.claim(&wait).await;
+            let wait: &[u64] = if rounds == 0 { ids } else { &reposted };
+            let cqes = thread.hub.claim(wait).await;
             // Per-thread hubs replenish credits in the polling coroutine
             // (Algorithm 1); shared hubs cannot know the owner, so the
             // claimer replenishes its own credits here. Error completions
@@ -362,6 +371,15 @@ impl SmartCoro {
                 thread.throttle.replenish(wait.len() as u64);
             }
             thread.stats().rdma_completed.add(wait.len() as u64);
+            if rounds == 0 && cqes.iter().all(|cqe| cqe.error().is_none()) {
+                // The usual sync: `claim` returned every completion, in
+                // the order of `ids`.
+                let mut in_flight = self.in_flight.borrow_mut();
+                for cqe in &cqes {
+                    in_flight.remove(&cqe.wr_id);
+                }
+                return Ok(cqes);
+            }
             let mut failed: Vec<(u64, CqeError)> = Vec::new();
             for cqe in cqes {
                 match cqe.error() {
@@ -478,7 +496,7 @@ impl SmartCoro {
                     );
                 });
             }
-            wait = self.ship(retry_wrs).await;
+            reposted = self.ship(retry_wrs).await;
         }
     }
 

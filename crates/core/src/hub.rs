@@ -60,9 +60,10 @@ impl CompletionHub {
         });
         let pump = Rc::clone(&hub);
         handle.spawn(async move {
+            let mut cqes = Vec::new();
             loop {
                 pump.cq.wait_nonempty().await;
-                let cqes = pump.cq.poll(usize::MAX);
+                pump.cq.drain_into(&mut cqes);
                 if let Some(cpu) = &cpu {
                     cpu.use_for(cpu_poll + cpu_per_cqe * cqes.len() as u32)
                         .await;
@@ -72,7 +73,7 @@ impl CompletionHub {
                 }
                 {
                     let mut map = pump.map.borrow_mut();
-                    for cqe in cqes {
+                    for cqe in cqes.drain(..) {
                         map.insert(cqe.wr_id, cqe);
                     }
                 }

@@ -117,6 +117,9 @@ pub const FABRIC_METHODS: &[&str] = &[
     "wait_nonempty",
 ];
 
+/// Task-creation methods of the executor handles.
+pub const SPAWN_METHODS: &[&str] = &["spawn", "spawn_detached"];
+
 /// Interior-mutability write methods (`Cell::set`, `RefCell::borrow_mut`,
 /// probe-cell registration).
 pub const SHARED_MUT_METHODS: &[&str] = &["set", "borrow_mut", "probe_cell"];
@@ -138,7 +141,7 @@ pub fn intrinsic_root(krate: &str, name: &str) -> Effects {
         if RNG_METHODS.contains(&name) {
             e = e.join(Effects::RNG);
         }
-        if name == "spawn" {
+        if SPAWN_METHODS.contains(&name) {
             e = e.join(Effects::SPAWN);
         }
     }
@@ -292,6 +295,7 @@ mod tests {
     fn roots_cover_the_primitive_vocabulary() {
         assert_eq!(intrinsic_root("rt", "now"), Effects::CLOCK);
         assert_eq!(intrinsic_root("rt", "spawn"), Effects::SPAWN);
+        assert_eq!(intrinsic_root("rt", "spawn_detached"), Effects::SPAWN);
         assert_eq!(intrinsic_root("rnic", "post_send"), Effects::FABRIC);
         assert_eq!(intrinsic_root("core", "now"), Effects::EMPTY);
         assert_eq!(intrinsic_root("rnic", "now"), Effects::EMPTY);

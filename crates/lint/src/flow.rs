@@ -41,7 +41,7 @@ use std::path::Path;
 
 use crate::effects::{
     self, domain_of, intrinsic_root, parse_effects_json, Domain, Effects, ALLOC_METHODS,
-    CLOCK_METHODS, EFFECTS_PATH, FABRIC_METHODS, RNG_METHODS, SHARED_MUT_METHODS,
+    CLOCK_METHODS, EFFECTS_PATH, FABRIC_METHODS, RNG_METHODS, SHARED_MUT_METHODS, SPAWN_METHODS,
 };
 use crate::items::{self, FnItem};
 use crate::lex::{is_path_sep, Tok, TokKind};
@@ -462,7 +462,7 @@ fn method_seed(name: &str) -> Effects {
     if ALLOC_METHODS.contains(&name) {
         e = e.join(Effects::ALLOC);
     }
-    if name == "spawn" {
+    if SPAWN_METHODS.contains(&name) {
         e = e.join(Effects::SPAWN);
     }
     e
@@ -703,7 +703,7 @@ fn scan_fn(
             if SHARED_MUT_METHODS.contains(&name) {
                 record_shared_site(&recv, types, krate, t.line, &mut out.shared);
             }
-            if name == "spawn" {
+            if SPAWN_METHODS.contains(&name) {
                 record_escapes(f, &binds, types, krate, i, close, &mut out.escapes);
             }
             let edge_type = match &recv {

@@ -225,7 +225,7 @@ pub fn spawn_blade_engine(
             let cfg = cfg.clone();
             let tx = Rc::clone(&tx);
             let h2 = h.clone();
-            h.spawn(async move {
+            h.spawn_detached(async move {
                 let result = serve_one(&h2, &blade, &cfg, header, &req).await;
                 tx.send(BladeReply {
                     slot: req.slot,
@@ -491,7 +491,7 @@ mod tests {
             let log: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
             let log2 = Rc::clone(&log);
             let h2 = h.clone();
-            h.spawn(async move {
+            h.spawn_detached(async move {
                 for i in 0..OPS {
                     qp.post_send(
                         vec![WorkRequest {
@@ -572,7 +572,7 @@ mod tests {
             let log: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
             let log2 = Rc::clone(&log);
             let h2 = h.clone();
-            h.spawn(async move {
+            h.spawn_detached(async move {
                 let got = port
                     .roundtrip(
                         OneSidedOp::Faa {

@@ -7,7 +7,7 @@
 // lint:allow-file(unordered-iter)
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 const NIL: usize = usize::MAX;
 
@@ -37,7 +37,7 @@ struct Node<K> {
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<MixHasher>>,
     nodes: Vec<Node<K>>,
     free: Vec<usize>,
     head: usize,
@@ -54,7 +54,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruCache {
-            map: HashMap::with_capacity(capacity + 1),
+            map: HashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -167,6 +167,36 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
             }
             None => false,
         }
+    }
+}
+
+/// The map's hasher: folds each written word into the state with one
+/// [`mix64`](smart_rt::rng::mix64). Keys are the simulator's own ids,
+/// never outside input, so `RandomState`'s keyed SipHash would buy
+/// nothing — and a fixed hash keeps per-process random state out of the
+/// sim crates altogether.
+#[derive(Debug, Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = smart_rt::rng::mix64(self.0 ^ word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -65,6 +65,12 @@ impl Cq {
         entries.drain(..n).collect()
     }
 
+    /// Moves every undrained completion onto the end of `out`, so a
+    /// poller can keep one buffer across polls.
+    pub fn drain_into(&self, out: &mut Vec<Cqe>) {
+        out.extend(self.entries.borrow_mut().drain(..));
+    }
+
     /// Number of undrained completions.
     pub fn len(&self) -> usize {
         self.entries.borrow().len()
@@ -266,7 +272,6 @@ impl Qp {
             );
         }
         let node = self.ctx.node();
-        let cfg = &node.cfg;
         let n = wrs.len() as u32;
         if let Some(plan) = node.domain_plan.borrow().as_ref() {
             if plan.crossing(node.id(), self.target.id()) {
@@ -280,13 +285,12 @@ impl Qp {
         node.handle
             .probe_sync(actor, "qp_sq", SyncOp::Write, self.probe);
 
-        let _ = cfg;
         self.lock_for_post(n, actor).await;
         self.doorbell.ring_as(actor).await;
 
         for wr in wrs {
             let qp = Rc::clone(self);
-            node.handle.spawn(verbs::lifecycle(qp, wr, actor));
+            node.handle.spawn_detached(verbs::lifecycle(qp, wr, actor));
         }
     }
 }
@@ -314,6 +318,14 @@ mod tests {
         );
         assert_eq!(cq.len(), 2);
         assert_eq!(cq.delivered(), 5);
+        // `drain_into` appends the rest to the caller's buffer.
+        let mut got = got;
+        cq.drain_into(&mut got);
+        assert_eq!(
+            got.iter().map(|c| c.wr_id).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert!(cq.is_empty());
     }
 
     #[test]

@@ -82,11 +82,12 @@ fn error_delay(cfg: &RnicConfig, one_way: Duration, err: CqeError) -> Duration {
 }
 
 pub(crate) async fn lifecycle(qp: Rc<Qp>, wr: WorkRequest, actor: Actor) {
-    let ctx = Rc::clone(qp.context());
-    let node = Rc::clone(ctx.node());
-    let cfg = Rc::clone(&node.cfg);
-    let blade = Rc::clone(qp.target());
-    let handle = node.handle.clone();
+    // Borrowed from the `Rc<Qp>` this task owns: nothing to clone per WR.
+    let ctx = qp.context();
+    let node = ctx.node();
+    let cfg = &node.cfg;
+    let blade = qp.target();
+    let handle = &node.handle;
     let one_way = node.fabric.one_way_latency;
     let header = node.fabric.header_bytes;
 
@@ -96,9 +97,9 @@ pub(crate) async fn lifecycle(qp: Rc<Qp>, wr: WorkRequest, actor: Actor) {
     // A post on an errored QP flushes without touching the pipeline.
     if qp.is_errored() {
         handle
-            .sleep(error_delay(&cfg, one_way, CqeError::FlushErr))
+            .sleep(error_delay(cfg, one_way, CqeError::FlushErr))
             .await;
-        complete_error(&node, &qp, wr.wr_id, CqeError::FlushErr, actor);
+        complete_error(node, &qp, wr.wr_id, CqeError::FlushErr, actor);
         return;
     }
     // The installed chaos hook (if any) rules on this work request.
@@ -122,8 +123,8 @@ pub(crate) async fn lifecycle(qp: Rc<Qp>, wr: WorkRequest, actor: Actor) {
             handle.sleep(extra).await;
         }
         InjectDecision::Fail(err) => {
-            handle.sleep(error_delay(&cfg, one_way, err)).await;
-            complete_error(&node, &qp, wr.wr_id, err, actor);
+            handle.sleep(error_delay(cfg, one_way, err)).await;
+            complete_error(node, &qp, wr.wr_id, err, actor);
             return;
         }
     }
@@ -202,7 +203,7 @@ pub(crate) async fn lifecycle(qp: Rc<Qp>, wr: WorkRequest, actor: Actor) {
                 result
             }
             Err(err) => {
-                complete_error(&node, &qp, wr.wr_id, err, actor);
+                complete_error(node, &qp, wr.wr_id, err, actor);
                 return;
             }
         }
@@ -234,16 +235,16 @@ pub(crate) async fn lifecycle(qp: Rc<Qp>, wr: WorkRequest, actor: Actor) {
         // execute.
         if qp.is_errored() {
             handle
-                .sleep(error_delay(&cfg, one_way, CqeError::FlushErr))
+                .sleep(error_delay(cfg, one_way, CqeError::FlushErr))
                 .await;
-            complete_error(&node, &qp, wr.wr_id, CqeError::FlushErr, actor);
+            complete_error(node, &qp, wr.wr_id, CqeError::FlushErr, actor);
             return;
         }
         if blade.is_crashed() {
             handle
-                .sleep(error_delay(&cfg, one_way, CqeError::Timeout))
+                .sleep(error_delay(cfg, one_way, CqeError::Timeout))
                 .await;
-            complete_error(&node, &qp, wr.wr_id, CqeError::Timeout, actor);
+            complete_error(node, &qp, wr.wr_id, CqeError::Timeout, actor);
             return;
         }
 

@@ -16,20 +16,13 @@
 //!   sequence on every host, making behaviour reproducible by
 //!   construction (not that order could be observed anyway).
 //!
-//! Deletion uses tombstones; a table rehashes in place once live+dead
-//! slots pass the load limit, which keeps probe chains short without
-//! backward-shift bookkeeping.
+//! Deletion is by backward shift: `remove` re-homes the rest of the probe
+//! chain into the hole it leaves, so the table holds live entries only,
+//! probe chains never outgrow the live load, and a table whose occupancy
+//! stays constant — the WR tables, at one batch per coroutine — never
+//! rehashes or allocates again however many fresh ids pass through it.
 
-/// Slot states for the open-addressed table.
-#[derive(Clone)]
-enum Slot<V> {
-    /// Never used since the last rehash — terminates probe chains.
-    Empty,
-    /// Previously occupied; probing continues past it.
-    Tombstone,
-    /// Live entry.
-    Full(u64, V),
-}
+use crate::rng::mix64;
 
 /// An open-addressed `u64 → V` map with `O(1)` point operations and no
 /// iteration surface.
@@ -44,25 +37,15 @@ enum Slot<V> {
 /// assert!(m.is_empty());
 /// ```
 pub struct DetMap<V> {
-    slots: Vec<Slot<V>>,
+    /// `None` terminates a probe chain; the 7/8 load limit keeps at least
+    /// one in the table.
+    slots: Vec<Option<(u64, V)>>,
     /// Live entries.
     len: usize,
-    /// Live entries plus tombstones — drives the rehash decision.
-    used: usize,
 }
 
 /// Initial capacity on the first insert (power of two).
 const INITIAL_CAPACITY: usize = 16;
-
-/// Finalizer of splitmix64: a full-avalanche `u64 → u64` mix so that
-/// sequential wr_ids spread across the table instead of clustering.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl<V> DetMap<V> {
     /// Creates an empty map; no allocation happens until the first insert.
@@ -70,7 +53,6 @@ impl<V> DetMap<V> {
         DetMap {
             slots: Vec::new(),
             len: 0,
-            used: 0,
         }
     }
 
@@ -84,92 +66,75 @@ impl<V> DetMap<V> {
         self.len == 0
     }
 
+    /// Where `key`'s probe chain starts. [`mix64`] spreads sequential
+    /// wr_ids across the table instead of clustering them.
+    fn home(&self, key: u64) -> usize {
+        (mix64(key) as usize) & (self.slots.len() - 1)
+    }
+
+    /// Index of the slot holding `key`, or of the first free slot on its
+    /// probe chain. The table must have been allocated.
+    fn probe(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        while self.slots[i].as_ref().is_some_and(|(k, _)| *k != key) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
     /// Index of the slot holding `key`, if present.
     fn find(&self, key: u64) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
-        loop {
-            match &self.slots[i] {
-                Slot::Empty => return None,
-                Slot::Full(k, _) if *k == key => return Some(i),
-                _ => i = (i + 1) & mask,
-            }
-        }
+        let i = self.probe(key);
+        self.slots[i].is_some().then_some(i)
     }
 
-    /// Grows (or compacts tombstones) so at least one more entry fits
+    /// Rebuilds the table at twice the live load, so one more entry fits
     /// within the 7/8 load limit.
-    fn rehash(&mut self, min_capacity: usize) {
-        let mut cap = INITIAL_CAPACITY;
-        while cap < min_capacity {
-            cap *= 2;
-        }
+    fn grow(&mut self) {
+        let cap = ((self.len + 1) * 2)
+            .next_power_of_two()
+            .max(INITIAL_CAPACITY);
         let old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(cap, || Slot::Empty);
-        self.used = self.len;
-        let mask = cap - 1;
-        for slot in old {
-            if let Slot::Full(k, v) = slot {
-                let mut i = (mix(k) as usize) & mask;
-                while let Slot::Full(..) = &self.slots[i] {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = Slot::Full(k, v);
-            }
+        self.slots.resize_with(cap, || None);
+        for (k, v) in old.into_iter().flatten() {
+            let i = self.probe(k);
+            self.slots[i] = Some((k, v));
         }
     }
 
     /// Inserts `value` under `key`, returning the previous value if the
     /// key was already present.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        if let Some(i) = self.find(key) {
-            let old = std::mem::replace(&mut self.slots[i], Slot::Full(key, value));
-            match old {
-                Slot::Full(_, v) => return Some(v),
-                _ => unreachable!("find returned a non-full slot"),
+        let mut i = 0;
+        if !self.slots.is_empty() {
+            i = self.probe(key);
+            if let Some((_, v)) = &mut self.slots[i] {
+                return Some(std::mem::replace(v, value));
             }
         }
-        // Keep used (live + tombstones) under 7/8 of capacity.
-        if self.slots.is_empty() || (self.used + 1) * 8 > self.slots.len() * 7 {
-            self.rehash((self.len + 1) * 2);
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+            i = self.probe(key);
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
-        loop {
-            match &self.slots[i] {
-                Slot::Empty => {
-                    self.used += 1;
-                    break;
-                }
-                Slot::Tombstone => break,
-                Slot::Full(..) => i = (i + 1) & mask,
-            }
-        }
-        self.slots[i] = Slot::Full(key, value);
+        self.slots[i] = Some((key, value));
         self.len += 1;
         None
     }
 
     /// Borrow of the value stored under `key`.
     pub fn get(&self, key: &u64) -> Option<&V> {
-        self.find(*key).map(|i| match &self.slots[i] {
-            Slot::Full(_, v) => v,
-            _ => unreachable!("find returned a non-full slot"),
-        })
+        let i = self.find(*key)?;
+        self.slots[i].as_ref().map(|(_, v)| v)
     }
 
     /// Mutable borrow of the value stored under `key`.
     pub fn get_mut(&mut self, key: &u64) -> Option<&mut V> {
-        match self.find(*key) {
-            Some(i) => match &mut self.slots[i] {
-                Slot::Full(_, v) => Some(v),
-                _ => unreachable!("find returned a non-full slot"),
-            },
-            None => None,
-        }
+        let i = self.find(*key)?;
+        self.slots[i].as_mut().map(|(_, v)| v)
     }
 
     /// True when `key` has a live entry.
@@ -179,12 +144,23 @@ impl<V> DetMap<V> {
 
     /// Removes and returns the value stored under `key`.
     pub fn remove(&mut self, key: &u64) -> Option<V> {
-        let i = self.find(*key)?;
-        let old = std::mem::replace(&mut self.slots[i], Slot::Tombstone);
+        let mut hole = self.find(*key)?;
+        let (_, value) = self.slots[hole].take()?;
         self.len -= 1;
-        match old {
-            Slot::Full(_, v) => Some(v),
-            _ => unreachable!("find returned a non-full slot"),
+        // Close the hole: walk the rest of the chain and pull back every
+        // entry whose own chain passes through the hole, i.e. whose home
+        // is at least as far behind it (cyclically) as the hole is.
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let Some((k, _)) = &self.slots[i] else {
+                return Some(value);
+            };
+            if i.wrapping_sub(self.home(*k)) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots.swap(hole, i);
+                hole = i;
+            }
         }
     }
 
@@ -216,6 +192,7 @@ impl<V> std::fmt::Debug for DetMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn insert_get_remove_roundtrip() {
@@ -240,21 +217,73 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_over_tombstones_and_grow() {
+    fn churn_on_fresh_ids_never_grows_the_table() {
         let mut m = DetMap::new();
-        // Churn far past the initial capacity to exercise rehash with
-        // tombstones present.
-        for round in 0..50u64 {
-            for k in 0..64u64 {
-                m.insert(round * 64 + k, round);
-            }
-            for k in 0..64u64 {
-                assert_eq!(m.remove(&(round * 64 + k)), Some(round));
-            }
+        for k in 0..8u64 {
+            m.insert(k, k);
         }
-        assert!(m.is_empty());
-        m.insert(7, 7);
-        assert_eq!(m.get(&7), Some(&7));
+        let cap = m.slots.len();
+        for k in 8..100_000u64 {
+            assert_eq!(m.remove(&(k - 8)), Some(k - 8));
+            m.insert(k, k);
+        }
+        assert_eq!(m.slots.len(), cap, "constant occupancy must not rehash");
+        assert_eq!(m.len(), 8);
+        for k in 99_992..100_000u64 {
+            assert_eq!(m.get(&k), Some(&k));
+        }
+    }
+
+    /// Random operation sequences against `BTreeMap` as the model. The
+    /// key space is small, so overwrites, misses and re-inserts are
+    /// common; `lo..=hi` bounds the live count.
+    fn model_run(seed: u64, steps: usize, keys: u64, lo: usize, hi: usize) -> DetMap<u64> {
+        let mut rng = crate::rng::SimRng::new(seed);
+        let mut m: DetMap<u64> = DetMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for step in 0..steps as u64 {
+            let key = rng.next_u64_below(keys).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let present = model.contains_key(&key);
+            let op = rng.next_u64_below(4);
+            if (op == 0 || model.len() <= lo) && (present || model.len() < hi) {
+                assert_eq!(m.insert(key, step), model.insert(key, step));
+            } else if op == 1 && (present || model.len() < hi) {
+                let got = *m.get_or_insert_with(key, || step);
+                assert_eq!(got, *model.entry(key).or_insert(step));
+            } else if op == 2 && model.len() > lo {
+                assert_eq!(m.remove(&key), model.remove(&key));
+            } else if let Some(v) = m.get_mut(&key) {
+                *v += 1;
+                *model.get_mut(&key).expect("model has every live key") += 1;
+            }
+            assert_eq!(m.get(&key), model.get(&key));
+            assert_eq!(m.contains_key(&key), model.contains_key(&key));
+            assert_eq!(m.len(), model.len());
+        }
+        // Every survivor is still reachable, nothing else is.
+        for k in (0..keys).map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
+            assert_eq!(m.get(&k), model.get(&k), "seed {seed} key {k:#x}");
+        }
+        m
+    }
+
+    #[test]
+    fn matches_btreemap_on_random_sequences() {
+        for seed in 0..32 {
+            model_run(seed, 4_000, 200, 0, 200);
+        }
+    }
+
+    #[test]
+    fn matches_btreemap_with_a_16_slot_table_kept_nearly_full() {
+        // 13–14 live entries is the most a 16-slot table takes under the
+        // 7/8 limit: two or three free slots, so probe chains run the
+        // length of the table, wrap its end, and `remove` shifts entries
+        // across the wrap.
+        for seed in 0..64 {
+            let m = model_run(seed, 4_000, 40, 13, 14);
+            assert_eq!(m.slots.len(), 16, "seed {seed}");
+        }
     }
 
     #[test]

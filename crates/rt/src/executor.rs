@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use crate::join::{JoinHandle, JoinState};
 use crate::metrics::ExecutorMetrics;
-use crate::rng::SimRng;
+use crate::rng::{mix64, SimRng};
 use crate::time::SimTime;
 use crate::wheel::{TimerToken, TimerWake, TimerWheel};
 
@@ -213,18 +213,10 @@ impl SchedulePolicy {
     fn tie_key(self, seq: u64) -> u64 {
         match self {
             SchedulePolicy::Fifo => seq,
+            // `mix64` is bijective, so two timers never collide on a key.
             SchedulePolicy::SeededTieBreak(salt) => mix64(seq ^ salt),
         }
     }
-}
-
-/// SplitMix64 finalizer (same constants as the `SimRng` seeder); bijective,
-/// so two timers never collide on a tie key.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 pub(crate) struct Inner {
@@ -325,6 +317,13 @@ impl SimHandle {
         };
         self.spawn_raw(Box::pin(wrapped));
         JoinHandle::new(state)
+    }
+
+    /// Spawns a task nobody joins: `future` is boxed straight into the
+    /// task slab, with no [`JoinHandle`] state to allocate, fill or wake.
+    /// Scheduling is exactly [`spawn`](Self::spawn)'s.
+    pub fn spawn_detached(&self, future: impl Future<Output = ()> + 'static) {
+        self.spawn_raw(Box::pin(future));
     }
 
     fn spawn_raw(&self, future: Pin<Box<dyn Future<Output = ()>>>) {
@@ -1315,6 +1314,56 @@ mod tests {
         sim.run();
         assert_eq!(d_polls.get(), 1);
         assert_eq!(sim.handle.inner.tasks.borrow().len(), 1, "slot reused");
+    }
+
+    #[test]
+    fn detached_tasks_are_counted_and_retired_like_spawned_ones() {
+        let mut sim = Simulation::new(0);
+        let h = sim.handle();
+        let (old, new) = (Notify::new(), Notify::new());
+        let stash = Rc::new(RefCell::new(None));
+        {
+            let (old, stash) = (old.clone(), Rc::clone(&stash));
+            h.spawn_detached(async move {
+                let mut notified = old.notified();
+                assert!(poll_once(&mut notified).await.is_pending());
+                *stash.borrow_mut() = Some(notified);
+            });
+        }
+        sim.run();
+        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(h.metrics().tasks_spawned, 1);
+        assert_eq!(h.metrics().polls, 1);
+        // B (detached too) takes A's slot under the next generation; A's
+        // task-id handle is still queued in `old`.
+        let polls = Rc::new(Cell::new(0u32));
+        {
+            let (new, polls) = (new.clone(), Rc::clone(&polls));
+            h.spawn_detached(async move {
+                let mut notified = new.notified();
+                poll_fn(|cx| {
+                    polls.set(polls.get() + 1);
+                    Pin::new(&mut notified).poll(cx)
+                })
+                .await
+            });
+        }
+        sim.run();
+        assert_eq!(sim.handle.inner.tasks.borrow().len(), 1, "slot reused");
+        let parked = h.metrics();
+        assert_eq!((parked.tasks_spawned, polls.get()), (2, 1));
+        old.notify_one();
+        sim.run();
+        assert_eq!(h.metrics(), parked, "wake for the previous occupant");
+        new.notify_one();
+        sim.run();
+        assert_eq!((polls.get(), sim.live_tasks()), (2, 0));
+        // A joined spawn is the next occupant of the same slot.
+        let j = sim.spawn(async { 7 });
+        sim.run();
+        assert_eq!(j.try_take(), Some(7));
+        assert_eq!(sim.handle.inner.tasks.borrow().len(), 1, "slot reused");
+        assert_eq!(h.metrics().tasks_spawned, 3);
     }
 
     #[test]

@@ -117,6 +117,7 @@ use std::time::Duration;
 
 use crate::executor::{SchedulePolicy, SimHandle, Simulation, Wakeup};
 use crate::metrics::ExecutorMetrics;
+use crate::rng::mix64;
 use crate::time::SimTime;
 
 /// Identity of a scheduling domain, dense from zero in creation order.
@@ -131,14 +132,6 @@ impl DomainId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-}
-
-/// SplitMix64 finalizer, used to derive per-domain seeds.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// Seed of domain `id` under master seed `seed`. Domain 0 keeps the raw

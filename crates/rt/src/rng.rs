@@ -18,12 +18,27 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
+const GOLDEN_GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// The SplitMix64 output function: a bijective, full-avalanche
+/// `u64 → u64` mix. The one copy behind [`SimRng`] seeding, timer tie
+/// keys, per-domain PDES seeds and the id-keyed hash tables.
+///
+/// ```rust
+/// assert_eq!(smart_rt::rng::mix64(0), 0xE220A8397B1DCDAF);
+/// ```
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    let out = mix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    out
 }
 
 impl SimRng {

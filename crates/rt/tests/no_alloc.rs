@@ -1,7 +1,7 @@
 //! Allocation gate for the runtime's event path: once slabs, queues and
 //! the timer wheel have grown to their high-water marks, a timer event,
-//! a `Notify` round, a queueing-model visit and a wake by task id must
-//! not touch the allocator at all. Every simulated event of every
+//! a `Notify` round, a queueing-model visit, a wake by task id and a
+//! `DetMap` insert/remove must not touch the allocator at all. Every simulated event of every
 //! workload runs through these lines; one hidden `Vec` or `Arc` per
 //! event is the difference between 45 and 75 host ns per event.
 //!
@@ -13,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
+use smart_rt::detmap::DetMap;
 use smart_rt::sync::{ContendedLock, FifoResource, Notify, Semaphore};
 use smart_rt::{Duration, SimTime, Simulation};
 
@@ -162,6 +163,28 @@ fn semaphore_hand_off_allocates_no_more_than_its_wait_state() {
     // and the queue: one allocation per acquire, two acquires per lap —
     // what the parent commit allocated. The wake itself adds none.
     assert!(n <= 2 * 10_000, "{n} allocations in 10 000 hand-offs");
+}
+
+#[test]
+fn detmap_steady_state_churn_is_allocation_free() {
+    // The WR tables' life: a batch of fresh ascending ids in, the same
+    // batch out, for ever. With tombstones every ~14 such pairs filled
+    // the 16-slot table and bought an allocating rehash.
+    let mut m: DetMap<u64> = DetMap::new();
+    let mut next = 0u64;
+    let mut lap = |m: &mut DetMap<u64>| {
+        for id in next..next + 8 {
+            m.insert(id, id);
+        }
+        for id in next..next + 8 {
+            assert_eq!(m.remove(&id), Some(id));
+        }
+        next += 8;
+    };
+    lap(&mut m); // warm-up: the first insert allocates the table
+    let n = allocations(|| (0..100_000).for_each(|_| lap(&mut m)));
+    assert!(m.is_empty());
+    assert_eq!(n, 0, "{n} allocations in 100 000 insert-8/remove-8 laps");
 }
 
 #[test]
