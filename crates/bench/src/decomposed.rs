@@ -5,13 +5,16 @@
 //! [`crate::run_ht`] in domain 0 of a [`smart_rnic::run_decomposed`]
 //! topology: compute-side verbs cross to the blade domains over
 //! [`BladeRequest`](smart_rnic::BladeRequest)/[`BladeReply`](smart_rnic::BladeReply)
-//! channels at fabric one-way latency (the conservative lookahead). What
-//! differs from the inline driver is only the driving: the warmup →
-//! measure schedule is a phase-controller coroutine inside the compute
-//! domain, and the engine runs to quiescence instead of for a fixed
-//! drain. Decomposed timing is self-consistent but not byte-comparable
-//! to the inline driver's (see [`smart_rnic::engine`]); the determinism
-//! gate is *worker-count invariance for a fixed plan*, asserted by
+//! channels at fabric one-way latency (the conservative lookahead), and
+//! a blade the plan keeps in domain 0 — every blade, under
+//! [`DomainPlan::single`] — is served in place. Both drivers share one
+//! verb lifecycle (one blade half, one fault rule). What differs from
+//! the inline driver is only the driving — the warmup → measure
+//! schedule is a phase-controller coroutine inside the compute domain,
+//! and the engine runs to quiescence instead of for a fixed drain — and,
+//! for remote blades, the order in which events of different domains
+//! that fall on the same nanosecond merge. The determinism gate is
+//! *worker-count invariance for a fixed plan*, asserted by
 //! `tests/scheduler_equiv.rs` at workers 1/2/4/8 against committed
 //! goldens.
 
@@ -41,8 +44,8 @@ use crate::runners::{ht_cluster_config, load_ht, HtParams, HtScenario, HtWindow,
 ///
 /// # Panics
 ///
-/// Panics if the plan is single-domain or hosts a compute node outside
-/// domain 0, or if the plan does not cover `p`'s cluster shape.
+/// Panics if the plan hosts a compute node outside domain 0 or does not
+/// cover `p`'s cluster shape.
 pub fn run_ht_decomposed(
     p: &HtParams,
     plan: &DomainPlan,

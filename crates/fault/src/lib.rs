@@ -3,7 +3,7 @@
 //! # smart-fault — deterministic fault injection for the SMART stack
 //!
 //! Memory-disaggregated applications live or die on how they handle
-//! faults: a QP error transition flushes every outstanding work request,
+//! faults: a QP error transition flushes every work request not yet sent,
 //! a lost packet surfaces as a retransmit timeout, a crashed memory blade
 //! takes whole data structures offline until it restarts. This crate adds
 //! a **chaos layer** to the simulation so those paths can be exercised as

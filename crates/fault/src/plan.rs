@@ -25,10 +25,11 @@ pub struct FaultEvent {
 /// The kinds of scheduled faults.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultEventKind {
-    /// Transition QPs of compute node `node` to the error state: their
-    /// outstanding work requests flush as error completions and new posts
-    /// flush until the recovery layer re-establishes them. `qp` selects
-    /// the n-th QP created on that node, `None` selects all of them.
+    /// Transition QPs of compute node `node` to the error state: work
+    /// requests that have not yet left the node flush as error
+    /// completions, and new posts flush until the recovery layer
+    /// re-establishes them. `qp` selects the n-th QP created on that
+    /// node, `None` selects all of them.
     QpError {
         /// Compute-node index.
         node: u32,

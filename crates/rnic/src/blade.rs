@@ -3,7 +3,8 @@
 //! A blade owns a real byte region; READ/WRITE copy real bytes, CAS/FAA
 //! execute atomically at the blade's atomic unit in arrival order. Blades
 //! have near-zero compute (§2.1) — they never post requests; their RNIC
-//! only has a responder pipeline.
+//! only has a responder pipeline, modelled once in
+//! [`MemoryBlade::serve`] whichever domain the blade lives in.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -12,10 +13,11 @@ use std::time::Duration;
 use smart_rt::metrics::Counter;
 use smart_rt::sync::{Bandwidth, FifoResource};
 use smart_rt::SimHandle;
+use smart_trace::{Actor, Args, Category};
 
 use crate::config::{BladeConfig, FabricConfig, RnicConfig};
 use crate::engine::RemotePort;
-use crate::types::BladeId;
+use crate::types::{BladeId, CqeError, OneSidedOp, OpResult};
 
 /// A memory blade: region bytes + responder-side RNIC resources.
 pub struct MemoryBlade {
@@ -26,20 +28,20 @@ pub struct MemoryBlade {
     /// Responder processing pipeline of the blade's RNIC.
     pub(crate) responder: FifoResource,
     /// Serialization point for CAS/FAA execution.
-    pub(crate) atomic_unit: FifoResource,
+    atomic_unit: FifoResource,
     /// Inbound link (requests arriving at the blade).
     pub(crate) ingress: Bandwidth,
     /// Outbound link (responses leaving the blade).
     pub(crate) egress: Bandwidth,
-    pub(crate) nvm_write_latency: Duration,
+    nvm_write_latency: Duration,
     ops: Counter,
     crashed: Cell<bool>,
     epoch: Cell<u64>,
     /// Raw scheduling-domain id the cluster's plan assigns this blade.
     domain: Cell<u32>,
     /// Requester-side port to this blade's engine domain, when the blade
-    /// is a domain-0 shadow in a decomposed run. `None` (the default)
-    /// keeps the classic same-domain verb path.
+    /// is a domain-0 shadow in a decomposed run. `None` (the default):
+    /// the verb lifecycle serves this copy in place.
     remote: RefCell<Option<Rc<RemotePort>>>,
 }
 
@@ -60,10 +62,8 @@ impl MemoryBlade {
         handle: SimHandle,
         id: BladeId,
         blade_cfg: &BladeConfig,
-        rnic_cfg: &RnicConfig,
         fabric_cfg: &FabricConfig,
     ) -> Rc<Self> {
-        let _ = rnic_cfg;
         Rc::new(MemoryBlade {
             id,
             mem: RefCell::new(vec![0u8; blade_cfg.region_bytes as usize]),
@@ -137,10 +137,6 @@ impl MemoryBlade {
     /// Number of one-sided operations this blade has served.
     pub fn ops_served(&self) -> u64 {
         self.ops.get()
-    }
-
-    pub(crate) fn count_op(&self) {
-        self.ops.incr();
     }
 
     /// Whether the blade is currently down (fault injection). While
@@ -281,6 +277,88 @@ impl MemoryBlade {
         self.write_u64(offset, old.wrapping_add(add));
         old
     }
+
+    /// Serves one work request that has arrived at this blade: the
+    /// responder half of the verb lifecycle, written once for both the
+    /// same-domain path and the blade engine domain. Large requests first
+    /// serialize on the ingress link; then a crashed blade answers
+    /// nothing ([`CqeError::Timeout`] at once — the caller burns the
+    /// retransmit budget, and the request never executes); otherwise the
+    /// request passes the responder pipeline, atomics also the atomic
+    /// unit, the memory operation executes (a persistent WRITE waits out
+    /// the NVM write latency) and large responses serialize on the egress
+    /// link.
+    pub(crate) async fn serve(
+        &self,
+        cfg: &RnicConfig,
+        header: u64,
+        op: &OneSidedOp,
+        actor: Actor,
+    ) -> Result<OpResult, CqeError> {
+        let req_wire = header + op.request_payload();
+        if req_wire >= cfg.small_payload_cutoff {
+            self.ingress
+                .transfer_as(req_wire, actor, Category::Fabric, "ingress")
+                .await;
+        }
+        if self.is_crashed() {
+            return Err(CqeError::Timeout);
+        }
+        self.responder
+            .use_for_as(
+                cfg.responder_service,
+                actor,
+                Category::Pipeline,
+                "responder",
+            )
+            .await;
+        if op.is_atomic() {
+            self.atomic_unit
+                .use_for_as(cfg.atomic_service, actor, Category::Pipeline, "atomic_unit")
+                .await;
+        }
+        let result = match op {
+            OneSidedOp::Read { addr, len } => {
+                OpResult::Read(self.read_bytes(addr.offset_bytes, *len as u64))
+            }
+            OneSidedOp::Write {
+                addr,
+                data,
+                persistent,
+            } => {
+                self.write_bytes(addr.offset_bytes, data);
+                if *persistent {
+                    let (handle, nvm) = (&self.handle, self.nvm_write_latency);
+                    handle.with_tracer(|t| {
+                        t.span(
+                            handle.now().as_nanos(),
+                            nvm.as_nanos() as u64,
+                            actor,
+                            Category::Pipeline,
+                            "nvm_write",
+                            Args::NONE,
+                        );
+                    });
+                    handle.sleep(nvm).await;
+                }
+                OpResult::Write
+            }
+            OneSidedOp::Cas { addr, expect, swap } => {
+                OpResult::Atomic(self.cas_u64(addr.offset_bytes, *expect, *swap))
+            }
+            OneSidedOp::Faa { addr, add } => {
+                OpResult::Atomic(self.faa_u64(addr.offset_bytes, *add))
+            }
+        };
+        self.ops.incr();
+        let resp_wire = header + op.response_payload();
+        if resp_wire >= cfg.small_payload_cutoff {
+            self.egress
+                .transfer_as(resp_wire, actor, Category::Fabric, "egress")
+                .await;
+        }
+        Ok(result)
+    }
 }
 
 #[cfg(test)]
@@ -297,7 +375,6 @@ mod tests {
                 region_bytes: 4096,
                 ..Default::default()
             },
-            &RnicConfig::default(),
             &FabricConfig::default(),
         );
         (sim, b)

@@ -70,15 +70,7 @@ impl Cluster {
             })
             .collect();
         let blades: Vec<Rc<MemoryBlade>> = (0..cfg.memory_blades)
-            .map(|i| {
-                MemoryBlade::new(
-                    handle.clone(),
-                    BladeId(i as u32),
-                    &cfg.blade,
-                    &cfg.rnic,
-                    &cfg.fabric,
-                )
-            })
+            .map(|i| MemoryBlade::new(handle.clone(), BladeId(i as u32), &cfg.blade, &cfg.fabric))
             .collect();
         for node in &compute {
             plan.node_domain(node.id()); // bounds check: plan must cover it

@@ -153,7 +153,6 @@ mod tests {
                 region_bytes: 1 << 20,
                 ..Default::default()
             },
-            &cfg.rnic,
             &FabricConfig::default(),
         );
         (sim, node, blade)

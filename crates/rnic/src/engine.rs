@@ -1,14 +1,15 @@
 //! Blade engine domains: the responder half of a decomposed cluster.
 //!
-//! The classic simulation runs compute nodes *and* memory blades on one
-//! executor; a work request's lifecycle calls straight into a shared
-//! `Rc<MemoryBlade>`. This module splits that call: under a non-trivial
-//! [`DomainPlan`](crate::DomainPlan), each blade becomes a real PDES
-//! engine domain on its own worker thread, and the requester side of
+//! A work request's blade half is `MemoryBlade::serve`. When the blade
+//! shares the requester's domain, the verb lifecycle calls it directly;
+//! under a [`DomainPlan`](crate::DomainPlan) that puts the blade in a
+//! domain of its own, this module carries the call across: the blade
+//! becomes a real PDES engine domain, and the requester side of
 //! [`verbs`](crate::qp::Qp::post_send) crosses to it over a typed
 //! [`BladeLink`] — a [`BladeRequest`] travelling requester → blade and a
 //! [`BladeReply`] travelling back, each paying the fabric's one-way
-//! latency (exactly the plan's conservative lookahead).
+//! latency (exactly the plan's conservative lookahead) — and
+//! [`spawn_blade_engine`] runs the same `serve` on the blade's side.
 //!
 //! Wiring ([`run_decomposed`], the one place it is written; the engine
 //! drivers in `smart-bench`/`smart-serve` supply the scenario):
@@ -20,23 +21,16 @@
 //!   authoritative, every other domain holds an inert shadow;
 //! * domain 0 binds the requester ends and attaches a [`RemotePort`] to
 //!   each crossing blade's shadow ([`MemoryBlade::attach_remote`]); the
-//!   verb lifecycle consults the port instead of executing locally. A
-//!   blade the plan co-locates with domain 0 gets no port and keeps the
-//!   same-domain path;
+//!   verb lifecycle consults the port instead of serving locally. A
+//!   blade the plan co-locates with domain 0 gets no port, and a
+//!   [`DomainPlan::single`](crate::DomainPlan::single) plan gives none at
+//!   all: the engine then runs domain 0 alone;
 //! * each blade domain runs the caller's bootstrap callback (application
 //!   preload plus its lowered fault sub-plan — both stay out of this
 //!   crate), binds the responder ends and calls [`spawn_blade_engine`] on
 //!   its authoritative blades; its finish artifact is one line per blade;
 //! * the engine's [`smart_rt::pdes::PdesReport`] is folded into a
 //!   [`Decomposed`] result.
-//!
-//! Timing note: in the same-domain path the blade's ingress link is
-//! crossed *before* the one-way flight; here the channel pays the flight
-//! first and the ingress/responder/egress contention is modelled at the
-//! blade domain, and a crashed blade's timeout burns at the blade before
-//! the reply crosses back. Decomposed timing is therefore self-consistent
-//! but not byte-comparable to the classic path — the equivalence gate for
-//! decomposed runs is *worker-count invariance for a fixed plan*.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -47,11 +41,11 @@ use smart_rt::pdes::{
 };
 use smart_rt::sync::Notify;
 use smart_rt::SimHandle;
-use smart_trace::{Actor, Category};
+use smart_trace::Actor;
 
 use crate::blade::MemoryBlade;
 use crate::cluster::Cluster;
-use crate::config::{ClusterConfig, FabricConfig, RnicConfig};
+use crate::config::{ClusterConfig, FabricConfig};
 use crate::domain::DomainPlan;
 use crate::types::{BladeId, CqeError, NodeId, OneSidedOp, OpResult};
 
@@ -75,8 +69,8 @@ pub struct BladeReply {
     /// Correlation id of the request this answers.
     pub slot: u64,
     /// The executed result, or the error the blade surfaced (a crashed
-    /// blade burns the retransmit budget and reports a timeout; it never
-    /// executes the request).
+    /// blade reports a timeout at once and never executes the request;
+    /// the requester burns the rest of the retransmit budget).
     pub result: Result<OpResult, CqeError>,
 }
 
@@ -211,7 +205,7 @@ pub fn spawn_blade_engine(
 ) {
     let handle = blade.handle().clone();
     let blade = Rc::clone(blade);
-    let cfg = cluster.rnic.clone();
+    let cfg = Rc::new(cluster.rnic.clone());
     let header = cluster.fabric.header_bytes;
     // The reply sender is shared by every per-request handler; per-channel
     // sequence numbers live in the engine's coordinator state, so shared
@@ -221,12 +215,9 @@ pub fn spawn_blade_engine(
     handle.spawn(async move {
         loop {
             let req = rx.recv().await;
-            let blade = Rc::clone(&blade);
-            let cfg = cfg.clone();
-            let tx = Rc::clone(&tx);
-            let h2 = h.clone();
+            let (blade, cfg, tx) = (Rc::clone(&blade), Rc::clone(&cfg), Rc::clone(&tx));
             h.spawn_detached(async move {
-                let result = serve_one(&h2, &blade, &cfg, header, &req).await;
+                let result = blade.serve(&cfg, header, &req.op, req.actor).await;
                 tx.send(BladeReply {
                     slot: req.slot,
                     result,
@@ -234,79 +225,6 @@ pub fn spawn_blade_engine(
             });
         }
     });
-}
-
-/// Executes one request at the blade: ingress link, crash check (before
-/// execution, preserving "error ⇒ not executed"), responder pipeline,
-/// atomic unit, the memory operation itself (NVM writes pay their
-/// latency), op accounting, egress link.
-async fn serve_one(
-    handle: &SimHandle,
-    blade: &Rc<MemoryBlade>,
-    cfg: &RnicConfig,
-    header: u64,
-    req: &BladeRequest,
-) -> Result<OpResult, CqeError> {
-    let actor = req.actor;
-    let req_wire = header + req.op.request_payload();
-    if req_wire >= cfg.small_payload_cutoff {
-        blade
-            .ingress
-            .transfer_as(req_wire, actor, Category::Fabric, "ingress")
-            .await;
-    }
-    if blade.is_crashed() {
-        // A crashed blade never answers: the requester's retransmit
-        // budget burns (modelled here, at the blade, so the reply's
-        // timing still merges deterministically) and the request is
-        // reported as a timeout without executing.
-        handle.sleep(cfg.fault_timeout).await;
-        return Err(CqeError::Timeout);
-    }
-    blade
-        .responder
-        .use_for_as(
-            cfg.responder_service,
-            actor,
-            Category::Pipeline,
-            "responder",
-        )
-        .await;
-    if req.op.is_atomic() {
-        blade
-            .atomic_unit
-            .use_for_as(cfg.atomic_service, actor, Category::Pipeline, "atomic_unit")
-            .await;
-    }
-    let result = match &req.op {
-        OneSidedOp::Read { addr, len } => {
-            OpResult::Read(blade.read_bytes(addr.offset_bytes, *len as u64))
-        }
-        OneSidedOp::Write {
-            addr,
-            data,
-            persistent,
-        } => {
-            blade.write_bytes(addr.offset_bytes, data);
-            if *persistent {
-                handle.sleep(blade.nvm_write_latency).await;
-            }
-            OpResult::Write
-        }
-        OneSidedOp::Cas { addr, expect, swap } => {
-            OpResult::Atomic(blade.cas_u64(addr.offset_bytes, *expect, *swap))
-        }
-        OneSidedOp::Faa { addr, add } => OpResult::Atomic(blade.faa_u64(addr.offset_bytes, *add)),
-    };
-    blade.count_op();
-    let resp_wire = header + req.op.response_payload();
-    if resp_wire >= cfg.small_payload_cutoff {
-        blade
-            .egress
-            .transfer_as(resp_wire, actor, Category::Fabric, "egress")
-            .await;
-    }
-    Ok(result)
 }
 
 /// A blade domain's per-blade artifact hook, returned by its bootstrap
@@ -357,10 +275,13 @@ pub struct Decomposed<R> {
 /// it must replay the same deterministic preload `compute` performs, and
 /// is the place to install the domain's lowered fault sub-plan.
 ///
+/// A single-domain plan is the degenerate case: no blade crosses, so
+/// the engine has no channels and runs domain 0 alone.
+///
 /// # Panics
 ///
-/// Panics if the plan is single-domain, hosts a compute node outside
-/// domain 0, or does not cover `cfg`'s cluster shape.
+/// Panics if the plan hosts a compute node outside domain 0 or does not
+/// cover `cfg`'s cluster shape.
 pub fn run_decomposed<R: 'static>(
     seed: u64,
     cfg: ClusterConfig,
@@ -369,10 +290,6 @@ pub fn run_decomposed<R: 'static>(
     compute: impl FnOnce(&SimHandle, &Cluster) -> Box<dyn FnOnce() -> R> + 'static,
     bootstrap: impl Fn(&Cluster, DomainId) -> BladeArtifact + Clone + Send + 'static,
 ) -> Decomposed<R> {
-    assert!(
-        !plan.is_single(),
-        "decomposed runner needs a partition with at least one blade domain"
-    );
     assert!(
         (0..cfg.compute_nodes).all(|n| plan.node_domain(NodeId(n as u32)) == DomainId(0)),
         "compute nodes must live in domain 0"
@@ -453,162 +370,237 @@ pub fn run_decomposed<R: 'static>(
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Write as _;
+
     use super::*;
     use crate::doorbell::DoorbellBinding;
-    use crate::qp::Cq;
+    use crate::inject::{FaultHook, InjectDecision};
+    use crate::qp::{Cq, Qp};
     use crate::types::{RemoteAddr, WorkRequest};
 
-    const OPS: u64 = 6;
+    /// The word every script targets starts at this value.
+    const INIT: u64 = 100;
 
-    /// A 1-node / 1-blade cluster decomposed over two domains: domain 0
-    /// posts FAAs through the full QP/doorbell/verb path, the blade
-    /// domain executes them through [`spawn_blade_engine`]. Returns the
-    /// requester-side log plus the envelope count.
-    fn decomposed_faa(workers: usize) -> (String, u64) {
-        let cfg = ClusterConfig::new(1, 1);
-        let fabric = cfg.fabric.clone();
-        let plan = DomainPlan::per_blade(1, 1);
-        let mut b = PdesBuilder::new(0xFACE);
-        let link = blade_link(&mut b, DomainId(0), plan.blade_domain(BladeId(0)), &fabric);
-        let (req_tx, rep_rx) = (link.req_tx, link.rep_rx);
-        let out: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
-        let out2 = Rc::clone(&out);
-        let cfg0 = cfg.clone();
-        let plan0 = plan.clone();
-        b.add_local_domain("requesters", move |ctx: &DomainCtx| {
-            let h = ctx.handle();
-            let cluster = Cluster::new_with_plan(h.clone(), cfg0, plan0);
-            let blade = Rc::clone(cluster.blade(0));
-            let off = blade.alloc(8, 8);
-            blade.write_u64(off, 100);
-            let port = RemotePort::install(&h, ctx.bind_tx(req_tx), ctx.bind_rx(rep_rx));
-            blade.attach_remote(port);
-            let node = Rc::clone(cluster.compute(0));
-            let dev = node.open_context(None);
-            dev.register_memory(1 << 20);
-            let cq = Cq::new();
-            let qp = dev.create_qp(&blade, &cq, DoorbellBinding::DriverDefault, false);
-            let log: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
-            let log2 = Rc::clone(&log);
-            let h2 = h.clone();
-            h.spawn_detached(async move {
-                for i in 0..OPS {
-                    qp.post_send(
-                        vec![WorkRequest {
-                            wr_id: i,
-                            op: OneSidedOp::Faa {
-                                addr: RemoteAddr::new(BladeId(0), off),
-                                add: 3,
-                            },
-                        }],
-                        0,
-                    )
-                    .await;
-                    qp.cq().wait_nonempty().await;
-                    let cqe = qp.cq().poll(1).remove(0);
-                    log2.borrow_mut().push_str(&format!(
-                        "wr{} old={} t={}\n",
-                        cqe.wr_id,
-                        cqe.atomic_old(),
-                        h2.now()
-                    ));
+    /// One row of the plan-invariance table: a blade set-up and the
+    /// operations one QP posts, a single WR per step, each awaited before
+    /// the next is posted.
+    struct Script {
+        name: &'static str,
+        /// The blade is down for the whole run.
+        crashed: bool,
+        /// The QP errors while step 0 sits in the requester pipeline.
+        qp_error: bool,
+        steps: fn(RemoteAddr) -> Vec<OneSidedOp>,
+        /// Each step's result, as [`outcome`] renders it.
+        want: &'static [&'static str],
+    }
+
+    fn faa(addr: RemoteAddr) -> OneSidedOp {
+        OneSidedOp::Faa { addr, add: 3 }
+    }
+
+    fn read(addr: RemoteAddr, len: u32) -> OneSidedOp {
+        OneSidedOp::Read { addr, len }
+    }
+
+    fn write(addr: RemoteAddr, byte: u8, len: usize, persistent: bool) -> OneSidedOp {
+        OneSidedOp::Write {
+            addr,
+            data: vec![byte; len],
+            persistent,
+        }
+    }
+
+    const SCRIPTS: &[Script] = &[
+        Script {
+            name: "faa",
+            crashed: false,
+            qp_error: false,
+            steps: |a| vec![faa(a), faa(a)],
+            want: &["Atomic(100)", "Atomic(103)"],
+        },
+        Script {
+            name: "cas",
+            crashed: false,
+            qp_error: false,
+            steps: |addr| {
+                let cas = |swap| OneSidedOp::Cas {
+                    addr,
+                    expect: INIT,
+                    swap,
+                };
+                vec![cas(7), cas(9)]
+            },
+            want: &["Atomic(100)", "Atomic(7)"],
+        },
+        Script {
+            name: "read_8",
+            crashed: false,
+            qp_error: false,
+            steps: |a| vec![read(a, 8)],
+            want: &["Read(8B, 0x64)"],
+        },
+        Script {
+            // 30 + 256 B of response: serializes on the blade egress link.
+            name: "read_256_egress",
+            crashed: false,
+            qp_error: false,
+            steps: |a| vec![read(a, 256)],
+            want: &["Read(256B, 0x64)"],
+        },
+        Script {
+            // 30 + 512 B of request: serializes on the blade ingress link.
+            name: "write_512_ingress",
+            crashed: false,
+            qp_error: false,
+            steps: |a| vec![write(a, 0xab, 512, false), read(a, 8)],
+            want: &["Write", "Read(8B, 0xabababababababab)"],
+        },
+        Script {
+            name: "write_persistent",
+            crashed: false,
+            qp_error: false,
+            steps: |a| vec![write(a, 0xcd, 64, true), read(a, 8)],
+            want: &["Write", "Read(8B, 0xcdcdcdcdcdcdcdcd)"],
+        },
+        Script {
+            name: "crashed_blade",
+            crashed: true,
+            qp_error: false,
+            steps: |a| vec![faa(a), read(a, 8)],
+            want: &["Error(Timeout)", "Error(Timeout)"],
+        },
+        Script {
+            // Step 0 flushes at departure, step 1 at post.
+            name: "qp_error_in_pipeline",
+            crashed: false,
+            qp_error: true,
+            steps: |a| vec![faa(a), faa(a)],
+            want: &["Error(FlushErr)", "Error(FlushErr)"],
+        },
+    ];
+
+    /// Forces the QP into error as work request 0 passes the post-time
+    /// checkpoint, i.e. as it enters the requester pipeline.
+    struct ErrorInPipeline;
+
+    impl FaultHook for ErrorInPipeline {
+        fn on_wr(&self, qp: &Qp, wr: &WorkRequest) -> InjectDecision {
+            if wr.wr_id == 0 {
+                qp.force_error();
+            }
+            InjectDecision::Deliver
+        }
+    }
+
+    fn outcome(result: &OpResult) -> String {
+        match result {
+            OpResult::Read(bytes) => {
+                let head = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+                format!("Read({}B, {head:#x})", bytes.len())
+            }
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// Runs `script` on a 1-node / 1-blade cluster decomposed over `plan`
+    /// and returns the per-WR `wr<id> t=<completion ns> <result>` log.
+    fn run_script(script: &Script, plan: &DomainPlan, workers: usize) -> (String, Decomposed<()>) {
+        let crashed = script.crashed;
+        // Replayed by every domain, like an application preload.
+        let prepare = move |blade: &MemoryBlade| {
+            let off = blade.alloc(1024, 8);
+            blade.write_u64(off, INIT);
+            if crashed {
+                blade.crash();
+            }
+            RemoteAddr::new(blade.id(), off)
+        };
+        let (steps, qp_error) = (script.steps, script.qp_error);
+        let log: Rc<RefCell<String>> = Rc::default();
+        let log0 = Rc::clone(&log);
+        let d = run_decomposed(
+            0xFACE,
+            ClusterConfig::new(1, 1),
+            plan,
+            workers,
+            move |h, cluster| {
+                let blade = cluster.blade(0);
+                let addr = prepare(blade);
+                let node = cluster.compute(0);
+                if qp_error {
+                    node.install_fault_hook(Rc::new(ErrorInPipeline));
                 }
-            });
-            let done = Rc::clone(&out2);
-            Box::new(move |_: &DomainCtx| {
-                let bytes = log.borrow().clone().into_bytes();
-                *done.borrow_mut() = bytes.clone();
-                bytes
-            })
-        });
-        let cfg1 = cfg.clone();
-        let plan1 = plan.clone();
-        b.add_domain("blade-0", move |ctx: &DomainCtx| {
-            let cluster = Cluster::new_with_plan(ctx.handle(), cfg1, plan1);
-            let blade = Rc::clone(cluster.blade(0));
-            let off = blade.alloc(8, 8);
-            blade.write_u64(off, 100);
-            spawn_blade_engine(
-                &blade,
-                cluster.config(),
-                ctx.bind_rx(link.req_rx),
-                ctx.bind_tx(link.rep_tx),
-            );
-            let served = Rc::clone(&blade);
-            Box::new(move |_: &DomainCtx| format!("served={}", served.ops_served()).into_bytes())
-        });
-        let report = b.run(workers);
-        let log = String::from_utf8(out.borrow().clone()).unwrap();
-        assert_eq!(
-            String::from_utf8(report.domains[1].artifact.clone()).unwrap(),
-            format!("served={OPS}"),
-            "blade domain must execute every request"
+                let dev = node.open_context(None);
+                dev.register_memory(1 << 20);
+                let qp = dev.create_qp(blade, &Cq::new(), DoorbellBinding::DriverDefault, false);
+                let h2 = h.clone();
+                h.spawn_detached(async move {
+                    for (i, op) in steps(addr).into_iter().enumerate() {
+                        qp.post_send(
+                            vec![WorkRequest {
+                                wr_id: i as u64,
+                                op,
+                            }],
+                            0,
+                        )
+                        .await;
+                        qp.cq().wait_nonempty().await;
+                        let cqe = qp.cq().poll(1).remove(0);
+                        let t = h2.now().as_nanos();
+                        let line = format!("wr{} t={t} {}", cqe.wr_id, outcome(&cqe.result));
+                        writeln!(log0.borrow_mut(), "{line}").unwrap();
+                    }
+                });
+                Box::new(|| ())
+            },
+            move |cluster, _| {
+                prepare(cluster.blade(0));
+                Box::new(|_, _| String::new())
+            },
         );
-        (log, report.envelopes)
+        let log = log.take();
+        (log, d)
     }
 
     #[test]
-    fn decomposed_faa_is_worker_invariant_and_counts_envelopes() {
-        let (seq, env_seq) = decomposed_faa(1);
-        let (par, env_par) = decomposed_faa(2);
-        assert_eq!(seq, par, "decomposed run must not depend on workers");
-        assert_eq!(env_seq, 2 * OPS, "one request + one reply per op");
-        assert_eq!(env_par, env_seq);
-        assert!(seq.contains(&format!("wr{} old={}", OPS - 1, 100 + 3 * (OPS - 1))));
-    }
+    fn every_verb_completes_identically_whichever_domain_serves_it() {
+        for script in SCRIPTS {
+            let (single, d) = run_script(script, &DomainPlan::single(1, 1), 1);
+            let got: Vec<&str> = single
+                .lines()
+                .map(|l| l.splitn(3, ' ').nth(2).unwrap_or_default())
+                .collect();
+            assert_eq!(got, script.want, "{}: results\n{single}", script.name);
+            assert_eq!((d.domains, d.envelopes), (1, 0), "{}", script.name);
+            assert!(d.blade_log.is_empty(), "{}", script.name);
 
-    #[test]
-    fn crashed_blade_reports_timeout_without_executing() {
-        let cfg = ClusterConfig::new(1, 1);
-        let fabric = cfg.fabric.clone();
-        let mut b = PdesBuilder::new(0xC4A5);
-        let link = blade_link(&mut b, DomainId(0), DomainId(1), &fabric);
-        let (req_tx, rep_rx) = (link.req_tx, link.rep_rx);
-        let out: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
-        let out2 = Rc::clone(&out);
-        b.add_local_domain("requester", move |ctx: &DomainCtx| {
-            let h = ctx.handle();
-            let port = RemotePort::install(&h, ctx.bind_tx(req_tx), ctx.bind_rx(rep_rx));
-            let log: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
-            let log2 = Rc::clone(&log);
-            let h2 = h.clone();
-            h.spawn_detached(async move {
-                let got = port
-                    .roundtrip(
-                        OneSidedOp::Faa {
-                            addr: RemoteAddr::new(BladeId(0), 64),
-                            add: 1,
-                        },
-                        Actor::SYSTEM,
-                    )
-                    .await;
-                *log2.borrow_mut() = format!("{got:?} t={}", h2.now());
-            });
-            let done = Rc::clone(&out2);
-            Box::new(move |_: &DomainCtx| {
-                *done.borrow_mut() = log.borrow().clone();
-                Vec::new()
-            })
-        });
-        let cfg1 = cfg.clone();
-        b.add_domain("blade-0", move |ctx: &DomainCtx| {
-            let cluster = Cluster::new_with_plan(ctx.handle(), cfg1, DomainPlan::per_blade(1, 1));
-            let blade = Rc::clone(cluster.blade(0));
-            blade.crash();
-            spawn_blade_engine(
-                &blade,
-                cluster.config(),
-                ctx.bind_rx(link.req_rx),
-                ctx.bind_tx(link.rep_tx),
+            let executed = script
+                .want
+                .iter()
+                .filter(|w| !w.starts_with("Error"))
+                .count();
+            let arrived = if script.qp_error {
+                0
+            } else {
+                script.want.len()
+            };
+            for workers in [1, 2] {
+                let (remote, d) = run_script(script, &DomainPlan::per_blade(1, 1), workers);
+                assert_eq!(
+                    remote, single,
+                    "{}: the remote blade (workers {workers}) diverged from the co-located one",
+                    script.name
+                );
+                assert_eq!(d.blade_log, format!("blade0 served={executed} epoch=0\n"));
+                assert_eq!(d.blade_requests, arrived as u64, "{}", script.name);
+                assert_eq!(d.envelopes, 2 * d.blade_requests, "{}", script.name);
+            }
+            println!(
+                "plan-invariant {}: {}",
+                script.name,
+                single.trim_end().replace('\n', "; ")
             );
-            let b2 = Rc::clone(&blade);
-            Box::new(move |_: &DomainCtx| {
-                assert_eq!(b2.ops_served(), 0, "crashed blade must not execute");
-                Vec::new()
-            })
-        });
-        b.run(1);
-        let log = out.borrow().clone();
-        assert!(log.contains("Err(Timeout)"), "got: {log}");
+        }
     }
 }

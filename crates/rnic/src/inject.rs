@@ -2,16 +2,18 @@
 //!
 //! The RNIC itself stays fault-free by default; a chaos layer (the
 //! `smart-fault` crate) implements [`FaultHook`] and installs it on each
-//! compute node. The hook is consulted once per work request at a single
-//! checkpoint *before the responder executes* — so a failed work request
-//! never partially executes, and a recovery layer that reposts it gets
-//! exactly-once semantics at the blade.
+//! compute node. The hook is consulted once per work request, at post,
+//! on the requester side — so a failed work request never partially
+//! executes, and a recovery layer that reposts it gets exactly-once
+//! semantics at the blade.
 //!
 //! Independent of the hook, [`Qp`](crate::Qp) error state and
 //! [`MemoryBlade`](crate::MemoryBlade) crash state are first-class model
-//! state: the work-request lifecycle checks them unconditionally (a pair
-//! of `Cell` reads, no time or RNG cost), so installing no hook leaves
-//! healthy-path timing bit-identical to a build without this module.
+//! state, checked under one rule whichever domain the blade lives in:
+//! the QP at post and at departure (requester side), the crash state on
+//! arrival (blade side). Each check is a `Cell` read with no time or RNG
+//! cost, so installing no hook leaves healthy-path timing bit-identical
+//! to a build without this module.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -37,7 +39,7 @@ pub enum InjectDecision {
 /// Implementations must be deterministic: any randomness must come from
 /// the simulation's seeded PRNG (e.g. `SimHandle::with_rng`).
 pub trait FaultHook {
-    /// Called once per work request at the pre-execution checkpoint.
+    /// Called once per work request at the post-time checkpoint.
     fn on_wr(&self, qp: &Qp, wr: &WorkRequest) -> InjectDecision;
 
     /// Called when a QP is created on a node this hook is installed on,

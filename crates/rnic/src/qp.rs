@@ -193,17 +193,18 @@ impl Qp {
         self.outstanding.set(self.outstanding.get() - 1);
     }
 
-    /// Whether this QP is in the error state. While errored, every
-    /// outstanding or newly posted work request completes with
+    /// Whether this QP is in the error state. While errored, every work
+    /// request that has not yet left the node completes with
     /// [`CqeError::FlushErr`](crate::CqeError::FlushErr) instead of
     /// executing.
     pub fn is_errored(&self) -> bool {
         self.errored.get()
     }
 
-    /// Forces the QP into the error state (fault injection). In-flight
-    /// work requests that have not yet reached the responder flush as
-    /// error completions; new posts flush immediately.
+    /// Forces the QP into the error state (fault injection). New posts
+    /// flush at once; work requests still in the requester pipeline flush
+    /// as they reach departure; work requests already on the wire execute
+    /// and complete normally.
     pub fn force_error(&self) {
         self.errored.set(true);
     }

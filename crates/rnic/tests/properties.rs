@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use smart_rnic::lru::LruCache;
-use smart_rnic::{BladeConfig, BladeId, FabricConfig, MemoryBlade, RnicConfig};
+use smart_rnic::{BladeConfig, BladeId, FabricConfig, MemoryBlade};
 use smart_rt::rng::SimRng;
 use smart_rt::Simulation;
 
@@ -19,7 +19,6 @@ fn blade(bytes: u64) -> (Simulation, std::rc::Rc<MemoryBlade>) {
             region_bytes: bytes,
             ..Default::default()
         },
-        &RnicConfig::default(),
         &FabricConfig::default(),
     );
     (sim, b)

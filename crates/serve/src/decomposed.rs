@@ -6,10 +6,15 @@
 //! controller, session pool and all worker coroutines — in domain 0 of a
 //! [`smart_rnic::run_decomposed`] topology; each blade domain of the
 //! [`DomainPlan`] runs its blades behind typed request/completion
-//! envelopes whose channel latency is the fabric one-way delay. What
-//! differs from the inline driver is only the driving: a watcher
-//! coroutine stands in for the imperative `run_for` schedule, and the
-//! engine runs to quiescence instead of for a fixed drain.
+//! envelopes whose channel latency is the fabric one-way delay; a blade
+//! the plan keeps in domain 0 (every blade, under
+//! [`DomainPlan::single`]) is served in place. Both drivers share one
+//! verb lifecycle (one blade half, one fault rule). What differs from
+//! the inline driver is only the driving — a watcher coroutine stands
+//! in for the imperative `run_for` schedule, and the engine runs to
+//! quiescence instead of for a fixed drain — and, for remote blades, the
+//! order in which events of different domains that fall on the same
+//! nanosecond merge.
 //!
 //! Every domain replays the same deterministic bootstrap
 //! (`seed_balances`), so each blade domain's own blades are
@@ -41,15 +46,13 @@ use crate::ServeSpec;
 /// the compute domain.
 ///
 /// The result is byte-identical for every `engine_workers` value — the
-/// PDES determinism contract — but *not* byte-comparable to
-/// [`crate::run_serve`]'s shared-graph timing (see
-/// [`smart_rnic::engine`]). `report.sim_events` sums scheduling events
+/// PDES determinism contract. `report.sim_events` sums scheduling events
 /// over all domains.
 ///
 /// # Panics
 ///
-/// Panics if the plan is single-domain or hosts the compute node outside
-/// domain 0, or if the plan does not cover the cluster shape.
+/// Panics if the plan hosts the compute node outside domain 0 or does
+/// not cover the cluster shape.
 pub fn run_serve_decomposed(
     spec: &ServeSpec,
     plan: &DomainPlan,

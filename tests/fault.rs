@@ -87,7 +87,7 @@ fn qp_error_mid_batch_recovers_transparently() {
         .iter()
         .map(|t| t.stats().faults_recovered.get())
         .sum();
-    assert!(seen > 0, "no in-flight WR was flushed by the error");
+    assert!(seen > 0, "no WR was flushed by the error");
     assert!(recovered > 0, "nothing went through the recovery path");
     assert_eq!(violations_of(&threads), Vec::<String>::new());
 

@@ -31,7 +31,8 @@ use std::path::PathBuf;
 use smart_bench::{run_ht, run_ht_decomposed, serve_spec, HtParams, RunReport};
 use smart_lab::smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
 use smart_lab::smart_fault::FaultPlan;
-use smart_lab::smart_rnic::DomainPlan;
+use smart_lab::smart_rnic::{BladeId, DomainPlan};
+use smart_lab::smart_rt::pdes::DomainId;
 use smart_lab::smart_rt::{Duration, SchedulePolicy};
 use smart_lab::smart_serve::{run_serve, run_serve_decomposed, ServeReport, ServeSpec};
 use smart_lab::smart_trace::TraceSink;
@@ -294,6 +295,9 @@ fn fault_seed_sweep_inline_matches_golden() {
 /// partition and the bytes must not move at all.
 const ENGINE_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
+/// `FaultPlan::random` seeds of the decomposed fault cell.
+const FAULT_SEEDS: [u64; 2] = [0, 1];
+
 /// Writes the cell fingerprint under `target/equiv/` so the CI `pdes`
 /// job can upload the whole matrix as a build artifact.
 fn publish_fingerprint(name: &str, fp: &str) {
@@ -307,7 +311,7 @@ fn publish_fingerprint(name: &str, fp: &str) {
 /// full fingerprint (report bytes, blade artifacts, engine counters and
 /// trace hash) matches the committed golden each time — so the bytes are
 /// pinned across worker counts *and* across commits.
-fn assert_decomposed_golden<F>(label: &str, run: F)
+fn assert_decomposed_golden<F>(label: &str, remote_blades: usize, run: F)
 where
     F: Fn(usize) -> String,
 {
@@ -316,21 +320,33 @@ where
         if workers == ENGINE_WORKERS[0] {
             publish_fingerprint(&format!("{label}.fp.txt"), &fp);
         }
-        assert_remote_blades_served(label, &fp);
+        assert_remote_blades_served(label, remote_blades, &fp);
         assert_golden(&format!("{label}.fp.txt"), &fp);
     }
 }
 
-/// Every remote blade's artifact line must report `served > 0`: a cell
-/// whose traffic never reaches a blade domain gates nothing there.
-fn assert_remote_blades_served(label: &str, fp: &str) {
+/// Blades of `0..blades` the plan puts outside the compute domain.
+fn remote_blades(plan: &DomainPlan, blades: u32) -> usize {
+    (0..blades)
+        .filter(|&b| plan.blade_domain(BladeId(b)) != DomainId(0))
+        .count()
+}
+
+/// Every remote blade must have an artifact line reporting `served > 0`:
+/// a cell whose traffic never reaches a blade domain gates nothing
+/// there. A plan with no remote blade has no lines.
+fn assert_remote_blades_served(label: &str, remote: usize, fp: &str) {
     let served: Vec<u64> = fp
         .lines()
         .filter(|l| l.starts_with("blade"))
         .filter_map(|l| l.split_whitespace().find_map(|w| w.strip_prefix("served=")))
         .map(|v| v.parse().expect("served count"))
         .collect();
-    assert!(!served.is_empty(), "{label}: no blade artifact lines");
+    assert_eq!(
+        served.len(),
+        remote,
+        "{label}: one artifact line per remote blade"
+    );
     assert!(
         served.iter().all(|&n| n > 0),
         "{label}: a remote blade served nothing: {served:?}"
@@ -349,23 +365,30 @@ fn matrix_fig07_decomposed_plans_are_byte_identical_across_engine_workers() {
         // Blade 0 shares the compute domain, blade 1 is remote: the
         // same-domain verb path and the `RemotePort` path in one run.
         ("colocated", DomainPlan::custom(vec![0], vec![0, 1])),
+        // No blade crosses: the engine runs the compute domain alone.
+        ("single", DomainPlan::single(1, p.blades as u32)),
     ] {
         let p = p.clone();
-        assert_decomposed_golden(&format!("decomposed_fig07_{pname}"), move |workers| {
-            let sink = TraceSink::with_capacity(TRACE_EVENTS);
-            let mut p = p.clone();
-            p.trace = Some(sink.clone());
-            let d = run_ht_decomposed(&p, &plan, workers);
-            format!(
-                "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
-                report_fingerprint(&d.report),
-                d.blade_log,
-                d.epochs,
-                d.envelopes,
-                d.blade_requests,
-                trace_line(&sink.chrome_json())
-            )
-        });
+        let remote = remote_blades(&plan, p.blades as u32);
+        assert_decomposed_golden(
+            &format!("decomposed_fig07_{pname}"),
+            remote,
+            move |workers| {
+                let sink = TraceSink::with_capacity(TRACE_EVENTS);
+                let mut p = p.clone();
+                p.trace = Some(sink.clone());
+                let d = run_ht_decomposed(&p, &plan, workers);
+                format!(
+                    "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
+                    report_fingerprint(&d.report),
+                    d.blade_log,
+                    d.epochs,
+                    d.envelopes,
+                    d.blade_requests,
+                    trace_line(&sink.chrome_json())
+                )
+            },
+        );
     }
 }
 
@@ -377,24 +400,74 @@ fn matrix_serve_decomposed_plans_are_byte_identical_across_engine_workers() {
         ("per_blade", DomainPlan::per_blade(1, blades)),
         // Blades 0 and 2 share one remote domain, blade 1 has its own.
         ("shared", DomainPlan::for_workers(2, 1, blades)),
+        ("single", DomainPlan::single(1, blades)),
     ] {
         let spec = spec.clone();
-        assert_decomposed_golden(&format!("decomposed_serve_{pname}"), move |workers| {
-            let sink = TraceSink::with_capacity(TRACE_EVENTS);
-            let mut spec = spec.clone();
-            spec.trace = Some(sink.clone());
-            let d = run_serve_decomposed(&spec, &plan, workers);
-            format!(
-                "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
-                serve_fingerprint(&d.report),
+        let remote = remote_blades(&plan, blades);
+        assert_decomposed_golden(
+            &format!("decomposed_serve_{pname}"),
+            remote,
+            move |workers| {
+                let sink = TraceSink::with_capacity(TRACE_EVENTS);
+                let mut spec = spec.clone();
+                spec.trace = Some(sink.clone());
+                let d = run_serve_decomposed(&spec, &plan, workers);
+                format!(
+                    "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
+                    serve_fingerprint(&d.report),
+                    d.blade_log,
+                    d.epochs,
+                    d.envelopes,
+                    d.blade_requests,
+                    trace_line(&sink.chrome_json())
+                )
+            },
+        );
+    }
+}
+
+#[test]
+fn matrix_fault_decomposed_per_blade_is_byte_identical_across_engine_workers() {
+    // Two seeded chaos plans on the fig07-small shape with every blade
+    // remote: post-side draws and QP errors fire in the compute domain,
+    // the crash windows on the authoritative blades in their own domains.
+    // 20 000 keys build two subtables, so the crashed blade holds buckets.
+    let mut p = HtParams::new(SmartConfig::smart_full(8), 8, 20_000, Mix::WriteHeavy);
+    p.warmup = Duration::from_micros(500);
+    p.measure = Duration::from_millis(1);
+    p.seed = 42;
+    let plan = DomainPlan::per_blade(1, p.blades as u32);
+    let remote = remote_blades(&plan, p.blades as u32) * FAULT_SEEDS.len();
+    assert_decomposed_golden("decomposed_fault_per_blade", remote, move |workers| {
+        let mut fp = String::new();
+        for seed in FAULT_SEEDS {
+            let mut p = p.clone();
+            p.fault = Some(FaultPlan::random(
+                seed,
+                Duration::from_micros(1_500),
+                1,
+                p.blades as u32,
+            ));
+            let d = run_ht_decomposed(&p, &plan, workers);
+            let r = &d.report;
+            assert!(r.faults_injected > 0, "seed {seed}: no fault fired");
+            assert!(r.faults_recovered > 0, "seed {seed}: nothing recovered");
+            assert!(
+                r.conservation.is_empty(),
+                "seed {seed}: {:?}",
+                r.conservation
+            );
+            fp += &format!(
+                "seed={seed}\n{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n",
+                report_fingerprint(r),
                 d.blade_log,
                 d.epochs,
                 d.envelopes,
                 d.blade_requests,
-                trace_line(&sink.chrome_json())
-            )
-        });
-    }
+            );
+        }
+        fp
+    });
 }
 
 #[test]
