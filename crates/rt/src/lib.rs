@@ -89,7 +89,7 @@ pub async fn yield_now() {
                 std::task::Poll::Ready(())
             } else {
                 self.yielded = true;
-                cx.waker().wake_by_ref();
+                executor::Wakeup::of(cx).wake();
                 std::task::Poll::Pending
             }
         }

@@ -706,20 +706,19 @@ impl DomainRuntime {
     /// epoch in `io` and returns the next local event time.
     fn advance(&mut self, io: &mut Vec<Envelope>, horizon: Option<u64>) -> Option<u64> {
         for env in io.drain(..) {
-            let shared = Rc::clone(&self.ctx.shared);
+            let (chan, payload) = (env.chan, env.payload);
             let deliver_at = SimTime::from_nanos(env.deliver_ns);
-            let chan = env.chan;
-            let payload = env.payload;
-            let handle = self.ctx.handle.clone();
-            debug_assert!(deliver_at >= handle.now(), "pdes causality violation");
-            self.ctx.handle.spawn(async move {
-                handle.sleep_until(deliver_at).await;
-                let deliver = shared
-                    .rx
-                    .borrow()
+            debug_assert!(deliver_at >= self.ctx.now(), "pdes causality violation");
+            let sleep = self.ctx.handle.sleep_until(deliver_at);
+            let shared = Rc::clone(&self.ctx.shared);
+            self.ctx.handle.spawn_detached(async move {
+                sleep.await;
+                // A delivery only queues the value and wakes the receiver,
+                // neither of which binds a channel, so `rx` stays borrowed.
+                let rx = shared.rx.borrow();
+                let deliver = rx
                     .get(chan as usize)
-                    .cloned()
-                    .flatten()
+                    .and_then(Option::as_ref)
                     .unwrap_or_else(|| panic!("channel {chan} delivered before bind_rx"));
                 shared.delivered.set(shared.delivered.get() + 1);
                 deliver(payload);

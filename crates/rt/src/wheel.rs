@@ -1,13 +1,15 @@
 //! Hierarchical timer wheel: the executor's timer queue.
 //!
-//! The original executor kept every pending timer in one
-//! `BinaryHeap<Reverse<TimerEntry>>`, paying an `O(log n)` sift on every
-//! registration and every fire. This module replaces it with a hashed
-//! hierarchical wheel (the classic Varghese–Lauck design, as used by
-//! tokio's timer): six levels of 64 slots, where a level-`k` slot is
-//! `64^k` ns wide. Registration is O(1) — index into a slot, push onto an
-//! intrusive list — and firing walks an occupancy bitmap per level, so a
-//! pop costs a couple of `trailing_zeros` instead of a heap sift.
+//! A hashed hierarchical wheel (the classic Varghese–Lauck design, as
+//! used by tokio's timer) with a wide first level. Level 0 has 4096
+//! one-nanosecond slots, so a timer due inside the cursor's 4096-ns block
+//! (in practice: anything less than ≈4 µs ahead) is indexed straight
+//! into its own instant and never cascaded. Four upper levels of 64
+//! slots follow, a level-`k` slot being `4096 · 64^(k-1)` ns wide.
+//! Registration is O(1) — index into a slot, push onto an intrusive LIFO
+//! list — and finding the next occupied instant costs a few
+//! `trailing_zeros`: level 0 through a two-level bitmap (a summary word
+//! over 64 occupancy words), each upper level through one word.
 //!
 //! # Exact order preservation
 //!
@@ -15,21 +17,26 @@
 //! trace in the repo encodes the total order `(at, tie_key, seq)`. The
 //! wheel preserves it exactly:
 //!
-//! - Level-0 slots are **1 ns wide**, so one level-0 bucket holds timers
-//!   for exactly one timestamp. Draining the bucket moves its entries
-//!   into a small `due` heap ordered by `(at, key, seq)` — ties are
-//!   broken precisely as the old global heap broke them, for both
-//!   [`SchedulePolicy`](crate::SchedulePolicy) variants.
+//! - A level-0 bucket holds the timers of exactly one instant. Draining
+//!   it moves its entries into `due`, a ring kept sorted by
+//!   `(at, key, seq)`, so ties are broken exactly as a global heap breaks
+//!   them, for both [`SchedulePolicy`](crate::SchedulePolicy) variants.
+//!   Buckets are LIFO, so under `Fifo` every drained entry sorts before
+//!   the one drained before it (a push-front), and a timer registered
+//!   while its instant fires sorts after its drained peers (a push-back).
+//!   Only seeded ties and inserts below a cursor that ran ahead pay a
+//!   binary insert.
 //! - A timer registered at-or-before the wheel's internal `elapsed`
-//!   cursor goes straight into the `due` heap, so same-instant timers
-//!   registered *while firing* interleave with already-drained peers in
-//!   exact tie order.
-//! - Higher-level slots cascade: when the cursor reaches a level-`k`
-//!   slot, its entries re-index into levels `< k`. A level-`k` entry
-//!   lives inside the cursor's `64^(k+1)`-aligned block but outside its
-//!   `64^k`-block, so within one block slot indices never wrap and the
-//!   lowest nonempty level always holds the global minimum.
-//! - Timers more than `64^6` ns (~69 s of virtual time) ahead go to an
+//!   cursor goes straight into `due`, so same-instant timers registered
+//!   *while firing* interleave with already-drained peers in exact tie
+//!   order, and a PDES envelope injected below a cursor that
+//!   `run_events_before` moved past its limit still fires first.
+//! - Upper-level slots cascade: when the cursor reaches a level-`k` slot,
+//!   its entries re-index into finer levels. A level-`k` entry lives
+//!   inside the cursor's level-`k` block but outside its level-`k - 1`
+//!   block, so within one block slot indices never wrap and the lowest
+//!   nonempty level always holds the global minimum.
+//! - Timers `2^36` ns (~69 s of virtual time) or more ahead go to an
 //!   `overflow` min-heap and are promoted block-by-block as the cursor
 //!   advances; anything still in overflow is provably later than
 //!   everything in the wheel.
@@ -41,22 +48,28 @@
 //! deadline never fired (a `with_timeout` the wrapped future won, a
 //! select raced by) cancels its entry: the wake is released immediately
 //! and the tombstone is purged — without firing, without advancing
-//! virtual time — when the cursor next reaches it. The old heap kept such
-//! entries until their deadline and woke the dead task spuriously.
+//! virtual time — when the cursor next reaches it.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::task::Waker;
 
 use crate::executor::TaskId;
 
-/// Slots per level (one 6-bit digit of the deadline per level).
+/// Bits of the deadline indexed by level 0.
+const L0_BITS: u32 = 12;
+/// Level-0 slots: one per nanosecond of the cursor's 4096-ns block.
+const L0_SLOTS: usize = 1 << L0_BITS;
+/// Slots per upper level (one 6-bit digit of the deadline per level).
 const SLOTS: usize = 64;
-/// Bits per level.
+/// Bits per upper level.
 const LEVEL_BITS: u32 = 6;
-/// Number of wheel levels; deadlines ≥ `64^LEVELS` ns ahead overflow.
-const LEVELS: usize = 6;
-/// The wheel's horizon in nanoseconds: `64^LEVELS`.
-const SPAN: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
+/// Number of upper levels; deadlines whose highest bit differing from
+/// the cursor is at or above [`HORIZON_BITS`] overflow.
+const UPPER: usize = 4;
+/// Bits of the deadline the wheel indexes.
+const HORIZON_BITS: u32 = L0_BITS + LEVEL_BITS * UPPER as u32;
+/// The wheel's horizon in nanoseconds: `2^36`.
+const SPAN: u64 = 1 << HORIZON_BITS;
 /// Intrusive-list terminator.
 const NIL: u32 = u32::MAX;
 
@@ -105,25 +118,37 @@ impl TimerNode {
     }
 }
 
-/// Min-heap entry: `(at, key, seq)` is the executor's total order, the
+/// A queued timer: `(at, key, seq)` is the executor's total order, the
 /// slab index rides along to reach the node.
-type HeapEntry = std::cmp::Reverse<(u64, u64, u64, u32)>;
+type Entry = (u64, u64, u64, u32);
 
 pub(crate) struct TimerWheel {
     /// Internal cursor: all wheel entries are strictly later than this,
     /// all `due` entries at-or-earlier. Advances independently of the
     /// simulation clock (it may jump to slot boundaries while seeking).
     elapsed: u64,
-    /// Bucket heads, `levels[level][slot]`.
-    levels: [[u32; SLOTS]; LEVELS],
-    /// One occupancy bit per slot, per level.
-    occupied: [u64; LEVELS],
+    /// Level-0 bucket heads, one per nanosecond of the cursor's block.
+    /// Allocated at the first level-0 insert: a `Simulation` that never
+    /// sleeps (and every set-up) does not pay for the 16 KiB table.
+    l0: Vec<u32>,
+    /// One occupancy bit per level-0 slot ...
+    l0_occupied: [u64; L0_SLOTS / 64],
+    /// ... and one bit per nonzero word of `l0_occupied`.
+    l0_summary: u64,
+    /// Upper-level bucket heads, `upper[level - 1][slot]`.
+    upper: [[u32; SLOTS]; UPPER],
+    /// One occupancy bit per slot, per upper level.
+    upper_occupied: [u64; UPPER],
     slab: Vec<TimerNode>,
     free: Vec<u32>,
-    /// Entries with `at <= elapsed`, in exact `(at, key, seq)` order.
-    due: BinaryHeap<HeapEntry>,
+    /// Entries with `at <= elapsed`, sorted by `(at, key, seq)`. Whole
+    /// 32-byte entries, not bare slab indices: the ring then regrows in
+    /// the byte sizes the old `due` heap did, and with 4-byte indices
+    /// `pdes_fanout_w1` read 9.6 MB instead of 6.6 MB `host_peak_rss_mb`
+    /// in 7 runs of 10 (glibc's bins, not live memory; SKILL.md).
+    due: VecDeque<Entry>,
     /// Entries beyond the wheel's horizon.
-    overflow: BinaryHeap<HeapEntry>,
+    overflow: BinaryHeap<std::cmp::Reverse<Entry>>,
     /// Live (scheduled, not cancelled) timers.
     live: usize,
     /// Timers cancelled before firing (tombstoned).
@@ -136,13 +161,16 @@ impl TimerWheel {
     pub(crate) fn new() -> Self {
         TimerWheel {
             elapsed: 0,
-            levels: [[NIL; SLOTS]; LEVELS],
-            occupied: [0; LEVELS],
-            // Slab and free list amortise to the high-water mark of
-            // live timers, not per event.
+            l0: Vec::new(),
+            l0_occupied: [0; L0_SLOTS / 64],
+            l0_summary: 0,
+            upper: [[NIL; SLOTS]; UPPER],
+            upper_occupied: [0; UPPER],
+            // Slab, free list and `due` amortise to the high-water mark
+            // of live timers, not per event.
             slab: Vec::new(),
             free: Vec::new(),
-            due: BinaryHeap::new(),
+            due: VecDeque::new(),
             overflow: BinaryHeap::new(),
             live: 0,
             cancelled: 0,
@@ -150,7 +178,11 @@ impl TimerWheel {
         }
     }
 
-    /// Registers a timer; O(1) except for due/overflow heap pushes.
+    /// Registers a timer; O(1) except for an out-of-order `due` insert
+    /// or an overflow heap push. Inlined, like the executor's call, so
+    /// the wake travels in registers: a 16-byte enum handed over through
+    /// memory stalls the reload on store forwarding, every timer.
+    #[inline]
     pub(crate) fn insert(&mut self, at: u64, key: u64, seq: u64, wake: TimerWake) -> TimerToken {
         let idx = match self.free.pop() {
             Some(idx) => idx,
@@ -173,7 +205,6 @@ impl TimerWheel {
             node.key = key;
             node.seq = seq;
             node.wake = wake;
-            node.next = NIL;
             node.gen
         };
         self.live += 1;
@@ -181,22 +212,53 @@ impl TimerWheel {
         TimerToken { idx, gen }
     }
 
-    /// Routes a node to the due heap, a wheel slot or the overflow heap
-    /// according to its deadline relative to the cursor.
+    /// Routes a node to `due`, a wheel slot or the overflow heap
+    /// according to its deadline relative to the cursor. Takes scalars,
+    /// not an [`Entry`], for the same store-forwarding reason as `insert`.
     fn place(&mut self, idx: u32, at: u64, key: u64, seq: u64) {
         if at <= self.elapsed {
-            self.due.push(std::cmp::Reverse((at, key, seq, idx)));
+            self.push_due(idx, at, key, seq);
             return;
         }
-        let level = level_for(self.elapsed, at);
-        if level >= LEVELS {
+        let differ = at ^ self.elapsed;
+        if differ < L0_SLOTS as u64 {
+            if self.l0.is_empty() {
+                self.l0 = vec![NIL; L0_SLOTS];
+            }
+            let slot = at as usize & (L0_SLOTS - 1);
+            self.slab[idx as usize].next = self.l0[slot];
+            self.l0[slot] = idx;
+            self.l0_occupied[slot / 64] |= 1 << (slot % 64);
+            self.l0_summary |= 1 << (slot / 64);
+            return;
+        }
+        let level = ((63 - differ.leading_zeros() - L0_BITS) / LEVEL_BITS) as usize;
+        if level >= UPPER {
             self.overflow.push(std::cmp::Reverse((at, key, seq, idx)));
             return;
         }
-        let slot = (at >> (LEVEL_BITS * level as u32)) as usize & (SLOTS - 1);
-        self.slab[idx as usize].next = self.levels[level][slot];
-        self.levels[level][slot] = idx;
-        self.occupied[level] |= 1 << slot;
+        let slot = (at >> upper_shift(level)) as usize & (SLOTS - 1);
+        self.slab[idx as usize].next = self.upper[level][slot];
+        self.upper[level][slot] = idx;
+        self.upper_occupied[level] |= 1 << slot;
+    }
+
+    /// Inserts into the sorted `due` ring: an append or a push-front in
+    /// the common cases, a binary insert otherwise. The new entry is
+    /// compared as scalars and built at the push: a tuple compared by
+    /// reference lives on the stack and is reloaded wider than stored.
+    fn push_due(&mut self, idx: u32, at: u64, key: u64, seq: u64) {
+        let due = &mut self.due;
+        let before_new = |e: &Entry| (e.0, e.1, e.2) < (at, key, seq);
+        match (due.front(), due.back()) {
+            (_, None) => due.push_back((at, key, seq, idx)),
+            (_, Some(back)) if before_new(back) => due.push_back((at, key, seq, idx)),
+            (Some(front), _) if !before_new(front) => due.push_front((at, key, seq, idx)),
+            _ => {
+                let i = due.partition_point(before_new);
+                due.insert(i, (at, key, seq, idx));
+            }
+        }
     }
 
     /// Cancels the timer behind `token` if it is still pending. Returns
@@ -216,14 +278,14 @@ impl TimerWheel {
     }
 
     /// Deadline of the next timer that will actually fire, purging any
-    /// tombstones that have bubbled to the front.
+    /// tombstones that have reached the front.
     pub(crate) fn peek_at(&mut self) -> Option<u64> {
         loop {
-            if let Some(&std::cmp::Reverse((at, _, _, idx))) = self.due.peek() {
+            if let Some(&(at, _, _, idx)) = self.due.front() {
                 if self.slab[idx as usize].is_live() {
                     return Some(at);
                 }
-                self.due.pop();
+                self.due.pop_front();
                 self.release(idx, true);
                 continue;
             }
@@ -238,7 +300,7 @@ impl TimerWheel {
     /// timer event.
     pub(crate) fn pop_through(&mut self, last: u64) -> Option<(u64, TimerWake)> {
         let at = self.peek_at().filter(|&at| at <= last)?;
-        let std::cmp::Reverse((_, _, _, idx)) = self.due.pop().expect("peeked");
+        let (_, _, _, idx) = self.due.pop_front().expect("peeked");
         let wake = std::mem::replace(&mut self.slab[idx as usize].wake, TOMBSTONE);
         self.live -= 1;
         self.release(idx, false);
@@ -254,39 +316,52 @@ impl TimerWheel {
         let node = &mut self.slab[idx as usize];
         node.wake = TOMBSTONE;
         node.gen = node.gen.wrapping_add(1);
-        node.next = NIL;
         self.free.push(idx);
     }
 
     /// Moves the cursor to the next occupied slot, draining level-0
-    /// buckets into `due` and cascading higher levels. Returns `false`
-    /// when no timers remain anywhere.
+    /// buckets into `due` and cascading upper levels. Called with `due`
+    /// empty; returns `false` when no timers remain anywhere.
     fn advance(&mut self) -> bool {
         loop {
-            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
+            let head = if self.l0_summary != 0 {
+                // Entries sit strictly after the cursor inside its block,
+                // so the lowest occupied slot is the next instant.
+                let word = self.l0_summary.trailing_zeros() as usize;
+                let bit = self.l0_occupied[word].trailing_zeros() as usize;
+                self.l0_occupied[word] &= !(1 << bit);
+                if self.l0_occupied[word] == 0 {
+                    self.l0_summary &= !(1 << word);
+                }
+                let slot = word * 64 + bit;
+                let at = (self.elapsed & !(L0_SLOTS as u64 - 1)) | slot as u64;
+                debug_assert!(at > self.elapsed, "level-0 slot behind the cursor");
+                self.elapsed = at;
+                std::mem::replace(&mut self.l0[slot], NIL)
+            } else if let Some(level) = (0..UPPER).find(|&l| self.upper_occupied[l] != 0) {
+                let slot = next_slot(self.upper_occupied[level], self.elapsed, level);
+                let width = 1u64 << upper_shift(level);
+                let block = !(width * SLOTS as u64 - 1);
+                let slot_start = (self.elapsed & block) | (slot as u64 * width);
+                debug_assert!(slot_start >= self.elapsed, "wheel cursor moved backwards");
+                self.elapsed = slot_start;
+                self.upper_occupied[level] &= !(1 << slot);
+                std::mem::replace(&mut self.upper[level][slot], NIL)
+            } else {
                 return self.promote_overflow();
             };
-            let slot = next_slot(self.occupied[level], self.elapsed, level);
-            let width = 1u64 << (LEVEL_BITS * level as u32);
-            let block = !(width * SLOTS as u64 - 1);
-            let slot_start = (self.elapsed & block) | (slot as u64 * width);
-            debug_assert!(slot_start >= self.elapsed, "wheel cursor moved backwards");
-            self.elapsed = slot_start;
-            // Detach the whole bucket, then re-route each node: level 0
-            // drains into `due` (every node has `at == slot_start`),
-            // higher levels cascade to finer levels. Tombstones are
-            // reclaimed here without firing.
-            let mut head = std::mem::replace(&mut self.levels[level][slot], NIL);
-            self.occupied[level] &= !(1 << slot);
+            // Re-route the detached bucket: a level-0 bucket drains into
+            // `due` (every node has `at == elapsed`), an upper one
+            // cascades to finer levels. Tombstones are reclaimed here
+            // without firing.
+            let mut head = head;
             while head != NIL {
-                let node = &mut self.slab[head as usize];
-                let next = std::mem::replace(&mut node.next, NIL);
-                let (at, key, seq) = (node.at, node.key, node.seq);
-                if !node.is_live() {
-                    self.release(head, true);
-                } else {
-                    debug_assert!(at >= slot_start && at < slot_start + width * SLOTS as u64);
+                let node = &self.slab[head as usize];
+                let (next, at, key, seq) = (node.next, node.at, node.key, node.seq);
+                if node.is_live() {
                     self.place(head, at, key, seq);
+                } else {
+                    self.release(head, true);
                 }
                 head = next;
             }
@@ -303,19 +378,19 @@ impl TimerWheel {
         let Some(&std::cmp::Reverse((at, _, _, _))) = self.overflow.peek() else {
             return false;
         };
-        // The wheel and due heap are empty, so jumping the cursor to the
+        // The wheel and `due` are empty, so jumping the cursor to the
         // head's horizon block cannot skip anything.
         self.elapsed = self.elapsed.max(at & !(SPAN - 1));
-        let block = self.elapsed >> (LEVEL_BITS * LEVELS as u32);
+        let block = self.elapsed >> HORIZON_BITS;
         while let Some(&std::cmp::Reverse((at, key, seq, idx))) = self.overflow.peek() {
-            if at >> (LEVEL_BITS * LEVELS as u32) != block {
+            if at >> HORIZON_BITS != block {
                 break;
             }
             self.overflow.pop();
-            if !self.slab[idx as usize].is_live() {
-                self.release(idx, true);
-            } else {
+            if self.slab[idx as usize].is_live() {
                 self.place(idx, at, key, seq);
+            } else {
+                self.release(idx, true);
             }
         }
         // Everything promoted may have been a tombstone; the caller's
@@ -325,8 +400,11 @@ impl TimerWheel {
 
     /// Drops every pending timer (simulation teardown).
     pub(crate) fn clear(&mut self) {
-        self.levels = [[NIL; SLOTS]; LEVELS];
-        self.occupied = [0; LEVELS];
+        self.l0.clear();
+        self.l0_occupied = [0; L0_SLOTS / 64];
+        self.l0_summary = 0;
+        self.upper = [[NIL; SLOTS]; UPPER];
+        self.upper_occupied = [0; UPPER];
         self.slab.clear();
         self.free.clear();
         self.due.clear();
@@ -341,23 +419,20 @@ impl TimerWheel {
     }
 }
 
-/// The level whose slot width matches the highest differing digit of
-/// `elapsed` and `when`; `>= LEVELS` means beyond the horizon.
-fn level_for(elapsed: u64, when: u64) -> usize {
-    // `| 63` keeps the result in level 0 when only the low digit differs
-    // (and avoids `leading_zeros(0)` for the `when == elapsed` edge).
-    let masked = (elapsed ^ when) | (SLOTS as u64 - 1);
-    ((63 - masked.leading_zeros()) / LEVEL_BITS) as usize
+/// Shift of the deadline digit indexed by upper level `level + 1`.
+fn upper_shift(level: usize) -> u32 {
+    L0_BITS + LEVEL_BITS * level as u32
 }
 
-/// Lowest-index occupied slot at `level`. Within one block the cursor's
-/// own slot index is a floor: entries never sit at or below it (they
-/// would have indexed into a finer level), so no wrap handling is needed.
+/// Lowest-index occupied slot at upper level `level + 1`. Within one
+/// block the cursor's own slot index is a floor: entries never sit at or
+/// below it (they would have indexed into a finer level), so no wrap
+/// handling is needed.
 fn next_slot(occupied: u64, elapsed: u64, level: usize) -> usize {
     debug_assert_ne!(occupied, 0);
     let slot = occupied.trailing_zeros() as usize;
     debug_assert!(
-        slot as u64 >= (elapsed >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1),
+        slot as u64 >= (elapsed >> upper_shift(level)) & (SLOTS as u64 - 1),
         "occupied slot behind the cursor"
     );
     slot
@@ -366,6 +441,9 @@ fn next_slot(occupied: u64, elapsed: u64, level: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use crate::SchedulePolicy;
+    use std::collections::BTreeSet;
 
     fn noop_waker() -> TimerWake {
         TimerWake::Waker(Waker::noop().clone())
@@ -422,9 +500,9 @@ mod tests {
             w.insert(77, key, seq, noop_waker());
         }
         let mut keys = Vec::new();
-        while let Some(&std::cmp::Reverse((_, key, _, _))) = {
+        while let Some(&(_, key, _, _)) = {
             w.peek_at();
-            w.due.peek()
+            w.due.front()
         } {
             w.pop();
             keys.push(key);
@@ -509,5 +587,91 @@ mod tests {
         assert_eq!(w.peek_at(), Some(40), "peek skips the tombstone");
         assert_eq!(w.purged, 1, "peek purged it eagerly");
         assert_eq!(w.pop().map(|(at, _)| at), Some(40));
+    }
+
+    /// A deadline `now + delta`, with `delta` drawn so that every level
+    /// (0, each upper level, overflow) and exact ties with `now` occur.
+    fn draw_delta(rng: &mut SimRng) -> u64 {
+        match rng.next_u64_below(9) {
+            0 => 0,
+            1 => rng.next_u64_below(64),
+            2 => rng.next_u64_below(L0_SLOTS as u64),
+            3 => rng.next_u64_below(1 << 18),
+            4 => rng.next_u64_below(1 << 24),
+            5 => rng.next_u64_below(1 << 30),
+            6 => rng.next_u64_below(SPAN),
+            7 => SPAN + rng.next_u64_below(4 * SPAN),
+            _ => rng.next_u64_below(200),
+        }
+    }
+
+    /// Seeded differential run against an ordered-set model of
+    /// `(at, key, seq)`: inserts across every level and overflow, forced
+    /// same-instant ties, inserts at or below a cursor that ran ahead of
+    /// the clock, cancels (live and stale), and `pop_through` with a
+    /// random limit, as `run_events_before` drives it.
+    #[test]
+    fn matches_an_ordered_set_model() {
+        let policies = [SchedulePolicy::Fifo, SchedulePolicy::SeededTieBreak(0x5eed)];
+        for policy in policies {
+            for seed in 0..6 {
+                let mut rng = SimRng::new(seed);
+                let mut w = TimerWheel::new();
+                let mut model = BTreeSet::new();
+                // Every token ever issued, with its model entry: fired and
+                // cancelled ones stay here as stale tokens.
+                let mut tokens: Vec<(TimerToken, (u64, u64, u64))> = Vec::new();
+                let (mut now, mut seq) = (0u64, 0u64);
+                for _ in 0..3_000 {
+                    match rng.next_u64_below(10) {
+                        0..=3 => {
+                            let at = match model.iter().nth(rng.next_u64_below(4) as usize) {
+                                // A forced tie with a pending deadline.
+                                Some(&(at, _, _)) if rng.next_u64_below(3) == 0 => at,
+                                _ => now + draw_delta(&mut rng),
+                            };
+                            let key = policy.tie_key(seq);
+                            let token = w.insert(at, key, seq, TimerWake::Task(seq));
+                            model.insert((at, key, seq));
+                            tokens.push((token, (at, key, seq)));
+                            seq += 1;
+                        }
+                        4 if !tokens.is_empty() => {
+                            let pick = rng.next_u64_below(tokens.len() as u64) as usize;
+                            let (token, entry) = tokens[pick];
+                            assert_eq!(w.cancel(token), model.remove(&entry), "cancel {entry:?}");
+                        }
+                        _ => {
+                            let last = match rng.next_u64_below(4) {
+                                0 => u64::MAX,
+                                _ => now + draw_delta(&mut rng),
+                            };
+                            let head = model.first().copied();
+                            assert_eq!(w.peek_at(), head.map(|(at, _, _)| at));
+                            let got = w.pop_through(last).map(|(at, wake)| match wake {
+                                TimerWake::Task(seq) => (at, seq),
+                                TimerWake::Waker(_) => unreachable!("only task wakes here"),
+                            });
+                            let want = head.filter(|&(at, _, _)| at <= last);
+                            assert_eq!(got, want.map(|(at, _, seq)| (at, seq)));
+                            if let Some(entry) = want {
+                                model.remove(&entry);
+                                now = entry.0;
+                            }
+                        }
+                    }
+                    assert_eq!(w.live(), model.len());
+                }
+                while let Some(entry) = model.pop_first() {
+                    let got = w.pop().map(|(at, wake)| match wake {
+                        TimerWake::Task(seq) => (at, seq),
+                        TimerWake::Waker(_) => unreachable!(),
+                    });
+                    assert_eq!(got, Some((entry.0, entry.2)), "{policy:?} seed {seed}");
+                }
+                assert!(w.pop().is_none());
+                assert_eq!(w.cancelled, w.purged, "every tombstone purged");
+            }
+        }
     }
 }
