@@ -19,7 +19,8 @@
 //! scheduling noise as "speedup", so the harness prints a perf-note and
 //! writes `null` in their place.
 //!
-//! If a previous `BENCH_SIM.json` exists, each config's new `ns/event`
+//! If a previous `BENCH_SIM.json` exists, each config's measured event
+//! count is printed beside the committed one, and its new `ns/event`
 //! is compared against it: a regression beyond 25 % prints a warning
 //! (and fails the process under `SMART_PERF_STRICT=1` — CI keeps the
 //! default job a soft warning, since shared runners make wall clocks
@@ -355,17 +356,20 @@ fn out_path() -> std::path::PathBuf {
         })
 }
 
-/// Pulls `name -> ns_per_event` pairs out of a previous `BENCH_SIM.json`.
-/// The file is our own output (one result object per line), so a line
-/// scan is enough — no JSON parser in the dependency-free workspace.
-fn baseline_ns_per_event(old: &str) -> Vec<(String, f64)> {
+/// Pulls `(name, events, ns_per_event)` out of each pinned result of a
+/// previous `BENCH_SIM.json`. The file is our own output (one result
+/// object per line), so a line scan is enough — no JSON parser in the
+/// dependency-free workspace.
+fn baseline(old: &str) -> Vec<(String, f64, f64)> {
     let mut out = Vec::new();
     for line in old.lines() {
         let Some(name) = field_str(line, "name") else {
             continue;
         };
-        if let Some(ns) = field_f64(line, "ns_per_event") {
-            out.push((name, ns));
+        if let (Some(events), Some(ns)) =
+            (field_f64(line, "events"), field_f64(line, "ns_per_event"))
+        {
+            out.push((name, events, ns));
         }
     }
     out
@@ -480,10 +484,17 @@ fn main() {
     let path = out_path();
     let mut regressions = Vec::new();
     if let Ok(old) = std::fs::read_to_string(&path) {
-        for (name, old_ns) in baseline_ns_per_event(&old) {
+        for (name, old_events, old_ns) in baseline(&old) {
             let Some(new) = results.iter().find(|r| r.name == name) else {
                 continue;
             };
+            // A change that removes (or adds) events on purpose moves
+            // ns/event for that reason alone: log both counts beside it.
+            eprintln!(
+                "  {name}: {} events measured vs {old_events} committed ({:+.1}%)",
+                new.events,
+                (new.events as f64 / old_events - 1.0) * 100.0
+            );
             let new_ns = new.ns_per_event();
             if new_ns > old_ns * (1.0 + REGRESSION_TOLERANCE) {
                 regressions.push(format!(

@@ -1,36 +1,28 @@
 //! Completion demultiplexing: a dedicated polling coroutine per thread
-//! drains the CQ into a map, and syncing coroutines claim their entries.
+//! drains the CQ, and syncing coroutines claim their entries.
 //!
 //! This mirrors SMART's implementation: "SMART also uses a dedicated
-//! coroutine for each thread to poll CQs" (§5.1).
+//! coroutine for each thread to poll CQs" (§5.1). Each drain charges the
+//! thread CPU and replenishes credits (a per-thread hub), delivers the
+//! batch into a [`Claims`] rendezvous and wakes only the claimers it
+//! completed, in the order they began to wait.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use smart_rnic::{Cq, Cqe};
-use smart_rt::detmap::DetMap;
-use smart_rt::sync::{FifoResource, Notify};
+use smart_rt::sync::{Claims, FifoResource};
 use smart_rt::SimHandle;
 
 use crate::throttle::WrThrottle;
 
 /// Shared completion state between the polling coroutine and syncing
 /// coroutines.
+#[derive(Debug)]
 pub struct CompletionHub {
     cq: Rc<Cq>,
-    /// wr_id → completion. Point-lookup only (insert/contains/remove) —
-    /// [`DetMap`] keeps claims O(1) and exposes no iteration order.
-    map: RefCell<DetMap<Cqe>>,
-    notify: Notify,
-}
-
-impl std::fmt::Debug for CompletionHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompletionHub")
-            .field("unclaimed", &self.map.borrow().len())
-            .finish()
-    }
+    /// wr_id → completion.
+    claims: Claims<Cqe>,
 }
 
 impl CompletionHub {
@@ -55,8 +47,7 @@ impl CompletionHub {
     ) -> Rc<Self> {
         let hub = Rc::new(CompletionHub {
             cq: Rc::clone(&cq),
-            map: RefCell::new(DetMap::new()),
-            notify: Notify::new(),
+            claims: Claims::default(),
         });
         let pump = Rc::clone(&hub);
         handle.spawn(async move {
@@ -71,13 +62,10 @@ impl CompletionHub {
                 if let Some(throttle) = &throttle {
                     throttle.replenish(cqes.len() as u64);
                 }
-                {
-                    let mut map = pump.map.borrow_mut();
-                    for cqe in cqes.drain(..) {
-                        map.insert(cqe.wr_id, cqe);
-                    }
+                for cqe in cqes.drain(..) {
+                    pump.claims.deliver(cqe.wr_id, cqe);
                 }
-                pump.notify.notify_all();
+                pump.claims.wake_ready();
             }
         });
         hub
@@ -90,24 +78,14 @@ impl CompletionHub {
 
     /// Completions delivered but not yet claimed.
     pub fn unclaimed(&self) -> usize {
-        self.map.borrow().len()
+        self.claims.unclaimed()
     }
 
     /// Waits until every id in `ids` has completed, removing and
     /// returning the entries in the order of `ids`.
     pub async fn claim(&self, ids: &[u64]) -> Vec<Cqe> {
-        loop {
-            {
-                let mut map = self.map.borrow_mut();
-                if ids.iter().all(|id| map.contains_key(id)) {
-                    return ids
-                        .iter()
-                        .map(|id| map.remove(id).expect("checked present"))
-                        .collect();
-                }
-            }
-            self.notify.notified().await;
-        }
+        self.claims.claim(ids).await;
+        ids.iter().map(|&id| self.claims.take(id)).collect()
     }
 }
 

@@ -129,6 +129,12 @@ impl SmartThread {
         &self.stats
     }
 
+    /// This thread's completion hub, shared with the rest of its QP group
+    /// under the shared-QP and multiplexed policies.
+    pub fn hub(&self) -> &Rc<CompletionHub> {
+        &self.hub
+    }
+
     /// This thread's credit throttle (§4.2).
     pub fn throttle(&self) -> &Rc<WrThrottle> {
         &self.throttle

@@ -21,7 +21,10 @@
 //!   authoritative, every other domain holds an inert shadow;
 //! * domain 0 binds the requester ends and attaches a [`RemotePort`] to
 //!   each crossing blade's shadow ([`MemoryBlade::attach_remote`]); the
-//!   verb lifecycle consults the port instead of serving locally. A
+//!   verb lifecycle consults the port instead of serving locally. The
+//!   port's dispatcher delivers each reply into a
+//!   [`Claims`](smart_rt::sync::Claims) rendezvous keyed by slot and
+//!   wakes only the roundtrip waiting on that slot. A
 //!   blade the plan co-locates with domain 0 gets no port, and a
 //!   [`DomainPlan::single`](crate::DomainPlan::single) plan gives none at
 //!   all: the engine then runs domain 0 alone;
@@ -35,11 +38,10 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use smart_rt::detmap::DetMap;
 use smart_rt::pdes::{
     DomainCtx, DomainId, PdesBuilder, PdesReceiver, PdesSender, RxToken, TxToken,
 };
-use smart_rt::sync::Notify;
+use smart_rt::sync::Claims;
 use smart_rt::SimHandle;
 use smart_trace::Actor;
 
@@ -111,21 +113,14 @@ pub fn blade_link(
     }
 }
 
-/// One in-flight remote verb: the reply value once it arrives, plus the
-/// wakeup for the awaiting coroutine.
-struct ReplyCell {
-    result: RefCell<Option<Result<OpResult, CqeError>>>,
-    notify: Notify,
-}
-
 /// The requester-side endpoint of a [`BladeLink`], attached to the
 /// crossing blade's domain-0 shadow. [`RemotePort::roundtrip`] ships one
-/// [`BladeRequest`] and suspends until the matching [`BladeReply`]
-/// arrives; a dispatcher task (spawned by [`RemotePort::install`])
-/// demultiplexes replies to their waiting slots.
+/// [`BladeRequest`] and claims its slot; a dispatcher task (spawned by
+/// [`RemotePort::install`]) delivers each [`BladeReply`] to that slot and
+/// wakes its claimer.
 pub struct RemotePort {
     tx: PdesSender<BladeRequest>,
-    waiters: RefCell<DetMap<Rc<ReplyCell>>>,
+    replies: Claims<Result<OpResult, CqeError>>,
     next_slot: Cell<u64>,
 }
 
@@ -133,7 +128,7 @@ impl std::fmt::Debug for RemotePort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemotePort")
             .field("sent", &self.next_slot.get())
-            .field("waiting", &self.waiters.borrow().len())
+            .field("replies", &self.replies)
             .finish()
     }
 }
@@ -148,20 +143,16 @@ impl RemotePort {
     ) -> Rc<Self> {
         let port = Rc::new(RemotePort {
             tx,
-            waiters: RefCell::new(DetMap::new()),
+            replies: Claims::default(),
             next_slot: Cell::new(0),
         });
         let dispatch = Rc::clone(&port);
         handle.spawn(async move {
             loop {
                 let reply = rx.recv().await;
-                let cell = dispatch
-                    .waiters
-                    .borrow_mut()
-                    .remove(&reply.slot)
-                    .expect("blade reply for unknown slot");
-                *cell.result.borrow_mut() = Some(reply.result);
-                cell.notify.notify_all();
+                let awaited = dispatch.replies.deliver(reply.slot, reply.result);
+                assert!(awaited, "blade reply for unknown slot");
+                dispatch.replies.wake_ready();
             }
         });
         port
@@ -174,18 +165,9 @@ impl RemotePort {
     pub async fn roundtrip(&self, op: OneSidedOp, actor: Actor) -> Result<OpResult, CqeError> {
         let slot = self.next_slot.get();
         self.next_slot.set(slot + 1);
-        let cell = Rc::new(ReplyCell {
-            result: RefCell::new(None),
-            notify: Notify::new(),
-        });
-        self.waiters.borrow_mut().insert(slot, Rc::clone(&cell));
         self.tx.send(BladeRequest { slot, op, actor });
-        loop {
-            if let Some(result) = cell.result.borrow_mut().take() {
-                return result;
-            }
-            cell.notify.notified().await;
-        }
+        self.replies.claim(&[slot]).await;
+        self.replies.take(slot)
     }
 }
 

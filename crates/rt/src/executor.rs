@@ -180,8 +180,9 @@ impl Drop for Stepping {
     }
 }
 
-/// How a parked runtime future (`Notified`, `Acquire`, `JoinHandle`, the
-/// PDES receiver) resumes its task.
+/// How a parked runtime future (`Notified`, `Acquire`, `Claim`,
+/// `JoinHandle`, the PDES receiver) resumes its task.
+#[derive(Debug)]
 pub(crate) enum Wakeup {
     /// Polled with the context of the task its executor was polling: the
     /// task is named by id and woken with no atomic read-modify-write.

@@ -17,7 +17,9 @@
 //!   [`sync::ContendedLock`] (a spinlock whose handoff cost grows with the
 //!   number of waiters, used for doorbell-register and queue-pair locks),
 //! * classic async coordination: [`sync::Notify`] and [`sync::Semaphore`]
-//!   (the SMART credit/`c_max` mechanisms are built on the semaphore),
+//!   (the SMART credit/`c_max` mechanisms are built on the semaphore), and
+//!   [`sync::Claims`], a keyed rendezvous that wakes only the claims a
+//!   delivery completed (the completion hub's demultiplexer),
 //! * a fast, seedable **PRNG** ([`rng::SimRng`]) so every run is
 //!   reproducible from one seed.
 //!

@@ -23,6 +23,7 @@ use std::time::Duration;
 
 use smart_trace::{Actor, Args, Category, SyncOp};
 
+use crate::detmap::DetMap;
 use crate::executor::{SimHandle, Sleep, Wakeup};
 use crate::time::SimTime;
 
@@ -1070,6 +1071,228 @@ impl<T> WorkQueue<T> {
     /// Deepest backlog ever observed (for queue-depth reporting).
     pub fn high_water(&self) -> usize {
         self.inner.high_water.get()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Claims
+// ---------------------------------------------------------------------------
+
+/// One id's entry: delivered and not yet taken, or awaited by the pending
+/// claim registered under a key.
+#[derive(Debug)]
+enum Slot<V> {
+    Ready(V),
+    Wanted(u64),
+}
+
+/// A pending claim: how many of its ids are still undelivered, and its
+/// wakeup until [`Claims::wake_ready`] spends it.
+#[derive(Debug)]
+struct ClaimWaiter {
+    key: u64,
+    left: usize,
+    wakeup: Option<Wakeup>,
+}
+
+/// Index of the pending claim registered under `key`: the queue is in
+/// registration order, hence sorted by key.
+fn waiter(waiters: &VecDeque<ClaimWaiter>, key: u64) -> Option<usize> {
+    waiters.binary_search_by_key(&key, |w| w.key).ok()
+}
+
+/// A keyed completion rendezvous: values are delivered by `u64` id, and
+/// a [`claim`](Claims::claim) of an id set resolves once every id in it
+/// is in.
+///
+/// Delivery and wake are separate steps. [`deliver`](Claims::deliver)
+/// stores a value and wakes nobody; [`wake_ready`](Claims::wake_ready)
+/// wakes, by task id, exactly the claims that deliveries have completed
+/// since — each once, in registration order. A claim whose ids are all
+/// in when first polled resolves at once and never registers. The owner
+/// of a resolved claim [`take`](Claims::take)s its values before its
+/// next `.await`.
+///
+/// Delivered values and the ids pending claims wait for share one
+/// [`DetMap`]; a delivery finds its claim by binary search in the
+/// key-sorted waiter queue, so no delivery scans the waiters (only a
+/// wake does, once per batch), and a steady claim/deliver churn
+/// allocates nothing.
+///
+/// **Why registration order.** The completion hub's pump used to wake
+/// every parked claimer with [`Notify::notify_all`], in waiter-list
+/// order, and a claimer still missing an id re-registered at the back,
+/// in that same order. So the list stayed in first-registration order
+/// unless a *new* claim registered between a drain and those re-polls.
+/// None can. Timers fire only into an empty ready queue, so the only
+/// tasks ahead of the herd were those the pump itself woke first:
+/// credit waiters of a per-thread hub's throttle, and a credit waiter
+/// must sleep on the thread CPU (building and posting WQEs costs CPU
+/// time) before it can post and claim. Shared hubs have no CPU and no
+/// throttle, so their pump wakes nothing else. Waking only the completed
+/// claims, in registration order, therefore resumes the same tasks in
+/// the same order as the herd did, minus the re-polls that found an id
+/// missing.
+///
+/// ```rust
+/// use std::rc::Rc;
+/// use smart_rt::{Simulation, sync::Claims};
+///
+/// let mut sim = Simulation::new(0);
+/// let claims = Rc::new(Claims::default());
+/// let c2 = Rc::clone(&claims);
+/// let h = sim.handle();
+/// sim.spawn(async move {
+///     h.sleep(smart_rt::Duration::from_nanos(10)).await;
+///     c2.deliver(2, "two");
+///     c2.deliver(1, "one");
+///     c2.wake_ready();
+/// });
+/// let got = sim.block_on(async move {
+///     claims.claim(&[1, 2]).await;
+///     [claims.take(1), claims.take(2)]
+/// });
+/// assert_eq!(got, ["one", "two"]);
+/// ```
+#[derive(Debug)]
+pub struct Claims<V> {
+    slots: RefCell<DetMap<Slot<V>>>,
+    /// Pending claims in registration order. A new claim's key is one
+    /// past the last one's: a key outlives no claim, so reuse is safe.
+    waiters: RefCell<VecDeque<ClaimWaiter>>,
+}
+
+impl<V> Default for Claims<V> {
+    fn default() -> Self {
+        let (slots, waiters) = Default::default();
+        Claims { slots, waiters }
+    }
+}
+
+impl<V> Claims<V> {
+    /// Stores `value` under `id` without waking anyone; returns whether a
+    /// pending claim was waiting for `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was delivered and is not yet taken.
+    pub fn deliver(&self, id: u64, value: V) -> bool {
+        let key = match self.slots.borrow_mut().insert(id, Slot::Ready(value)) {
+            None => return false,
+            Some(Slot::Wanted(key)) => key,
+            Some(Slot::Ready(_)) => panic!("id {id} delivered twice"),
+        };
+        let mut waiters = self.waiters.borrow_mut();
+        let i = waiter(&waiters, key).expect("a wanted id has a pending claim");
+        waiters[i].left -= 1;
+        true
+    }
+
+    /// Wakes every claim completed since the last call, in registration
+    /// order. A waker must not re-enter this rendezvous.
+    pub fn wake_ready(&self) {
+        let mut waiters = self.waiters.borrow_mut();
+        let ready = waiters
+            .iter_mut()
+            .filter_map(|w| w.wakeup.take_if(|_| w.left == 0));
+        ready.for_each(Wakeup::wake);
+    }
+
+    /// Waits until every id in `ids` is delivered; then
+    /// [`take`](Self::take) their values.
+    ///
+    /// # Panics
+    ///
+    /// The first poll panics if `ids` holds an id twice or an id another
+    /// pending claim is waiting for.
+    pub fn claim<'a>(&'a self, ids: &'a [u64]) -> Claim<'a, V> {
+        Claim {
+            claims: self,
+            ids,
+            key: None,
+        }
+    }
+
+    /// Removes and returns the value delivered under `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no value is delivered under `id`.
+    pub fn take(&self, id: u64) -> V {
+        match self.slots.borrow_mut().remove(&id) {
+            Some(Slot::Ready(value)) => value,
+            _ => panic!("id {id} is not delivered"),
+        }
+    }
+
+    /// Values delivered but not yet taken.
+    pub fn unclaimed(&self) -> usize {
+        let wanted: usize = self.waiters.borrow().iter().map(|w| w.left).sum();
+        self.slots.borrow().len() - wanted
+    }
+}
+
+/// Future returned by [`Claims::claim`]. Dropping it while it waits
+/// deregisters it: it is never woken, and its ids are claimable again.
+#[derive(Debug)]
+pub struct Claim<'a, V> {
+    claims: &'a Claims<V>,
+    ids: &'a [u64],
+    /// Registration key while pending.
+    key: Option<u64>,
+}
+
+impl<V> Future for Claim<'_, V> {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let (claims, ids) = (self.claims, self.ids);
+        let mut waiters = claims.waiters.borrow_mut();
+        if let Some(key) = self.key {
+            let i = waiter(&waiters, key).expect("a pending claim stays registered");
+            if waiters[i].left > 0 {
+                // Polled before its ids are in (a combinator re-polling
+                // its branches): refresh the wakeup.
+                waiters[i].wakeup = Some(Wakeup::of(cx));
+                return Poll::Pending;
+            }
+            waiters.remove(i);
+            self.key = None;
+            return Poll::Ready(());
+        }
+        let key = waiters.back().map_or(0, |w| w.key + 1);
+        let mut slots = claims.slots.borrow_mut();
+        let mut left = 0;
+        for (i, &id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(&id), "id {id} claimed twice at once");
+            match slots.get(&id) {
+                None => left += 1,
+                Some(Slot::Wanted(_)) => panic!("id {id} is already claimed"),
+                Some(Slot::Ready(_)) => continue,
+            }
+            slots.insert(id, Slot::Wanted(key));
+        }
+        if left == 0 {
+            return Poll::Ready(());
+        }
+        let wakeup = Some(Wakeup::of(cx));
+        waiters.push_back(ClaimWaiter { key, left, wakeup });
+        self.key = Some(key);
+        Poll::Pending
+    }
+}
+
+impl<V> Drop for Claim<'_, V> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key {
+            self.claims.waiters.borrow_mut().retain(|w| w.key != key);
+            // No other pending claim waits for these ids.
+            let mut slots = self.claims.slots.borrow_mut();
+            for id in self.ids {
+                if matches!(slots.get(id), Some(Slot::Wanted(_))) {
+                    slots.remove(id);
+                }
+            }
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Allocation gate for the runtime's event path: once slabs, queues and
 //! the timer wheel have grown to their high-water marks, a timer event,
-//! a `Notify` round, a queueing-model visit, a wake by task id and a
-//! `DetMap` insert/remove must not touch the allocator at all. Every simulated event of every
+//! a `Notify` round, a queueing-model visit, a wake by task id, a
+//! `DetMap` insert/remove and a `Claims` claim/deliver round must not
+//! touch the allocator at all. Every simulated event of every
 //! workload runs through these lines; one hidden `Vec` or `Arc` per
 //! event is the difference between 45 and 75 host ns per event.
 //!
@@ -14,7 +15,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use smart_rt::detmap::DetMap;
-use smart_rt::sync::{ContendedLock, FifoResource, Notify, Semaphore};
+use smart_rt::sync::{Claims, ContendedLock, FifoResource, Notify, Semaphore};
 use smart_rt::{Duration, SimTime, Simulation};
 
 struct CountingAlloc;
@@ -185,6 +186,48 @@ fn detmap_steady_state_churn_is_allocation_free() {
     let n = allocations(|| (0..100_000).for_each(|_| lap(&mut m)));
     assert!(m.is_empty());
     assert_eq!(n, 0, "{n} allocations in 100 000 insert-8/remove-8 laps");
+}
+
+#[test]
+fn claims_churn_is_allocation_free() {
+    // The completion hub's life: eight claimers each wait on four fresh
+    // ids per lap, delivered in four partial batches (every claimer's
+    // j-th id in batch j, highest claimer first), one wake per batch.
+    const CLAIMERS: u64 = 8;
+    const IDS: u64 = 4;
+    let mut sim = Simulation::new(6);
+    let claims = Rc::new(Claims::default());
+    let laps = Rc::new(Cell::new(0u64));
+    for c in 0..CLAIMERS {
+        let (claims, laps) = (Rc::clone(&claims), Rc::clone(&laps));
+        sim.spawn(async move {
+            for lap in 0.. {
+                let base = lap * CLAIMERS * IDS + c * IDS;
+                let ids: [u64; IDS as usize] = std::array::from_fn(|j| base + j as u64);
+                claims.claim(&ids).await;
+                for id in ids {
+                    assert_eq!(claims.take(id), id);
+                }
+                laps.set(laps.get() + 1);
+            }
+        });
+    }
+    let h = sim.handle();
+    sim.spawn(async move {
+        for lap in 0.. {
+            for j in 0..IDS {
+                h.sleep(Duration::from_nanos(10)).await;
+                for c in (0..CLAIMERS).rev() {
+                    let id = lap * CLAIMERS * IDS + c * IDS + j;
+                    claims.deliver(id, id);
+                }
+                claims.wake_ready();
+            }
+        }
+    });
+    let n = steady_state_allocations(&mut sim, 1_000, 400_000);
+    assert_eq!(laps.get(), CLAIMERS * 10_025);
+    assert_eq!(n, 0, "{n} allocations in 10 000 laps of 8 claims each");
 }
 
 #[test]
