@@ -12,9 +12,11 @@
 //! and review the golden diff like any other code change.
 //!
 //! The second section pins the **inline driver** on the remaining bench
-//! shapes — fig07-small, fig14-small, a serve phase (report fingerprint
-//! plus the FNV-1a-64 of the trace JSON) and an 8-seed chaos sweep —
-//! against goldens captured before the hosted path was removed.
+//! shapes — fig07-small, fig14-small, a small SmallBank transaction run,
+//! a small SMART-BT run, a serve phase (report fingerprint plus the
+//! FNV-1a-64 of the trace JSON) and an 8-seed chaos sweep — against
+//! goldens captured before the hosted path was removed (the DTX and
+//! B+Tree cells: before their runners moved to the engine driver).
 //!
 //! The third section is the **engine-driver matrix** gating the blade
 //! engine domains: fig07 and a serve phase run under partitions that
@@ -28,7 +30,10 @@
 
 use std::path::PathBuf;
 
-use smart_bench::{run_ht, run_ht_decomposed, serve_spec, HtParams, RunReport};
+use smart_bench::{
+    run_bt, run_dtx, run_ht, run_ht_decomposed, serve_spec, BtParams, BtVariant, DtxParams,
+    DtxWorkload, HtParams, RunReport,
+};
 use smart_lab::smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
 use smart_lab::smart_fault::FaultPlan;
 use smart_lab::smart_rnic::{BladeId, DomainPlan};
@@ -210,16 +215,24 @@ fn serve_fingerprint(report: &ServeReport) -> String {
     )
 }
 
-/// Runs one hash-table cell on the inline driver with a tracer installed.
-fn inline_ht_cell(mut p: HtParams) -> String {
+/// Runs one closed-loop cell with a tracer installed: `run` puts the
+/// sink into its params and runs them.
+fn traced_cell(run: impl FnOnce(TraceSink) -> RunReport) -> String {
     let sink = TraceSink::with_capacity(TRACE_EVENTS);
-    p.trace = Some(sink.clone());
-    let report = run_ht(&p);
+    let report = run(sink.clone());
     format!(
         "{}{}",
         report_fingerprint(&report),
         trace_line(&sink.chrome_json())
     )
+}
+
+/// Runs one hash-table cell on the inline driver with a tracer installed.
+fn inline_ht_cell(mut p: HtParams) -> String {
+    traced_cell(|sink| {
+        p.trace = Some(sink);
+        run_ht(&p)
+    })
 }
 
 fn serve_phase() -> ServeSpec {
@@ -250,6 +263,32 @@ fn fig14_small_inline_matches_golden() {
     p.measure = Duration::from_millis(1);
     p.seed = 42;
     assert_golden("inline_fig14_small.fp.txt", &inline_ht_cell(p));
+}
+
+#[test]
+fn dtx_smallbank_small_inline_matches_golden() {
+    let mut p = DtxParams::new(SmartConfig::smart_full(4), 4, DtxWorkload::SmallBank, 2_000);
+    p.warmup = Duration::from_micros(500);
+    p.measure = Duration::from_millis(1);
+    let fp = traced_cell(|sink| {
+        p.trace = Some(sink);
+        run_dtx(&p)
+    });
+    assert!(!fp.starts_with("ops=0\n"), "no transaction committed");
+    assert_golden("inline_dtx_smallbank.fp.txt", &fp);
+}
+
+#[test]
+fn bt_smart_small_inline_matches_golden() {
+    let mut p = BtParams::new(BtVariant::SmartBt, 4, 5_000, Mix::WriteHeavy);
+    p.warmup = Duration::from_micros(500);
+    p.measure = Duration::from_millis(1);
+    let fp = traced_cell(|sink| {
+        p.trace = Some(sink);
+        run_bt(&p)
+    });
+    assert!(!fp.starts_with("ops=0\n"), "no tree operation completed");
+    assert_golden("inline_bt_smart.fp.txt", &fp);
 }
 
 #[test]
