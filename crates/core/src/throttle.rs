@@ -181,9 +181,10 @@ impl WrThrottle {
 
 /// The epoch-based tuner (Algorithm 1 lines 14–24): probes each candidate
 /// `C_max` for Δ, keeps the best, then sleeps through the stable phase.
-/// Spawn it once per thread; it runs until `quiesce` is set (checked at
-/// each epoch boundary), which run-to-quiescence engines use to let the
-/// simulation terminate — see
+/// Spawn it once per thread; it runs until `quiesce` is set (checked
+/// after every sleep, so a quiesced tuner neither finishes its probe
+/// round nor moves `C_max` again), which run-to-quiescence engines use
+/// to let the simulation terminate — see
 /// [`SmartContext::quiesce_controllers`](crate::SmartContext::quiesce_controllers).
 pub async fn run_c_max_tuner(
     handle: SimHandle,
@@ -199,6 +200,9 @@ pub async fn run_c_max_tuner(
             throttle.update_c_max(target);
             let before = completed.get();
             handle.sleep(cfg.probe_interval).await;
+            if quiesce.get() {
+                return;
+            }
             let score = completed.get() - before;
             if score > best_score {
                 best_score = score;
@@ -346,5 +350,35 @@ mod tests {
         // Run through one full update phase.
         sim.run_for(cfg.probe_interval * 6);
         assert_eq!(t.c_max(), 10);
+    }
+
+    #[test]
+    fn quiesced_tuner_stops_mid_probe() {
+        let mut sim = Simulation::new(0);
+        let h = sim.handle();
+        let sink = smart_trace::TraceSink::with_capacity(64);
+        h.install_tracer(sink.clone());
+        let t = WrThrottle::new(true, 8);
+        let cfg = SmartConfig::default();
+        let quiesce = Rc::new(std::cell::Cell::new(false));
+        sim.spawn(run_c_max_tuner(
+            h,
+            Rc::clone(&t),
+            Counter::new(),
+            cfg.clone(),
+            Rc::clone(&quiesce),
+        ));
+        // Halfway through the second candidate's probe.
+        sim.run_for(cfg.probe_interval * 3 / 2);
+        let probing = t.c_max();
+        assert_eq!(probing, cfg.c_max_candidates[1]);
+        quiesce.set(true);
+        sim.run();
+        assert_eq!(t.c_max(), probing, "a quiesced tuner moved C_max");
+        assert!(
+            sink.events().iter().all(|e| e.name() != "c_max"),
+            "a quiesced tuner emitted a c_max counter"
+        );
+        assert_eq!(sim.live_tasks(), 0);
     }
 }
