@@ -3,8 +3,8 @@
 //! Everything else in this repo measures *virtual* time; this binary is
 //! the one place that holds a stopwatch to the executor. It runs pinned
 //! fig03/fig07/fig14 configurations (fixed seeds, fixed windows —
-//! independent of `SMART_BENCH_MODE`) on the inline driver — one
-//! simulation on the calling thread, a genuinely single-domain plan —
+//! independent of `SMART_BENCH_MODE`) through `run_ht` — one engine
+//! worker on the calling thread under a single-domain plan —
 //! reports how many scheduling events (task polls + timer fires) the
 //! simulator processed per second of wall time, and writes
 //! `BENCH_SIM.json` (schema v4) at the repo root. Every result records
@@ -52,8 +52,8 @@ const REGRESSION_TOLERANCE: f64 = 0.25;
 const DECOMPOSED_WORKERS: usize = 4;
 const DECOMPOSED_SPEEDUP_GATE: f64 = 1.3;
 
-/// One pinned config timed on the inline driver: a single simulation on
-/// the calling thread, i.e. a single-domain plan by construction.
+/// One pinned config timed under a single-domain plan on one engine
+/// worker (`run_ht`; fig03 is the microbench's own simulation).
 struct PerfResult {
     name: &'static str,
     events: u64,

@@ -1,30 +1,77 @@
-//! The engine driver for the hash-table scenario: memory blades as real
-//! PDES engine domains.
+//! The one driver: every closed-loop workload runs through
+//! [`smart_rnic::run_decomposed`].
 //!
-//! [`run_ht_decomposed`] runs the same `HtScenario` body as
-//! [`crate::run_ht`] in domain 0 of a [`smart_rnic::run_decomposed`]
-//! topology: compute-side verbs cross to the blade domains over
-//! [`BladeRequest`](smart_rnic::BladeRequest)/[`BladeReply`](smart_rnic::BladeReply)
+//! [`run_closed_loop`] runs a [`ClosedLoop`] scenario in domain 0 of a
+//! [`DomainPlan`]. Its phase controller — written once, here — sleeps
+//! through the warm-up, opens the measure window, sleeps through it,
+//! closes it (the workers exit after their in-flight operation) and
+//! quiesces every `SmartContext`'s controller coroutines; the engine then
+//! runs to quiescence, so in-flight recoveries finish on their own and no
+//! fixed drain window is needed. [`crate::run_ht`], [`crate::run_dtx`]
+//! and [`crate::run_bt`] are this driver under [`DomainPlan::single`]
+//! on one engine worker.
+//!
+//! [`run_ht_decomposed`] takes any plan: compute-side verbs cross to the
+//! blade domains over [`BladeRequest`](smart_rnic::BladeRequest)/[`BladeReply`](smart_rnic::BladeReply)
 //! channels at fabric one-way latency (the conservative lookahead), and
 //! a blade the plan keeps in domain 0 — every blade, under
-//! [`DomainPlan::single`] — is served in place. Both drivers share one
-//! verb lifecycle (one blade half, one fault rule). What differs from
-//! the inline driver is only the driving — the warmup → measure
-//! schedule is a phase-controller coroutine inside the compute domain,
-//! and the engine runs to quiescence instead of for a fixed drain — and,
-//! for remote blades, the order in which events of different domains
-//! that fall on the same nanosecond merge. The determinism gate is
-//! *worker-count invariance for a fixed plan*, asserted by
-//! `tests/scheduler_equiv.rs` at workers 1/2/4/8 against committed
-//! goldens.
+//! [`DomainPlan::single`] — is served in place. All plans share one verb
+//! lifecycle (one blade half, one fault rule); what a partition changes
+//! is the order in which events of different domains that fall on the
+//! same nanosecond merge. The determinism gate is *worker-count
+//! invariance for a fixed plan*, asserted by `tests/scheduler_equiv.rs`
+//! at workers 1/2/4/8 against committed goldens.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use smart_fault::FaultInjector;
-use smart_rnic::{run_decomposed, Decomposed, DomainPlan};
+use smart_rnic::{run_decomposed, Cluster, ClusterConfig, Decomposed, DomainPlan};
+use smart_rt::pdes::DomainId;
+use smart_rt::SimHandle;
 
-use crate::runners::{ht_cluster_config, load_ht, HtParams, HtScenario, HtWindow, RunReport};
+use crate::runners::{ht_cluster_config, load_ht, start_ht, ClosedLoop, HtParams, RunReport};
+
+/// Runs the closed-loop scenario `start` builds in domain 0 of `plan`,
+/// executable by up to `engine_workers` OS threads, and fills the
+/// report's `sim_events` (summed over all domains) and `live_tasks`.
+/// `bootstrap` runs in every blade domain on its own replica of the
+/// cluster: it must replay the deterministic preload `start` performs.
+pub(crate) fn run_closed_loop(
+    seed: u64,
+    cfg: ClusterConfig,
+    plan: &DomainPlan,
+    engine_workers: usize,
+    start: impl FnOnce(&SimHandle, &Cluster) -> ClosedLoop + 'static,
+    bootstrap: impl Fn(&Cluster, DomainId) + Clone + Send + 'static,
+) -> Decomposed<RunReport> {
+    let mut d = run_decomposed(
+        seed,
+        cfg,
+        plan,
+        engine_workers,
+        move |h, cluster| {
+            let scenario = Rc::new(start(h, cluster));
+            let (hh, s) = (h.clone(), Rc::clone(&scenario));
+            h.spawn(async move {
+                hh.sleep(s.warmup).await;
+                s.open_window();
+                hh.sleep(s.measure).await;
+                s.close_window();
+                for ctx in &s.contexts {
+                    ctx.quiesce_controllers();
+                }
+            });
+            Box::new(move || scenario.report())
+        },
+        move |cluster, domain| {
+            bootstrap(cluster, domain);
+            Box::new(|_, _| String::new())
+        },
+    );
+    d.report.sim_events = d.events;
+    d.report.live_tasks = d.live_tasks;
+    d
+}
 
 /// Runs a hash-table experiment decomposed over `plan`, executable by up
 /// to `engine_workers` OS threads; `p.trace`, when set, is installed in
@@ -39,8 +86,7 @@ use crate::runners::{ht_cluster_config, load_ht, HtParams, HtScenario, HtWindow,
 /// crash and restart on the same schedule.
 ///
 /// The result is byte-identical for every `engine_workers` value — that
-/// is the PDES contract this driver inherits. `report.sim_events` sums
-/// scheduling events over all domains.
+/// is the PDES contract this driver inherits.
 ///
 /// # Panics
 ///
@@ -54,43 +100,12 @@ pub fn run_ht_decomposed(
     let p0 = p.clone();
     let lowered = p.fault.clone().unwrap_or_default().lower_onto(plan);
     let keys = p.keys;
-    let mut d = run_decomposed(
+    run_closed_loop(
         p.seed,
         ht_cluster_config(p),
         plan,
         engine_workers,
-        move |h, cluster| {
-            let scenario = Rc::new(HtScenario::start(h, cluster, &p0));
-
-            // Phase controller: the stand-in for the inline driver's
-            // imperative `run_for` schedule. Workers exit at the window's
-            // close, the framework's controller coroutines exit at their
-            // next wake-up once quiesced, and the engine then runs to
-            // quiescence — no explicit drain window is needed; in-flight
-            // recoveries finish on their own.
-            let window: Rc<Cell<Option<HtWindow>>> = Rc::default();
-            {
-                let (hh, scenario, window) = (h.clone(), Rc::clone(&scenario), Rc::clone(&window));
-                let measure = p0.measure;
-                h.spawn(async move {
-                    hh.sleep(scenario.warmup).await;
-                    let mark = scenario.open_window();
-                    hh.sleep(measure).await;
-                    let closed = scenario.close_window(mark);
-                    for ctx in &scenario.contexts {
-                        ctx.quiesce_controllers();
-                    }
-                    window.set(Some(closed));
-                });
-            }
-
-            Box::new(move || {
-                let window = window
-                    .take()
-                    .expect("phase controller must run to completion");
-                scenario.report(window, p0.measure)
-            })
-        },
+        move |h, cluster| start_ht(h, cluster, &p0),
         move |cluster, domain| {
             // The table can go once loaded: the blades keep its bytes.
             load_ht(cluster.blades(), keys);
@@ -102,13 +117,9 @@ pub fn run_ht_decomposed(
                 // its own reference to the injector).
                 let _ = FaultInjector::install(cluster, sub.clone());
             }
-            Box::new(|_, _| String::new())
         },
-    );
-    d.report.sim_events = d.events;
-    d
+    )
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

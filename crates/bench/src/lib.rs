@@ -5,11 +5,12 @@
 //! One `cargo bench` target per figure/table of the SMART paper (see
 //! `benches/`); this library holds the shared runners and reporting.
 //!
-//! A workload's scenario body is written once and driven two ways: the
-//! *inline driver* ([`run_ht`], [`run_dtx`], [`run_bt`]; one simulation,
-//! stepped imperatively) and, for the hash table, the *engine driver*
-//! ([`run_ht_decomposed`]; the same body in the compute domain of a PDES
-//! run whose memory blades are engine domains).
+//! Every workload runs through one driver, `smart_rnic::run_decomposed`:
+//! a phase-controller coroutine in the compute domain sleeps through the
+//! warm-up and measure windows, and the engine runs to quiescence.
+//! [`run_ht`], [`run_dtx`] and [`run_bt`] run it under
+//! `DomainPlan::single` on one engine worker; [`run_ht_decomposed`]
+//! takes any plan, with memory blades as engine domains.
 //!
 //! Modes: `SMART_BENCH_MODE=quick` (default, coarse sweeps and short
 //! windows) or `full` (paper-scale). Results print as aligned tables and

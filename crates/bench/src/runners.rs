@@ -2,29 +2,33 @@
 //! drive it with N simulated threads × depth coroutines, measure
 //! throughput and latency over a virtual-time window.
 //!
-//! Every `run_*` here is the **inline driver**: one [`Simulation`] owns
-//! compute nodes and blades alike and is stepped imperatively through
-//! warmup → measure → drain. The hash-table scenario body
-//! ([`HtScenario`]) is also what `crate::run_ht_decomposed`, the engine
-//! driver, runs in its compute domain.
+//! Each workload is a [`ClosedLoop`] scenario — the application loaded
+//! and every worker coroutine spawned — built by its `start_*` function,
+//! and [`run_ht`], [`run_dtx`] and [`run_bt`] run it through the one
+//! driver, [`crate::decomposed::run_closed_loop`], under
+//! [`DomainPlan::single`] on one engine worker: the phase controller
+//! sleeps through warm-up and the measure window, quiesces the framework
+//! controllers, and the engine runs to quiescence.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use smart::{SmartConfig, SmartContext, SmartThread};
+use smart::{SmartConfig, SmartContext, SmartCoro, SmartThread};
 use smart_fault::{FaultInjector, FaultPlan};
 use smart_ford::{backoff_after_abort, SmallBank, Tatp};
-use smart_race::{RaceConfig, RaceHashTable, RETRY_HIST_BUCKETS};
-use smart_rnic::{BladeConfig, Cluster, ClusterConfig, MemoryBlade};
+use smart_race::{RaceConfig, RaceHashTable};
+use smart_rnic::{BladeConfig, Cluster, ClusterConfig, DomainPlan, MemoryBlade};
 use smart_rt::metrics::Counter;
-use smart_rt::{Duration, SimHandle, Simulation};
+use smart_rt::{Duration, SimHandle, SimTime};
 use smart_serve::{AdmissionConfig, MembershipPlan, RatePlan, ServeSpec};
 use smart_sherman::{ShermanConfig, ShermanTree};
-use smart_trace::LogHistogram;
+use smart_trace::{LogHistogram, TraceSink};
 use smart_workloads::latency::LatencyRecorder;
 use smart_workloads::smallbank::SmallBankGenerator;
 use smart_workloads::tatp::TatpGenerator;
 use smart_workloads::ycsb::{Mix, YcsbGenerator, YcsbOp};
+
+use crate::decomposed::{run_closed_loop, run_ht_decomposed};
 
 /// Common measurement output.
 #[derive(Clone, Debug, Default)]
@@ -72,72 +76,19 @@ pub struct RunReport {
     /// goldens: purging cancelled timers changes how many events the
     /// executor processes without changing simulated behaviour.
     pub sim_events: u64,
+    /// Tasks still live in the compute domain once the run quiesced
+    /// ([`smart_rnic::Decomposed::live_tasks`]): the parked CQ pumps and
+    /// remote-port dispatchers. A worker left here is a lost wakeup.
+    pub live_tasks: usize,
 }
 
-/// Shared per-run measurement plumbing.
+/// What the workers and the phase controller share.
+#[derive(Default)]
 struct Probe {
     ops: Counter,
-    measuring: Rc<Cell<bool>>,
-    stop: Rc<Cell<bool>>,
-    latency: Rc<RefCell<LatencyRecorder>>,
-}
-
-impl Probe {
-    fn new() -> Self {
-        Probe {
-            ops: Counter::new(),
-            measuring: Rc::new(Cell::new(false)),
-            stop: Rc::new(Cell::new(false)),
-            latency: Rc::new(RefCell::new(LatencyRecorder::new())),
-        }
-    }
-}
-
-/// Virtual time granted after the measurement window for workers to
-/// finish their in-flight operation and exit: the run quiesces, so the
-/// credit-conservation audit in [`FaultProbe::fill`] is meaningful (and
-/// generous enough to cover a pending fault-recovery backoff or a blade
-/// crash window from a chaos plan).
-const DRAIN: Duration = Duration::from_millis(5);
-
-/// Chaos-layer plumbing: installs the injector (when the run has a fault
-/// plan) and tracks every thread so recovery outcomes can be aggregated
-/// into the report after the run.
-struct FaultProbe {
-    injector: Option<Rc<FaultInjector>>,
-    threads: RefCell<Vec<Rc<SmartThread>>>,
-}
-
-impl FaultProbe {
-    fn install(cluster: &Cluster, plan: &Option<FaultPlan>) -> Self {
-        FaultProbe {
-            injector: plan.clone().map(|pl| FaultInjector::install(cluster, pl)),
-            threads: RefCell::new(Vec::new()),
-        }
-    }
-
-    fn track(&self, thread: &Rc<SmartThread>) {
-        self.threads.borrow_mut().push(Rc::clone(thread));
-    }
-
-    fn fill(&self, report: &mut RunReport) {
-        let mut hist = LogHistogram::new();
-        for th in self.threads.borrow().iter() {
-            report.faults_seen += th.stats().faults_seen.get();
-            report.faults_recovered += th.stats().faults_recovered.get();
-            hist.merge(&th.stats().recovery_ns.borrow());
-            report
-                .conservation
-                .extend(th.throttle().conservation_violations());
-        }
-        report.faults_injected = self
-            .injector
-            .as_ref()
-            .map_or(0, |i| i.stats().total_injected());
-        report.recovery_p50 = Duration::from_nanos(hist.percentile(500));
-        report.recovery_p99 = Duration::from_nanos(hist.percentile(990));
-        report.recovery_hist = hist;
-    }
+    measuring: Cell<bool>,
+    stop: Cell<bool>,
+    latency: RefCell<LatencyRecorder>,
 }
 
 /// Prepares a per-run framework config: for short measurement windows the
@@ -165,6 +116,180 @@ fn tune_for_window(
         warmup = warmup.max(Duration::from_millis(30));
     }
     (cfg, warmup)
+}
+
+/// A started closed-loop scenario: application loaded, every worker
+/// coroutine spawned, nothing has run yet. The driver sleeps through
+/// [`Self::warmup`] and [`Self::measure`], bracketing the latter with
+/// [`Self::open_window`]/[`Self::close_window`], quiesces
+/// [`Self::contexts`], runs to quiescence, then calls [`Self::report`].
+pub(crate) struct ClosedLoop {
+    probe: Rc<Probe>,
+    /// The chaos layer, when the run has a fault plan.
+    injector: Option<Rc<FaultInjector>>,
+    /// Every worker thread, for the recovery and credit audits.
+    threads: Vec<Rc<SmartThread>>,
+    /// The framework config with [`tune_for_window`] applied.
+    cfg: SmartConfig,
+    /// One per compute node (their tuner/controller coroutines must be
+    /// quiesced for the run to end).
+    pub(crate) contexts: Vec<Rc<SmartContext>>,
+    /// Warm-up to run before the window, extended for controller
+    /// convergence ([`tune_for_window`]).
+    pub(crate) warmup: Duration,
+    /// Length of the measure window.
+    pub(crate) measure: Duration,
+    /// Counter readings — completed operations, then the workload's own
+    /// in `read` order: absolute while the window is open, the window's
+    /// deltas once it has closed.
+    window: RefCell<Vec<u64>>,
+    /// Reads the workload's own counters.
+    read: Box<dyn Fn() -> Vec<u64>>,
+    /// Writes a closed window's workload counters into the report.
+    fill: fn(&[u64], &mut RunReport),
+}
+
+impl ClosedLoop {
+    /// Installs `trace` and the fault plan; the caller then loads its
+    /// application and spawns the workers with [`Self::spawn_workers`].
+    fn new(
+        h: &SimHandle,
+        cluster: &Cluster,
+        trace: &Option<TraceSink>,
+        fault: &Option<FaultPlan>,
+        smart: &SmartConfig,
+        warmup: Duration,
+        measure: Duration,
+    ) -> ClosedLoop {
+        if let Some(sink) = trace {
+            h.install_tracer(sink.clone());
+        }
+        let injector = fault.clone().map(|pl| FaultInjector::install(cluster, pl));
+        let (cfg, warmup) = tune_for_window(smart, warmup, measure);
+        ClosedLoop {
+            probe: Rc::default(),
+            injector,
+            threads: Vec::new(),
+            cfg,
+            contexts: Vec::new(),
+            warmup,
+            measure,
+            window: RefCell::default(),
+            read: Box::new(Vec::new),
+            fill: |_, _| {},
+        }
+    }
+
+    /// Spawns `threads × depth` closed-loop workers on each of `nodes`
+    /// compute nodes, one [`SmartContext`] per node. `worker(node,
+    /// thread, coroutine, coro)` builds each one's operation, which it
+    /// runs back to back — after `pace`, if set — until the window
+    /// closes, counting every completed operation and recording its
+    /// latency inside the window.
+    fn spawn_workers<Op: AsyncFnMut(SimTime) + 'static>(
+        &mut self,
+        h: &SimHandle,
+        cluster: &Cluster,
+        [nodes, threads, depth]: [usize; 3],
+        pace: Option<Duration>,
+        mut worker: impl FnMut(usize, usize, usize, SmartCoro) -> Op,
+    ) {
+        for node in 0..nodes {
+            let mut cfg = self.cfg.clone();
+            cfg.expected_threads = threads;
+            cfg.coroutines_per_thread = depth;
+            let ctx = SmartContext::new(cluster.compute(node), cluster.blades(), cfg);
+            for t in 0..threads {
+                let thread = ctx.create_thread();
+                for c in 0..depth {
+                    let mut op = worker(node, t, c, thread.coroutine());
+                    let (probe, handle) = (Rc::clone(&self.probe), h.clone());
+                    h.spawn(async move {
+                        while !probe.stop.get() {
+                            if let Some(d) = pace {
+                                handle.sleep(d).await;
+                            }
+                            let start = handle.now();
+                            op(start).await;
+                            probe.ops.incr();
+                            if probe.measuring.get() {
+                                probe.latency.borrow_mut().record(handle.now() - start);
+                            }
+                        }
+                    });
+                }
+                self.threads.push(thread);
+            }
+            self.contexts.push(ctx);
+        }
+    }
+
+    fn counters(&self) -> Vec<u64> {
+        let mut counters = vec![self.probe.ops.get()];
+        counters.extend((self.read)());
+        counters
+    }
+
+    /// Starts recording latencies and marks the window's start.
+    pub(crate) fn open_window(&self) {
+        self.probe.measuring.set(true);
+        *self.window.borrow_mut() = self.counters();
+    }
+
+    /// Ends the window and tells the workers to exit after their
+    /// in-flight operation.
+    pub(crate) fn close_window(&self) {
+        let now = self.counters();
+        self.probe.measuring.set(false);
+        self.probe.stop.set(true);
+        for (w, n) in self.window.borrow_mut().iter_mut().zip(now) {
+            *w = n - *w;
+        }
+    }
+
+    /// Assembles the report of a quiesced run (`sim_events` and
+    /// `live_tasks` are left for the driver to fill).
+    pub(crate) fn report(&self) -> RunReport {
+        assert!(self.probe.stop.get(), "the window never closed");
+        let (window, lat) = (self.window.borrow(), self.probe.latency.borrow());
+        let mut report = RunReport {
+            ops: window[0],
+            mops: window[0] as f64 / self.measure.as_secs_f64() / 1e6,
+            median: lat.median(),
+            p99: lat.p99(),
+            ..RunReport::default()
+        };
+        (self.fill)(&window[1..], &mut report);
+        let mut hist = LogHistogram::new();
+        for th in &self.threads {
+            report.faults_seen += th.stats().faults_seen.get();
+            report.faults_recovered += th.stats().faults_recovered.get();
+            hist.merge(&th.stats().recovery_ns.borrow());
+            report
+                .conservation
+                .extend(th.throttle().conservation_violations());
+        }
+        report.faults_injected = self
+            .injector
+            .as_ref()
+            .map_or(0, |i| i.stats().total_injected());
+        report.recovery_p50 = Duration::from_nanos(hist.percentile(500));
+        report.recovery_p99 = Duration::from_nanos(hist.percentile(990));
+        report.recovery_hist = hist;
+        report
+    }
+}
+
+/// Runs the scenario `start` builds through [`run_closed_loop`] under
+/// [`DomainPlan::single`] on one engine worker.
+fn run_single(
+    seed: u64,
+    cfg: ClusterConfig,
+    start: impl FnOnce(&SimHandle, &Cluster) -> ClosedLoop + 'static,
+) -> RunReport {
+    let plan = DomainPlan::single(cfg.compute_nodes as u32, cfg.memory_blades as u32);
+    let no_blade_domain = |_: &Cluster, _| unreachable!("a single plan has no blade domain");
+    run_closed_loop(seed, cfg, &plan, 1, start, no_blade_domain).report
 }
 
 // ---------------------------------------------------------------------------
@@ -267,167 +392,50 @@ pub(crate) fn load_ht(blades: &[Rc<MemoryBlade>], keys: u64) -> Rc<RaceHashTable
     table
 }
 
-/// Operation and CAS-retry counters: absolute readings when a
-/// measurement window opens, the window's deltas once it has closed.
-pub(crate) struct HtWindow {
-    ops: u64,
-    retries: u64,
-    hist: [u64; RETRY_HIST_BUCKETS],
-}
-
-/// A started hash-table scenario: table loaded, every worker coroutine
-/// spawned, nothing has run yet. The driver advances virtual time
-/// through [`Self::warmup`] and the measure window, bracketing the latter
-/// with [`Self::open_window`]/[`Self::close_window`], lets the workers
-/// drain, then calls [`Self::report`].
-pub(crate) struct HtScenario {
-    probe: Probe,
-    chaos: FaultProbe,
-    table: Rc<RaceHashTable>,
-    /// One per compute node (their tuner/controller coroutines must be
-    /// quiesced by a run-to-quiescence driver).
-    pub(crate) contexts: Vec<Rc<SmartContext>>,
-    /// Warm-up to run before the window, extended for controller
-    /// convergence ([`tune_for_window`]).
-    pub(crate) warmup: Duration,
-}
-
-impl HtScenario {
-    /// Installs `p.trace`, builds the scenario on `cluster` and spawns
-    /// its workers on `h`.
-    pub(crate) fn start(h: &SimHandle, cluster: &Cluster, p: &HtParams) -> HtScenario {
-        if let Some(sink) = &p.trace {
-            h.install_tracer(sink.clone());
-        }
-        let chaos = FaultProbe::install(cluster, &p.fault);
-        let table = load_ht(cluster.blades(), p.keys);
-        let base_gen = YcsbGenerator::new(p.keys, p.theta, p.mix, p.seed);
-        let probe = Probe::new();
-        let (tuned, warmup) = tune_for_window(&p.smart, p.warmup, p.measure);
-
-        let mut contexts = Vec::new();
-        for node in 0..p.compute_nodes {
-            let mut cfg = tuned.clone();
-            cfg.expected_threads = p.threads;
-            cfg.coroutines_per_thread = p.depth;
-            let ctx = SmartContext::new(cluster.compute(node), cluster.blades(), cfg);
-            for t in 0..p.threads {
-                let thread = ctx.create_thread();
-                chaos.track(&thread);
-                for c in 0..p.depth {
-                    let coro = thread.coroutine();
-                    let table = Rc::clone(&table);
-                    let mut gen = base_gen
-                        .fork(p.seed ^ ((node as u64) << 40) ^ ((t as u64) << 20) ^ c as u64);
-                    let ops = probe.ops.clone();
-                    let measuring = Rc::clone(&probe.measuring);
-                    let stop = Rc::clone(&probe.stop);
-                    let latency = Rc::clone(&probe.latency);
-                    let pace = p.pace;
-                    let handle = h.clone();
-                    h.spawn(async move {
-                        while !stop.get() {
-                            if let Some(d) = pace {
-                                handle.sleep(d).await;
-                            }
-                            let start = handle.now();
-                            match gen.next_op() {
-                                YcsbOp::Lookup(k) => {
-                                    let _ = table.get(&coro, &k.to_le_bytes()).await;
-                                }
-                                YcsbOp::Update(k) => {
-                                    let _ = table
-                                        .update(
-                                            &coro,
-                                            &k.to_le_bytes(),
-                                            &handle.now().as_nanos().to_le_bytes(),
-                                        )
-                                        .await;
-                                }
-                            }
-                            ops.incr();
-                            if measuring.get() {
-                                latency.borrow_mut().record(handle.now() - start);
-                            }
-                        }
-                    });
-                }
+/// Starts a hash-table scenario on `cluster`.
+pub(crate) fn start_ht(h: &SimHandle, cluster: &Cluster, p: &HtParams) -> ClosedLoop {
+    let mut run = ClosedLoop::new(
+        h, cluster, &p.trace, &p.fault, &p.smart, p.warmup, p.measure,
+    );
+    let table = load_ht(cluster.blades(), p.keys);
+    let base_gen = YcsbGenerator::new(p.keys, p.theta, p.mix, p.seed);
+    let grid = [p.compute_nodes, p.threads, p.depth];
+    run.spawn_workers(h, cluster, grid, p.pace, |node, t, c, coro| {
+        let table = Rc::clone(&table);
+        let mut gen = base_gen.fork(p.seed ^ ((node as u64) << 40) ^ ((t as u64) << 20) ^ c as u64);
+        async move |start: SimTime| match gen.next_op() {
+            YcsbOp::Lookup(k) => {
+                let _ = table.get(&coro, &k.to_le_bytes()).await;
             }
-            contexts.push(ctx);
+            YcsbOp::Update(k) => {
+                let stamp = start.as_nanos().to_le_bytes();
+                let _ = table.update(&coro, &k.to_le_bytes(), &stamp).await;
+            }
         }
-        HtScenario {
-            probe,
-            chaos,
-            table,
-            contexts,
-            warmup,
+    });
+    // Window counters: CAS retries, then the retry histogram.
+    run.read = Box::new(move || {
+        let stats = table.stats();
+        let mut app = vec![stats.cas_retries.get()];
+        app.extend(stats.retry_histogram());
+        app
+    });
+    run.fill = |app, report| {
+        let (retries, hist) = (app[0], &app[1..]);
+        let hist_ops: u64 = hist.iter().sum();
+        if hist_ops != 0 {
+            report.avg_retries = retries as f64 / hist_ops as f64;
         }
-    }
-
-    fn counters(&self) -> HtWindow {
-        HtWindow {
-            ops: self.probe.ops.get(),
-            retries: self.table.stats().cas_retries.get(),
-            hist: self.table.stats().retry_histogram(),
-        }
-    }
-
-    /// Starts recording latencies and marks the window's start.
-    pub(crate) fn open_window(&self) -> HtWindow {
-        self.probe.measuring.set(true);
-        self.counters()
-    }
-
-    /// Ends the window opened at `mark` and tells the workers to exit
-    /// after their in-flight operation.
-    pub(crate) fn close_window(&self, mark: HtWindow) -> HtWindow {
-        let now = self.counters();
-        self.probe.measuring.set(false);
-        self.probe.stop.set(true);
-        HtWindow {
-            ops: now.ops - mark.ops,
-            retries: now.retries - mark.retries,
-            hist: std::array::from_fn(|i| now.hist[i] - mark.hist[i]),
-        }
-    }
-
-    /// Assembles the report of a quiesced run (`sim_events` is left for
-    /// the driver to fill).
-    pub(crate) fn report(&self, window: HtWindow, measure: Duration) -> RunReport {
-        let hist_ops: u64 = window.hist.iter().sum();
-        let lat = self.probe.latency.borrow();
-        let mut report = RunReport {
-            ops: window.ops,
-            mops: window.ops as f64 / measure.as_secs_f64() / 1e6,
-            median: lat.median(),
-            p99: lat.p99(),
-            avg_retries: if hist_ops == 0 {
-                0.0
-            } else {
-                window.retries as f64 / hist_ops as f64
-            },
-            retry_hist: window.hist.to_vec(),
-            ..RunReport::default()
-        };
-        self.chaos.fill(&mut report);
-        report
-    }
+        report.retry_hist = hist.to_vec();
+    };
+    run
 }
 
-/// Runs a hash-table experiment on the inline driver.
+/// Runs a hash-table experiment: [`run_ht_decomposed`] under
+/// [`DomainPlan::single`] on one engine worker.
 pub fn run_ht(p: &HtParams) -> RunReport {
-    let mut sim = Simulation::new(p.seed);
-    let cluster = Cluster::new(sim.handle(), ht_cluster_config(p));
-    let scenario = HtScenario::start(&sim.handle(), &cluster, p);
-
-    sim.run_for(scenario.warmup);
-    let mark = scenario.open_window();
-    sim.run_for(p.measure);
-    let window = scenario.close_window(mark);
-    sim.run_for(DRAIN);
-    let mut report = scenario.report(window, p.measure);
-    report.sim_events = sim.handle().metrics().events();
-    report
+    let plan = DomainPlan::single(p.compute_nodes as u32, p.blades as u32);
+    run_ht_decomposed(p, &plan, 1).report
 }
 
 // ---------------------------------------------------------------------------
@@ -490,25 +498,11 @@ impl DtxParams {
     }
 }
 
-/// Runs a transaction experiment (always 2 memory blades, as in §6.2.2).
-pub fn run_dtx(p: &DtxParams) -> RunReport {
-    let mut sim = Simulation::new(p.seed);
-    if let Some(sink) = &p.trace {
-        sim.handle().install_tracer(sink.clone());
-    }
-    let cluster = Cluster::new(
-        sim.handle(),
-        ClusterConfig {
-            compute_nodes: 1,
-            memory_blades: 2,
-            blade: BladeConfig {
-                region_bytes: 64 * 1024 * 1024 + p.rows * 512,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
+/// Starts a transaction scenario on `cluster`.
+fn start_dtx(h: &SimHandle, cluster: &Cluster, p: &DtxParams) -> ClosedLoop {
+    let mut run = ClosedLoop::new(
+        h, cluster, &p.trace, &p.fault, &p.smart, p.warmup, p.measure,
     );
-    let chaos = FaultProbe::install(&cluster, &p.fault);
     enum App {
         Bank(Rc<SmallBank>),
         Tatp(Rc<Tatp>),
@@ -517,97 +511,62 @@ pub fn run_dtx(p: &DtxParams) -> RunReport {
         DtxWorkload::SmallBank => App::Bank(SmallBank::create(cluster.blades(), p.rows, 10_000)),
         DtxWorkload::Tatp => App::Tatp(Tatp::create(cluster.blades(), p.rows)),
     });
-    let probe = Probe::new();
-    let aborted0 = Counter::new();
-    let (tuned, warmup) = tune_for_window(&p.smart, p.warmup, p.measure);
-
-    let mut cfg = tuned;
-    cfg.expected_threads = p.threads;
-    cfg.coroutines_per_thread = p.depth;
-    let ctx = SmartContext::new(cluster.compute(0), cluster.blades(), cfg);
-    for t in 0..p.threads {
-        let thread = ctx.create_thread();
-        chaos.track(&thread);
-        for c in 0..p.depth {
-            let coro = thread.coroutine();
-            let app = Rc::clone(&app);
-            let ops = probe.ops.clone();
-            let measuring = Rc::clone(&probe.measuring);
-            let stop = Rc::clone(&probe.stop);
-            let latency = Rc::clone(&probe.latency);
-            let pace = p.pace;
-            let handle = sim.handle();
-            let seed = p.seed ^ ((t as u64) << 20) ^ ((c as u64) << 8);
-            let mut bank_gen = SmallBankGenerator::new(p.rows, seed);
-            let mut tatp_gen = TatpGenerator::new(p.rows, seed);
-            let log = match &*app {
-                App::Bank(b) => b.db().alloc_log_region(),
-                App::Tatp(t) => t.db().alloc_log_region(),
-            };
-            sim.spawn(async move {
-                while !stop.get() {
-                    if let Some(d) = pace {
-                        handle.sleep(d).await;
-                    }
-                    let start = handle.now();
-                    let mut attempt = 0u32;
-                    match &*app {
-                        App::Bank(bank) => {
-                            let txn = bank_gen.next_txn();
-                            while bank.execute(&coro, log, &txn).await.is_err() {
-                                attempt += 1;
-                                backoff_after_abort(&coro, attempt).await;
-                            }
-                        }
-                        App::Tatp(tatp) => {
-                            let txn = tatp_gen.next_txn();
-                            while tatp.execute(&coro, log, &txn).await.is_err() {
-                                attempt += 1;
-                                backoff_after_abort(&coro, attempt).await;
-                            }
-                        }
-                    }
-                    ops.incr();
-                    if measuring.get() {
-                        latency.borrow_mut().record(handle.now() - start);
+    let db = match &*app {
+        App::Bank(b) => Rc::clone(b.db()),
+        App::Tatp(t) => Rc::clone(t.db()),
+    };
+    let grid = [1, p.threads, p.depth];
+    run.spawn_workers(h, cluster, grid, p.pace, |_, t, c, coro| {
+        let app = Rc::clone(&app);
+        let seed = p.seed ^ ((t as u64) << 20) ^ ((c as u64) << 8);
+        let mut bank_gen = SmallBankGenerator::new(p.rows, seed);
+        let mut tatp_gen = TatpGenerator::new(p.rows, seed);
+        let log = db.alloc_log_region();
+        async move |_| {
+            let mut attempt = 0u32;
+            match &*app {
+                App::Bank(bank) => {
+                    let txn = bank_gen.next_txn();
+                    while bank.execute(&coro, log, &txn).await.is_err() {
+                        attempt += 1;
+                        backoff_after_abort(&coro, attempt).await;
                     }
                 }
-            });
+                App::Tatp(tatp) => {
+                    let txn = tatp_gen.next_txn();
+                    while tatp.execute(&coro, log, &txn).await.is_err() {
+                        attempt += 1;
+                        backoff_after_abort(&coro, attempt).await;
+                    }
+                }
+            }
         }
-    }
+    });
+    // Window counters: commits, then aborts.
+    run.read = Box::new(move || vec![db.stats().committed.get(), db.stats().aborted.get()]);
+    run.fill = |app, report| {
+        let (committed, aborted) = (app[0], app[1]);
+        if committed + aborted != 0 {
+            report.abort_rate = aborted as f64 / (committed + aborted) as f64;
+        }
+    };
+    run
+}
 
-    let stats = match &*app {
-        App::Bank(b) => b.stats().clone(),
-        App::Tatp(t) => t.stats().clone(),
-    };
-    sim.run_for(warmup);
-    probe.measuring.set(true);
-    let ops0 = probe.ops.get();
-    let committed0 = stats.committed.get();
-    aborted0.add(stats.aborted.get());
-    sim.run_for(p.measure);
-    let ops = probe.ops.get() - ops0;
-    let committed = stats.committed.get() - committed0;
-    let aborted = stats.aborted.get() - aborted0.get();
-    probe.measuring.set(false);
-    probe.stop.set(true);
-    sim.run_for(DRAIN);
-    let lat = probe.latency.borrow();
-    let mut report = RunReport {
-        ops,
-        mops: ops as f64 / p.measure.as_secs_f64() / 1e6,
-        median: lat.median(),
-        p99: lat.p99(),
-        abort_rate: if committed + aborted == 0 {
-            0.0
-        } else {
-            aborted as f64 / (committed + aborted) as f64
+/// Runs a transaction experiment (always 2 memory blades, as in §6.2.2)
+/// under [`DomainPlan::single`] on one engine worker.
+pub fn run_dtx(p: &DtxParams) -> RunReport {
+    let cfg = ClusterConfig {
+        compute_nodes: 1,
+        memory_blades: 2,
+        blade: BladeConfig {
+            region_bytes: 64 * 1024 * 1024 + p.rows * 512,
+            ..Default::default()
         },
-        sim_events: sim.handle().metrics().events(),
-        ..RunReport::default()
+        ..Default::default()
     };
-    chaos.fill(&mut report);
-    report
+    let p = p.clone();
+    run_single(p.seed, cfg, move |h, c| start_dtx(h, c, &p))
 }
 
 // ---------------------------------------------------------------------------
@@ -709,28 +668,13 @@ impl BtParams {
     }
 }
 
-/// Runs a B+Tree experiment. Blades mirror compute nodes (the paper
-/// co-locates a memory blade with every server).
-pub fn run_bt(p: &BtParams) -> RunReport {
-    let mut sim = Simulation::new(p.seed);
-    if let Some(sink) = &p.trace {
-        sim.handle().install_tracer(sink.clone());
-    }
-    let blades = p.compute_nodes.max(2);
-    let cluster = Cluster::new(
-        sim.handle(),
-        ClusterConfig {
-            compute_nodes: p.compute_nodes,
-            memory_blades: blades,
-            blade: BladeConfig {
-                region_bytes: 64 * 1024 * 1024 + p.keys * 64,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let chaos = FaultProbe::install(&cluster, &p.fault);
+/// Starts a B+Tree scenario on `cluster`: one tree handle per compute
+/// node over one shared tree.
+fn start_bt(h: &SimHandle, cluster: &Cluster, p: &BtParams) -> ClosedLoop {
     let (mut tree_cfg, smart_cfg) = p.variant.configs(p.threads);
+    let mut run = ClosedLoop::new(
+        h, cluster, &p.trace, &p.fault, &smart_cfg, p.warmup, p.measure,
+    );
     if let Some(over) = &p.tree_override {
         tree_cfg = over.clone();
     }
@@ -739,76 +683,44 @@ pub fn run_bt(p: &BtParams) -> RunReport {
         tree0.load(k, k.wrapping_mul(3));
     }
     let base_gen = YcsbGenerator::new(p.keys, p.theta, p.mix, p.seed);
-    let probe = Probe::new();
-    let (tuned, warmup) = tune_for_window(&smart_cfg, p.warmup, p.measure);
-    let mut trees = vec![Rc::clone(&tree0)];
-    for _ in 1..p.compute_nodes {
+    let root = tree0.root_ptr();
+    let mut trees = vec![tree0];
+    while trees.len() < p.compute_nodes {
         trees.push(ShermanTree::attach(
             cluster.blades(),
             tree_cfg.clone(),
-            tree0.root_ptr(),
+            root,
         ));
     }
-
-    for (node, node_tree) in trees.iter().enumerate() {
-        let mut cfg = tuned.clone();
-        cfg.expected_threads = p.threads;
-        cfg.coroutines_per_thread = p.depth;
-        let ctx = SmartContext::new(cluster.compute(node), cluster.blades(), cfg);
-        let tree = Rc::clone(node_tree);
-        for t in 0..p.threads {
-            let thread = ctx.create_thread();
-            chaos.track(&thread);
-            for c in 0..p.depth {
-                let coro = thread.coroutine();
-                let tree = Rc::clone(&tree);
-                let mut gen =
-                    base_gen.fork(p.seed ^ ((node as u64) << 40) ^ ((t as u64) << 20) ^ c as u64);
-                let ops = probe.ops.clone();
-                let measuring = Rc::clone(&probe.measuring);
-                let stop = Rc::clone(&probe.stop);
-                let latency = Rc::clone(&probe.latency);
-                let handle = sim.handle();
-                sim.spawn(async move {
-                    while !stop.get() {
-                        let start = handle.now();
-                        match gen.next_op() {
-                            YcsbOp::Lookup(k) => {
-                                let _ = tree.get(&coro, k).await;
-                            }
-                            YcsbOp::Update(k) => {
-                                tree.insert(&coro, k, start.as_nanos()).await;
-                            }
-                        }
-                        ops.incr();
-                        if measuring.get() {
-                            latency.borrow_mut().record(handle.now() - start);
-                        }
-                    }
-                });
+    let grid = [p.compute_nodes, p.threads, p.depth];
+    run.spawn_workers(h, cluster, grid, None, |node, t, c, coro| {
+        let tree = Rc::clone(&trees[node]);
+        let mut gen = base_gen.fork(p.seed ^ ((node as u64) << 40) ^ ((t as u64) << 20) ^ c as u64);
+        async move |start: SimTime| match gen.next_op() {
+            YcsbOp::Lookup(k) => {
+                let _ = tree.get(&coro, k).await;
             }
+            YcsbOp::Update(k) => tree.insert(&coro, k, start.as_nanos()).await,
         }
-    }
+    });
+    run
+}
 
-    sim.run_for(warmup);
-    probe.measuring.set(true);
-    let ops0 = probe.ops.get();
-    sim.run_for(p.measure);
-    let ops = probe.ops.get() - ops0;
-    probe.measuring.set(false);
-    probe.stop.set(true);
-    sim.run_for(DRAIN);
-    let lat = probe.latency.borrow();
-    let mut report = RunReport {
-        ops,
-        mops: ops as f64 / p.measure.as_secs_f64() / 1e6,
-        median: lat.median(),
-        p99: lat.p99(),
-        sim_events: sim.handle().metrics().events(),
-        ..RunReport::default()
+/// Runs a B+Tree experiment under [`DomainPlan::single`] on one engine
+/// worker. Blades mirror compute nodes (the paper co-locates a memory
+/// blade with every server).
+pub fn run_bt(p: &BtParams) -> RunReport {
+    let cfg = ClusterConfig {
+        compute_nodes: p.compute_nodes,
+        memory_blades: p.compute_nodes.max(2),
+        blade: BladeConfig {
+            region_bytes: 64 * 1024 * 1024 + p.keys * 64,
+            ..Default::default()
+        },
+        ..Default::default()
     };
-    chaos.fill(&mut report);
-    report
+    let p = p.clone();
+    run_single(p.seed, cfg, move |h, c| start_bt(h, c, &p))
 }
 
 /// The standard serve scenario at a given client population and offered

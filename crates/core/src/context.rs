@@ -89,10 +89,10 @@ impl SmartContext {
 
     /// Tells every periodic controller coroutine this context spawned
     /// (the `C_max` tuner and the γ conflict controller) to exit at its
-    /// next wake-up. The classic runners never need this — they stop the
-    /// clock with `run_for` — but a decomposed run executes until the
-    /// whole simulation quiesces, and a forever-ticking controller would
-    /// keep virtual time advancing unboundedly.
+    /// next wake-up. A run that executes until the whole simulation
+    /// quiesces — every `smart-bench` and `smart-serve` run — needs
+    /// this: a forever-ticking controller would keep virtual time
+    /// advancing unboundedly.
     pub fn quiesce_controllers(&self) {
         self.quiesce.set(true);
     }

@@ -223,6 +223,10 @@ pub struct Decomposed<R> {
     pub report: R,
     /// Scheduling events summed over *all* domains.
     pub events: u64,
+    /// Tasks still live in domain 0 once the engine quiesced: tasks
+    /// parked for good, such as the CQ pumps and the remote ports'
+    /// reply dispatchers. A worker parked here is a lost wakeup.
+    pub live_tasks: usize,
     /// Scheduling domains in the plan (1 compute + blade domains).
     pub domains: u32,
     /// Conservative epochs the engine executed.
@@ -338,6 +342,7 @@ pub fn run_decomposed<R: 'static>(
     Decomposed {
         report,
         events: engine.events(),
+        live_tasks: engine.domains[0].live_tasks,
         domains: plan.domains(),
         epochs: engine.epochs,
         envelopes: engine.envelopes,

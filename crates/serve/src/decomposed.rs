@@ -1,20 +1,18 @@
-//! The engine driver for the serve scenario: memory blades as real PDES
-//! engine domains.
+//! The driver of the serve scenario: every serve run goes through here.
 //!
-//! [`run_serve_decomposed`] runs the same `ServeScenario` body as
-//! [`crate::run_serve`] — compute node, arrival engine, admission
-//! controller, session pool and all worker coroutines — in domain 0 of a
-//! [`smart_rnic::run_decomposed`] topology; each blade domain of the
-//! [`DomainPlan`] runs its blades behind typed request/completion
-//! envelopes whose channel latency is the fabric one-way delay; a blade
-//! the plan keeps in domain 0 (every blade, under
-//! [`DomainPlan::single`]) is served in place. Both drivers share one
-//! verb lifecycle (one blade half, one fault rule). What differs from
-//! the inline driver is only the driving — a watcher coroutine stands
-//! in for the imperative `run_for` schedule, and the engine runs to
-//! quiescence instead of for a fixed drain — and, for remote blades, the
-//! order in which events of different domains that fall on the same
-//! nanosecond merge.
+//! [`run_serve_decomposed`] runs the `ServeScenario` body — compute
+//! node, arrival engine, admission controller, session pool and all
+//! worker coroutines — in domain 0 of a [`smart_rnic::run_decomposed`]
+//! topology; each blade domain of the [`DomainPlan`] runs its blades
+//! behind typed request/completion envelopes whose channel latency is
+//! the fabric one-way delay; a blade the plan keeps in domain 0 (every
+//! blade, under [`DomainPlan::single`], which is what
+//! [`crate::run_serve`] runs) is served in place. A watcher coroutine
+//! waits out the rate plan and the drain budget, then quiesces the
+//! controller coroutines, and the engine runs to quiescence. All plans
+//! share one verb lifecycle (one blade half, one fault rule); what a
+//! partition changes is the order in which events of different domains
+//! that fall on the same nanosecond merge.
 //!
 //! Every domain replays the same deterministic bootstrap
 //! (`seed_balances`), so each blade domain's own blades are
@@ -74,11 +72,10 @@ pub fn run_serve_decomposed(
         move |h, cluster| {
             let scenario = Rc::new(ServeScenario::start(h, cluster, &spec0));
 
-            // Watcher: the stand-in for the inline driver's `run_for` +
-            // drain-slice schedule. It waits out the plan, polls the
-            // drain budget in 1 ms slices, then quiesces the controller
-            // coroutines so the engine can run to quiescence — in-flight
-            // recoveries finish on their own.
+            // Watcher: waits out the plan, polls the drain budget in
+            // 1 ms slices until the workers have exited, then quiesces
+            // the controller coroutines so the engine can run to
+            // quiescence — in-flight recoveries finish on their own.
             let stranded = Rc::new(Cell::new(0usize));
             {
                 let (hh, scenario, stranded) =
@@ -94,7 +91,7 @@ pub fn run_serve_decomposed(
                         drained += slice;
                     }
                     stranded.set(scenario.stranded());
-                    scenario.quiesce_controllers();
+                    scenario.ctx.quiesce_controllers();
                 });
             }
 

@@ -1,12 +1,11 @@
 //! The serve scenario: arrivals, admission, sessions, routing and
 //! membership wired into one deterministic run.
 //!
-//! The scenario is written once, as `ServeScenario`, and driven two
-//! ways: [`run_serve`] here (the inline driver: one [`Simulation`],
-//! imperative `run_for` over the plan and the drain budget) and
-//! [`crate::run_serve_decomposed`] (the engine driver: the same body in
-//! the compute domain of a PDES run whose memory blades are engine
-//! domains). One run is one complete open-loop experiment:
+//! The scenario is written once, as `ServeScenario`, and driven once:
+//! by [`crate::run_serve_decomposed`], which runs it in the compute
+//! domain of a PDES run to quiescence; [`run_serve`] is that driver
+//! under a single-domain plan. One run is one complete open-loop
+//! experiment:
 //!
 //! 1. install the fault injector with the membership script's crash
 //!    windows (plus any caller-supplied background chaos), then carve a
@@ -18,7 +17,8 @@
 //! 3. start the membership driver, a phase clerk that snapshots recovery
 //!    histograms at each phase boundary, and the dispatcher (arrival
 //!    engine + admission controller);
-//! 4. after the driver has run the plan and the drain, audit (balance
+//! 4. once the driver's watcher has waited out the plan and the drain
+//!    budget and the run has quiesced, audit (balance
 //!    ledger vs blade memory, credit conservation, no stranded workers)
 //!    and assemble the [`ServeReport`].
 //!
@@ -34,12 +34,13 @@ use std::rc::Rc;
 
 use smart::{FaultError, ShardRouter, SmartConfig, SmartContext, SmartThread};
 use smart_fault::{FaultInjector, FaultPlan};
-use smart_rnic::{BladeConfig, Cluster, ClusterConfig, MemoryBlade, RemoteAddr};
-use smart_rt::{Duration, JoinHandle, SimHandle, Simulation};
+use smart_rnic::{BladeConfig, Cluster, ClusterConfig, DomainPlan, MemoryBlade, RemoteAddr};
+use smart_rt::{Duration, JoinHandle, SimHandle};
 use smart_trace::{Actor, Args, Category, LogHistogram, TraceSink};
 
 use crate::admission::{AdmissionConfig, AdmissionController, Rejected};
 use crate::arrival::{ArrivalEngine, RatePlan, ServeOp};
+use crate::decomposed::run_serve_decomposed;
 use crate::membership::MembershipPlan;
 use crate::report::{digest_fold, PhaseStats, ServeReport, DIGEST_SEED};
 use crate::session::{Request, SessionPool};
@@ -304,7 +305,7 @@ impl BalanceAudit {
 }
 
 /// A started serve scenario: every task is spawned, nothing has run yet.
-/// The driver advances virtual time, then calls [`Self::report`].
+/// The driver runs it to quiescence, then calls [`Self::report`].
 pub(crate) struct ServeScenario {
     accum: Rc<Accum>,
     pool: Rc<SessionPool>,
@@ -312,7 +313,8 @@ pub(crate) struct ServeScenario {
     slabs: Rc<Slabs>,
     blades: Vec<Rc<MemoryBlade>>,
     injector: Rc<FaultInjector>,
-    ctx: Rc<SmartContext>,
+    /// Its controller coroutines must be quiesced for the run to end.
+    pub(crate) ctx: Rc<SmartContext>,
     threads: Vec<Rc<SmartThread>>,
     workers: Vec<JoinHandle<()>>,
     /// The phase clerk's recovery-histogram snapshots, one per boundary.
@@ -322,8 +324,8 @@ pub(crate) struct ServeScenario {
 impl ServeScenario {
     /// Installs `spec.trace`, builds the scenario on `cluster` and spawns
     /// its tasks on `h`, in a fixed order (fault driver, workers,
-    /// membership driver, phase clerk, dispatcher) that both drivers'
-    /// goldens depend on.
+    /// membership driver, phase clerk, dispatcher) that the goldens
+    /// depend on.
     pub(crate) fn start(h: &SimHandle, cluster: &Cluster, spec: &ServeSpec) -> ServeScenario {
         if let Some(sink) = &spec.trace {
             h.install_tracer(sink.clone());
@@ -511,16 +513,10 @@ impl ServeScenario {
         self.workers.iter().filter(|w| !w.is_finished()).count()
     }
 
-    /// Lets the framework's periodic controller coroutines exit, so a
-    /// run-to-quiescence driver terminates.
-    pub(crate) fn quiesce_controllers(&self) {
-        self.ctx.quiesce_controllers();
-    }
-
     /// Audits the finished run and assembles its report. `stranded` is
     /// the driver's [`Self::stranded`] reading at the end of its drain
     /// budget; `owns(blade)` says whether this domain's copy of a blade
-    /// is the authoritative one (always, on the inline driver) — the
+    /// is the authoritative one (every blade, under a single plan) — the
     /// returned [`BalanceAudit`] covers exactly those. `sim_events` is
     /// left for the driver to fill.
     pub(crate) fn report(
@@ -613,27 +609,12 @@ impl ServeScenario {
     }
 }
 
-/// Runs the scenario to completion on the inline driver — one
-/// [`Simulation`] owning compute node and blades alike — and returns its
-/// deterministic report.
+/// Runs the scenario to completion and returns its deterministic
+/// report: [`run_serve_decomposed`] under [`DomainPlan::single`] on one
+/// engine worker.
 pub fn run_serve(spec: &ServeSpec) -> ServeReport {
-    let mut sim = Simulation::new(spec.seed);
-    let cluster = Cluster::new(sim.handle(), cluster_config(spec));
-    let scenario = ServeScenario::start(&sim.handle(), &cluster, spec);
-
-    // Run the schedule, then drain in slices until the workers exit.
-    sim.run_for(spec.plan.total());
-    let mut drained = Duration::ZERO;
-    let slice = Duration::from_millis(1);
-    while scenario.stranded() > 0 && drained < spec.drain {
-        sim.run_for(slice);
-        drained += slice;
-    }
-
-    let (mut report, audit) = scenario.report(spec, scenario.stranded(), |_| true);
-    audit.settle(0, &mut report);
-    report.sim_events = sim.handle().metrics().events();
-    report
+    let plan = DomainPlan::single(1, spec.blades as u32);
+    run_serve_decomposed(spec, &plan, 1).report
 }
 
 fn op_word(op: &ServeOp) -> u64 {

@@ -23,11 +23,11 @@
 //! * [`session`] — the logical-client session pool and request queue;
 //! * [`membership`] — scripted blade leave/join windows lowered onto
 //!   the router and the fault layer;
-//! * [`engine`] — the scenario body gluing it all together, and its
-//!   inline driver [`run_serve`];
-//! * [`decomposed`] — the engine driver [`run_serve_decomposed`]: the
-//!   same body with memory blades running as real PDES engine domains
-//!   behind typed request/completion channels;
+//! * [`engine`] — the scenario body gluing it all together, and
+//!   [`run_serve`] (the driver under a single-domain plan);
+//! * [`decomposed`] — the driver [`run_serve_decomposed`]: the body in
+//!   domain 0 of any plan, memory blades running as real PDES engine
+//!   domains behind typed request/completion channels;
 //! * [`report`] — per-phase SLO stats and the byte-stable report.
 
 pub mod admission;

@@ -11,12 +11,20 @@
 //! `SMART_UPDATE_GOLDENS=1 cargo test -q --test scheduler_equiv`
 //! and review the golden diff like any other code change.
 //!
-//! The second section pins the **inline driver** on the remaining bench
-//! shapes — fig07-small, fig14-small, a small SmallBank transaction run,
-//! a small SMART-BT run, a serve phase (report fingerprint plus the
-//! FNV-1a-64 of the trace JSON) and an 8-seed chaos sweep — against
-//! goldens captured before the hosted path was removed (the DTX and
-//! B+Tree cells: before their runners moved to the engine driver).
+//! The second section pins the runners on the remaining bench shapes —
+//! fig07-small, fig14-small, a small SmallBank transaction run, a small
+//! SMART-BT run, a serve phase (report fingerprint plus the FNV-1a-64 of
+//! the trace JSON) and an 8-seed chaos sweep. Their report lines were
+//! captured from the old inline driver (one `Simulation` stepped through
+//! warm-up, measure and a fixed 5 ms drain; hence the `inline_*` golden
+//! names) and have not moved since every run goes through the one
+//! engine driver under `DomainPlan::single`. The trace lines did move:
+//! the ring pins the run's *tail*, and the drain's trailing `tune`
+//! counters are gone.
+//!
+//! Every cell that runs through the engine driver also asserts the
+//! stranded-task gate ([`assert_quiesced`]): after quiescence, domain 0
+//! holds only the parked CQ pumps and remote-port dispatchers.
 //!
 //! The third section is the **engine-driver matrix** gating the blade
 //! engine domains: fig07 and a serve phase run under partitions that
@@ -39,7 +47,7 @@ use smart_lab::smart_fault::FaultPlan;
 use smart_lab::smart_rnic::{BladeId, DomainPlan};
 use smart_lab::smart_rt::pdes::DomainId;
 use smart_lab::smart_rt::{Duration, SchedulePolicy};
-use smart_lab::smart_serve::{run_serve, run_serve_decomposed, ServeReport, ServeSpec};
+use smart_lab::smart_serve::{run_serve_decomposed, ServeReport, ServeSpec};
 use smart_lab::smart_trace::TraceSink;
 use smart_lab::smart_workloads::ycsb::Mix;
 
@@ -112,6 +120,7 @@ fn fault_run() -> (String, String) {
     p.trace = Some(sink.clone());
     p.fault = Some(plan);
     let report = run_ht(&p);
+    assert_quiesced("fault", report.live_tasks, p.threads, 0);
     (report_fingerprint(&report), sink.chrome_json())
 }
 
@@ -136,6 +145,7 @@ fn report_fingerprint(r: &RunReport) -> String {
         recovery_hist: _,
         conservation,
         sim_events: _,
+        live_tasks: _,
     } = r;
     format!(
         "ops={ops}\nmops={mops:?}\nmedian={median:?}\np99={p99:?}\n\
@@ -145,6 +155,18 @@ fn report_fingerprint(r: &RunReport) -> String {
          recovery_p50={recovery_p50:?}\nrecovery_p99={recovery_p99:?}\n\
          conservation={conservation:?}\n"
     )
+}
+
+/// The stranded-task gate. Once a run has quiesced, domain 0 holds only
+/// the tasks parked for good: one CQ pump per `SmartThread` and one reply
+/// dispatcher per `RemotePort` (one per remote blade). A worker or
+/// controller stranded by a lost wakeup is one more.
+fn assert_quiesced(label: &str, live_tasks: usize, threads: usize, remote_blades: usize) {
+    assert_eq!(
+        live_tasks,
+        threads + remote_blades,
+        "{label}: tasks left in domain 0 after quiescence"
+    );
 }
 
 #[test]
@@ -182,7 +204,8 @@ fn fault_plan_run_matches_heap_scheduler_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Inline-driver pins (fig07-small, fig14-small, a serve phase, chaos sweep)
+// Runner pins (fig07-small, fig14-small, DTX, B+Tree, a serve phase, chaos
+// sweep)
 // ---------------------------------------------------------------------------
 
 /// FNV-1a-64 of `bytes`. The cells below pin a trace export by hash
@@ -215,11 +238,12 @@ fn serve_fingerprint(report: &ServeReport) -> String {
     )
 }
 
-/// Runs one closed-loop cell with a tracer installed: `run` puts the
-/// sink into its params and runs them.
-fn traced_cell(run: impl FnOnce(TraceSink) -> RunReport) -> String {
+/// Runs one closed-loop cell of `threads` `SmartThread`s with a tracer
+/// installed: `run` puts the sink into its params and runs them.
+fn traced_cell(threads: usize, run: impl FnOnce(TraceSink) -> RunReport) -> String {
     let sink = TraceSink::with_capacity(TRACE_EVENTS);
     let report = run(sink.clone());
+    assert_quiesced("cell", report.live_tasks, threads, 0);
     format!(
         "{}{}",
         report_fingerprint(&report),
@@ -227,9 +251,9 @@ fn traced_cell(run: impl FnOnce(TraceSink) -> RunReport) -> String {
     )
 }
 
-/// Runs one hash-table cell on the inline driver with a tracer installed.
+/// Runs one hash-table cell through `run_ht` with a tracer installed.
 fn inline_ht_cell(mut p: HtParams) -> String {
-    traced_cell(|sink| {
+    traced_cell(p.compute_nodes * p.threads, |sink| {
         p.trace = Some(sink);
         run_ht(&p)
     })
@@ -270,7 +294,7 @@ fn dtx_smallbank_small_inline_matches_golden() {
     let mut p = DtxParams::new(SmartConfig::smart_full(4), 4, DtxWorkload::SmallBank, 2_000);
     p.warmup = Duration::from_micros(500);
     p.measure = Duration::from_millis(1);
-    let fp = traced_cell(|sink| {
+    let fp = traced_cell(p.threads, |sink| {
         p.trace = Some(sink);
         run_dtx(&p)
     });
@@ -283,7 +307,7 @@ fn bt_smart_small_inline_matches_golden() {
     let mut p = BtParams::new(BtVariant::SmartBt, 4, 5_000, Mix::WriteHeavy);
     p.warmup = Duration::from_micros(500);
     p.measure = Duration::from_millis(1);
-    let fp = traced_cell(|sink| {
+    let fp = traced_cell(p.threads, |sink| {
         p.trace = Some(sink);
         run_bt(&p)
     });
@@ -296,7 +320,10 @@ fn serve_phase_inline_matches_golden() {
     let sink = TraceSink::with_capacity(TRACE_EVENTS);
     let mut spec = serve_phase();
     spec.trace = Some(sink.clone());
-    let report = run_serve(&spec);
+    let plan = DomainPlan::single(1, spec.blades as u32);
+    let d = run_serve_decomposed(&spec, &plan, 1);
+    assert_quiesced("serve_phase", d.live_tasks, spec.threads, 0);
+    let report = d.report;
     assert_golden(
         "inline_serve_phase.fp.txt",
         &format!(
@@ -320,7 +347,14 @@ fn fault_seed_sweep_inline_matches_golden() {
         p.measure = Duration::from_millis(1);
         p.seed = 1907 + seed;
         p.fault = Some(plan);
-        fp.push_str(&format!("seed={seed}\n{}", report_fingerprint(&run_ht(&p))));
+        let report = run_ht(&p);
+        assert_quiesced(
+            &format!("sweep seed {seed}"),
+            report.live_tasks,
+            p.threads,
+            0,
+        );
+        fp.push_str(&format!("seed={seed}\n{}", report_fingerprint(&report)));
     }
     assert_golden("inline_fault_sweep.fp.txt", &fp);
 }
@@ -417,6 +451,7 @@ fn matrix_fig07_decomposed_plans_are_byte_identical_across_engine_workers() {
                 let mut p = p.clone();
                 p.trace = Some(sink.clone());
                 let d = run_ht_decomposed(&p, &plan, workers);
+                assert_quiesced(pname, d.live_tasks, p.threads, remote);
                 format!(
                     "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
                     report_fingerprint(&d.report),
@@ -451,6 +486,7 @@ fn matrix_serve_decomposed_plans_are_byte_identical_across_engine_workers() {
                 let mut spec = spec.clone();
                 spec.trace = Some(sink.clone());
                 let d = run_serve_decomposed(&spec, &plan, workers);
+                assert_quiesced(pname, d.live_tasks, spec.threads, remote);
                 format!(
                     "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
                     serve_fingerprint(&d.report),
@@ -488,6 +524,7 @@ fn matrix_fault_decomposed_per_blade_is_byte_identical_across_engine_workers() {
                 p.blades as u32,
             ));
             let d = run_ht_decomposed(&p, &plan, workers);
+            assert_quiesced("fault_per_blade", d.live_tasks, p.threads, p.blades);
             let r = &d.report;
             assert!(r.faults_injected > 0, "seed {seed}: no fault fired");
             assert!(r.faults_recovered > 0, "seed {seed}: nothing recovered");
@@ -528,6 +565,7 @@ fn decomposed_envelope_accounting_matches_cross_domain_wrs() {
         p.seed = 7;
         let plan = DomainPlan::per_blade(1, p.blades as u32);
         let d = run_ht_decomposed(&p, &plan, 2);
+        assert_quiesced(label, d.live_tasks, p.threads, p.blades);
         assert!(d.report.ops > 0, "{label}: no ops through blade domains");
         assert_eq!(
             d.cross_domain_wrs, d.blade_requests,
