@@ -1,7 +1,7 @@
 //! The one driver: every closed-loop workload runs through
 //! [`smart_rnic::run_decomposed`].
 //!
-//! [`run_closed_loop`] runs a [`ClosedLoop`] scenario in domain 0 of a
+//! `run_closed_loop` runs a `ClosedLoop` scenario in domain 0 of a
 //! [`DomainPlan`]. Its phase controller — written once, here — sleeps
 //! through the warm-up, opens the measure window, sleeps through it,
 //! closes it (the workers exit after their in-flight operation) and
@@ -120,6 +120,7 @@ pub fn run_ht_decomposed(
         },
     )
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,10 +2,10 @@
 //! drive it with N simulated threads × depth coroutines, measure
 //! throughput and latency over a virtual-time window.
 //!
-//! Each workload is a [`ClosedLoop`] scenario — the application loaded
+//! Each workload is a `ClosedLoop` scenario — the application loaded
 //! and every worker coroutine spawned — built by its `start_*` function,
 //! and [`run_ht`], [`run_dtx`] and [`run_bt`] run it through the one
-//! driver, [`crate::decomposed::run_closed_loop`], under
+//! driver, `crate::decomposed::run_closed_loop`, under
 //! [`DomainPlan::single`] on one engine worker: the phase controller
 //! sleeps through warm-up and the measure window, quiesces the framework
 //! controllers, and the engine runs to quiescence.
@@ -120,22 +120,22 @@ fn tune_for_window(
 
 /// A started closed-loop scenario: application loaded, every worker
 /// coroutine spawned, nothing has run yet. The driver sleeps through
-/// [`Self::warmup`] and [`Self::measure`], bracketing the latter with
-/// [`Self::open_window`]/[`Self::close_window`], quiesces
-/// [`Self::contexts`], runs to quiescence, then calls [`Self::report`].
+/// `Self::warmup` and `Self::measure`, bracketing the latter with
+/// `Self::open_window`/`Self::close_window`, quiesces
+/// `Self::contexts`, runs to quiescence, then calls `Self::report`.
 pub(crate) struct ClosedLoop {
     probe: Rc<Probe>,
     /// The chaos layer, when the run has a fault plan.
     injector: Option<Rc<FaultInjector>>,
     /// Every worker thread, for the recovery and credit audits.
     threads: Vec<Rc<SmartThread>>,
-    /// The framework config with [`tune_for_window`] applied.
+    /// The framework config with `tune_for_window` applied.
     cfg: SmartConfig,
     /// One per compute node (their tuner/controller coroutines must be
     /// quiesced for the run to end).
     pub(crate) contexts: Vec<Rc<SmartContext>>,
     /// Warm-up to run before the window, extended for controller
-    /// convergence ([`tune_for_window`]).
+    /// convergence (`tune_for_window`).
     pub(crate) warmup: Duration,
     /// Length of the measure window.
     pub(crate) measure: Duration,
@@ -151,7 +151,7 @@ pub(crate) struct ClosedLoop {
 
 impl ClosedLoop {
     /// Installs `trace` and the fault plan; the caller then loads its
-    /// application and spawns the workers with [`Self::spawn_workers`].
+    /// application and spawns the workers with `Self::spawn_workers`.
     fn new(
         h: &SimHandle,
         cluster: &Cluster,
@@ -280,7 +280,7 @@ impl ClosedLoop {
     }
 }
 
-/// Runs the scenario `start` builds through [`run_closed_loop`] under
+/// Runs the scenario `start` builds through `run_closed_loop` under
 /// [`DomainPlan::single`] on one engine worker.
 fn run_single(
     seed: u64,
