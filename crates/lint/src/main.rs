@@ -27,6 +27,8 @@
 //!   from the current tree's inferred signatures and exit (reviewing the
 //!   resulting diff is the drift-acceptance step).
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
