@@ -44,8 +44,8 @@ use crate::effects::{
     CLOCK_METHODS, EFFECTS_PATH, FABRIC_METHODS, RNG_METHODS, SHARED_MUT_METHODS, SPAWN_METHODS,
 };
 use crate::items::{self, FnItem};
-use crate::lex::{is_path_sep, Tok, TokKind};
-use crate::resolve::{self, Bindings, Resolver};
+use crate::lex::{is_path_sep, Tok};
+use crate::resolve::{self, Binding, Bindings, Recv, Resolver};
 use crate::rules::{diag, Diagnostic, SourceFile};
 
 /// Method names so common in std that an unresolved call may never link
@@ -278,15 +278,9 @@ impl FlowGraph {
         for (fi, f) in files.iter().enumerate() {
             let krate = resolve::crate_of(&f.rel).unwrap_or_default();
             let res = Resolver::new(&f.items);
-            let fn_pos = fn_keyword_positions(&f.lex.toks);
-            if fn_pos.len() != f.items.fns.len() {
-                // Item map and keyword scan disagree (malformed source);
-                // skip edges for this file rather than misattribute.
-                continue;
-            }
             for (k, item) in f.items.fns.iter().enumerate() {
                 let Some(id) = node_of[fi][k] else { continue };
-                let out = scan_fn(f, fi, &krate, item, fn_pos[k], &res, &tables, &g.types);
+                let out = scan_fn(f, fi, &krate, item, &res, &tables, &g.types);
                 let n = &mut g.nodes[id];
                 n.intrinsic = n.intrinsic.join(out.intrinsic);
                 n.callees = out.callees.into_iter().filter(|c| *c != id).collect();
@@ -415,27 +409,6 @@ impl FlowGraph {
     }
 }
 
-/// Positions of `fn` keywords introducing a named fn, in token order —
-/// parallel to `FileMap::fns` (the item parser pushes one entry per such
-/// keyword, in the same order).
-fn fn_keyword_positions(toks: &[Tok]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        // Mirror the item parser's attribute skip so `#[cfg(feature =
-        // "x")] fn …` stays aligned even if an attribute held an ident.
-        if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            i = items::matching(toks, i + 1, '[', ']') + 1;
-            continue;
-        }
-        if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.ident().is_some()) {
-            out.push(i);
-        }
-        i += 1;
-    }
-    out
-}
-
 /// What one fn-body walk found.
 struct ScanOut {
     intrinsic: Effects,
@@ -497,157 +470,13 @@ fn first_workspace_type<'a>(
         .find_map(|s| type_crate(types, s, krate).map(|c| (s.clone(), c)))
 }
 
-/// How a `.m(…)` receiver resolved.
-enum Recv {
-    /// `self.m(…)` — the enclosing impl type.
-    SelfDirect,
-    /// `self.field.m(…)` — the named field's written type.
-    SelfField(Vec<String>),
-    /// `x.m(…)` — a tracked binding's written type.
-    Binding(String, Vec<String>),
-    /// `x.field.m(…)` — state reachable from binding `x` (good enough
-    /// for ownership attribution, not for method lookup).
-    BindingChain(String, Vec<String>),
-    Opaque,
-}
-
-/// Resolves the receiver of the method call whose name token is at `i`.
-fn receiver_at(f: &SourceFile, binds: &Bindings, res: &Resolver, i: usize) -> Recv {
-    let toks = &f.lex.toks;
-    let Some(r) = i.checked_sub(2) else {
-        return Recv::Opaque;
-    };
-    let Some(x) = toks[r].ident() else {
-        return Recv::Opaque;
-    };
-    if r >= 2 && toks[r - 1].is_punct('.') {
-        // A one-level chain `head.x.m(…)`.
-        let h = r - 2;
-        if toks[h].is_ident("self") && (h == 0 || !toks[h - 1].is_punct('.')) {
-            if let Some(fd) = f.items.fields.iter().find(|fd| fd.name == x) {
-                return Recv::SelfField(expand_head(res, &fd.ty));
-            }
-            return Recv::Opaque;
-        }
-        if let Some(head) = toks[h].ident() {
-            if (h == 0 || !toks[h - 1].is_punct('.'))
-                && !toks.get(h + 1).is_some_and(|t| t.is_punct('('))
-            {
-                if let Some(b) = binds.lookup(head) {
-                    return Recv::BindingChain(head.to_string(), b.ty.clone());
-                }
-            }
-        }
-        return Recv::Opaque;
-    }
-    if x == "self" {
-        return Recv::SelfDirect;
-    }
-    match binds.lookup(x) {
-        Some(b) => Recv::Binding(x.to_string(), b.ty.clone()),
-        None => Recv::Opaque,
-    }
-}
-
-/// Alias-expands the head ident of a written type.
-fn expand_head(res: &Resolver, ty: &[String]) -> Vec<String> {
-    if let Some(full) = ty.first().and_then(|h| res.lookup(h)) {
-        let mut v = full.to_vec();
-        v.extend(ty.iter().skip(1).cloned());
-        v
-    } else {
-        ty.to_vec()
-    }
-}
-
-/// Declares one fn's typed parameters as scope-0 bindings (`self` and
-/// destructuring patterns contribute nothing; closure params are not
-/// covered — closures belong to the enclosing fn).
-fn declare_params(f: &SourceFile, fn_pos: usize, res: &Resolver, binds: &mut Bindings) {
-    let toks = &f.lex.toks;
-    let mut i = fn_pos + 2; // past `fn name`
-    if toks.get(i).is_some_and(|t| t.is_punct('<')) {
-        i = items::skip_generics(toks, i);
-    }
-    if !toks.get(i).is_some_and(|t| t.is_punct('(')) {
-        return;
-    }
-    let close = items::matching(toks, i, '(', ')');
-    i += 1;
-    while i < close {
-        // Skip to the start of the next parameter pattern.
-        while i < close
-            && (toks[i].is_punct('&')
-                || toks[i].is_ident("mut")
-                || matches!(toks[i].kind, TokKind::Lifetime(_)))
-        {
-            i += 1;
-        }
-        if i >= close {
-            break;
-        }
-        let mut consumed = false;
-        if let Some(name) = toks[i].ident() {
-            if name != "self"
-                && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                && !is_path_sep(toks, i + 1)
-            {
-                let line = toks[i].line;
-                let mut ty = Vec::new();
-                let mut depth = 0i64;
-                let mut j = i + 2;
-                while j < close {
-                    match &toks[j].kind {
-                        TokKind::Punct('<') | TokKind::Punct('(') | TokKind::Punct('[') => {
-                            depth += 1
-                        }
-                        TokKind::Punct('>') | TokKind::Punct(')') | TokKind::Punct(']') => {
-                            depth -= 1
-                        }
-                        TokKind::Punct(',') if depth <= 0 => break,
-                        TokKind::Ident(s) => ty.push(s.clone()),
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                binds.declare(resolve::Binding {
-                    name: name.to_string(),
-                    line,
-                    ty: expand_head(res, &ty),
-                });
-                i = j;
-                consumed = true;
-            }
-        }
-        if !consumed {
-            // Not a simple `name: ty` parameter; skip to the next `,`
-            // at depth 0.
-            let mut depth = 0i64;
-            while i < close {
-                match &toks[i].kind {
-                    TokKind::Punct('<') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                    TokKind::Punct('>') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                    TokKind::Punct(',') if depth <= 0 => break,
-                    _ => {}
-                }
-                i += 1;
-            }
-        }
-        if i < close && toks[i].is_punct(',') {
-            i += 1;
-        }
-    }
-}
-
 /// Walks one fn body, seeding intrinsic effects and resolving call
 /// edges and rule sites.
-#[allow(clippy::too_many_arguments)]
 fn scan_fn(
     f: &SourceFile,
     file_idx: usize,
     krate: &str,
     item: &FnItem,
-    fn_pos: usize,
     res: &Resolver,
     tables: &Tables,
     types: &BTreeMap<String, BTreeSet<String>>,
@@ -662,31 +491,17 @@ fn scan_fn(
     };
     let mut binds = Bindings::default();
     binds.enter();
-    declare_params(f, fn_pos, res, &mut binds);
-
-    let mut i = open + 1;
-    while i < close {
+    for p in &item.params {
+        binds.declare(Binding {
+            name: p.name.clone(),
+            line: p.line,
+            ty: res.expand(&p.ty),
+        });
+    }
+    resolve::walk(toks, open + 1, close, res, &mut binds, |i, binds| {
         let t = &toks[i];
-        if t.is_punct('{') {
-            binds.enter();
-            i += 1;
-            continue;
-        }
-        if t.is_punct('}') {
-            binds.exit();
-            i += 1;
-            continue;
-        }
-        if t.is_ident("let") {
-            if let Some((b, next)) = resolve::let_binding_at(toks, i, res) {
-                binds.declare(b);
-                i = next;
-                continue;
-            }
-        }
         let Some(name) = t.ident() else {
-            i += 1;
-            continue;
+            return i + 1;
         };
         let prev_dot = i >= 1 && toks[i - 1].is_punct('.');
         let next_paren = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
@@ -699,21 +514,20 @@ fn scan_fn(
         } else if prev_dot && next_paren {
             // Method call.
             out.intrinsic = out.intrinsic.join(method_seed(name));
-            let recv = receiver_at(f, &binds, res, i);
+            let recv = resolve::receiver(toks, &f.items.fields, res, binds, i - 2);
             if SHARED_MUT_METHODS.contains(&name) {
                 record_shared_site(&recv, types, krate, t.line, &mut out.shared);
             }
             if SPAWN_METHODS.contains(&name) {
-                record_escapes(f, &binds, types, krate, i, close, &mut out.escapes);
+                record_escapes(toks, binds, types, krate, i, close, &mut out.escapes);
             }
             let edge_type = match &recv {
                 Recv::SelfDirect => item.impl_type.clone(),
-                Recv::SelfField(ty) | Recv::Binding(_, ty) => {
-                    first_workspace_type(types, ty, krate).map(|(t, _)| t)
-                }
+                Recv::SelfField(_, ty) => first_workspace_type(types, ty, krate).map(|(t, _)| t),
+                Recv::Binding(b) => first_workspace_type(types, &b.ty, krate).map(|(t, _)| t),
                 // The method lives on the *field's* type, which is not
                 // written here — leave it to the fallback.
-                Recv::BindingChain(..) | Recv::Opaque => None,
+                Recv::BindingChain(_) | Recv::Opaque => None,
             };
             let mut linked = false;
             if let Some(ty) = edge_type {
@@ -742,12 +556,11 @@ fn scan_fn(
             let (segs, after) = resolve::path_at(toks, i);
             if toks.get(after).is_some_and(|n| n.is_punct('(')) && !segs.is_empty() {
                 resolve_path_call(&segs, file_idx, krate, item, res, tables, types, &mut out);
-                i = after;
-                continue;
+                return after;
             }
         }
-        i += 1;
-    }
+        i + 1
+    });
     out
 }
 
@@ -768,17 +581,7 @@ fn resolve_path_call(
     if segs.len() == 1 {
         return resolve_bare_call(&segs[0], file_idx, tables, out);
     }
-    // Alias-expand the head segment.
-    let expanded: Vec<String> = {
-        let mut v = Vec::new();
-        if let Some(full) = res.lookup(&segs[0]) {
-            v.extend(full.iter().cloned());
-            v.extend(segs[1..].iter().cloned());
-        } else {
-            v.extend(segs.iter().cloned());
-        }
-        v
-    };
+    let expanded = res.expand(segs);
     let name = expanded.last().expect("non-empty path").clone();
     let qual = expanded[expanded.len() - 2].clone();
     // `Vec::new()` / `String::new()` / `Box::new()` / `T::with_capacity`.
@@ -857,11 +660,11 @@ fn record_shared_site(
     out: &mut Vec<SharedSite>,
 ) {
     let (recv_name, ty, owned_field) = match recv {
-        Recv::SelfField(ty) => ("self".to_string(), ty.clone(), true),
-        Recv::Binding(n, ty) | Recv::BindingChain(n, ty) => (n.clone(), ty.clone(), false),
+        Recv::SelfField(_, ty) => ("self", ty, true),
+        Recv::Binding(b) | Recv::BindingChain(b) => (b.name.as_str(), &b.ty, false),
         Recv::SelfDirect | Recv::Opaque => return,
     };
-    if let Some((state_ty, state_crate)) = first_workspace_type(types, &ty, krate) {
+    if let Some((state_ty, state_crate)) = first_workspace_type(types, ty, krate) {
         if owned_field {
             // Only the outermost wrapper decides: `Rc<Qp>` is a shared
             // handle, but `RefCell<BTreeMap<_, Rc<Qp>>>` is an owned map
@@ -873,7 +676,7 @@ fn record_shared_site(
         }
         out.push(SharedSite {
             line,
-            recv: recv_name,
+            recv: recv_name.to_string(),
             state_ty,
             state_crate: state_crate.to_string(),
         });
@@ -883,7 +686,7 @@ fn record_shared_site(
 /// Records `Rc<WorkspaceType>` bindings captured inside the argument
 /// span of a `.spawn(…)` whose name token sits at `i`.
 fn record_escapes(
-    f: &SourceFile,
+    toks: &[Tok],
     binds: &Bindings,
     types: &BTreeMap<String, BTreeSet<String>>,
     krate: &str,
@@ -891,7 +694,6 @@ fn record_escapes(
     body_close: usize,
     out: &mut Vec<EscapeSite>,
 ) {
-    let toks = &f.lex.toks;
     let close = items::matching(toks, i + 1, '(', ')').min(body_close);
     let line = toks[i].line;
     let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -1110,44 +912,28 @@ pub fn effect_drift(root: &Path, g: &FlowGraph, out: &mut Vec<Diagnostic>) {
     let entries = match parse_effects_json(&text) {
         Ok(e) => e,
         Err(e) => {
-            out.push(Diagnostic {
-                path: EFFECTS_PATH.into(),
-                line: 1,
-                rule: "effect-drift",
-                message: format!("cannot parse effect baseline: {e}"),
-                suppressed: false,
-            });
+            let msg = format!("cannot parse effect baseline: {e}");
+            out.push(Diagnostic::new(EFFECTS_PATH, 1, "effect-drift", msg));
             return;
         }
     };
     for pin in &entries {
-        match g.effects_of(&pin.entry) {
-            None => out.push(Diagnostic {
-                path: EFFECTS_PATH.into(),
-                line: pin.line,
-                rule: "effect-drift",
-                message: format!(
-                    "pinned entry `{}` no longer resolves to any workspace fn; \
-                     update EFFECTS.json (smart-lint --update-effects) or restore the fn",
-                    pin.entry
-                ),
-                suppressed: false,
-            }),
-            Some(got) if got != pin.effects => out.push(Diagnostic {
-                path: EFFECTS_PATH.into(),
-                line: pin.line,
-                rule: "effect-drift",
-                message: format!(
-                    "pinned entry `{}` now infers {} but the baseline says {}; \
-                     if intentional, run smart-lint --update-effects and review the diff",
-                    pin.entry,
-                    got.render(),
-                    pin.effects.render()
-                ),
-                suppressed: false,
-            }),
-            Some(_) => {}
-        }
+        let msg = match g.effects_of(&pin.entry) {
+            None => format!(
+                "pinned entry `{}` no longer resolves to any workspace fn; \
+                 update EFFECTS.json (smart-lint --update-effects) or restore the fn",
+                pin.entry
+            ),
+            Some(got) if got != pin.effects => format!(
+                "pinned entry `{}` now infers {} but the baseline says {}; \
+                 if intentional, run smart-lint --update-effects and review the diff",
+                pin.entry,
+                got.render(),
+                pin.effects.render()
+            ),
+            Some(_) => continue,
+        };
+        out.push(Diagnostic::new(EFFECTS_PATH, pin.line, "effect-drift", msg));
     }
 }
 
