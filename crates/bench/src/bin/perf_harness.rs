@@ -3,8 +3,9 @@
 //! Everything else in this repo measures *virtual* time; this binary is
 //! the one place that holds a stopwatch to the executor. It runs pinned
 //! fig03/fig07/fig14 configurations (fixed seeds, fixed windows —
-//! independent of `SMART_BENCH_MODE`) through `run_ht` — one engine
-//! worker on the calling thread under a single-domain plan —
+//! independent of `SMART_BENCH_MODE`) through `run_microbench` and
+//! `run_ht` — one engine worker on the calling thread under a
+//! single-domain plan —
 //! reports how many scheduling events (task polls + timer fires) the
 //! simulator processed per second of wall time, and writes
 //! `BENCH_SIM.json` (schema v4) at the repo root. Every result records
@@ -34,10 +35,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use smart::{run_microbench_metered, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
-use smart_bench::{
-    parallel_map_with, run_ht, run_ht_decomposed, serve_spec, worker_threads, HtParams,
-};
+use smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
+use smart_bench::{parallel_map_with, run, run_ht, serve_spec, worker_threads, HtParams, Spec};
 use smart_rnic::DomainPlan;
 use smart_rt::Duration;
 use smart_serve::run_serve_decomposed;
@@ -53,7 +52,7 @@ const DECOMPOSED_WORKERS: usize = 4;
 const DECOMPOSED_SPEEDUP_GATE: f64 = 1.3;
 
 /// One pinned config timed under a single-domain plan on one engine
-/// worker (`run_ht`; fig03 is the microbench's own simulation).
+/// worker (`run_microbench` for fig03, `run_ht` for the others).
 struct PerfResult {
     name: &'static str,
     events: u64,
@@ -132,8 +131,8 @@ fn fig03() -> PerfResult {
         spec.op = MicroOp::Read(8);
         spec.warmup = Duration::from_millis(1);
         spec.measure = Duration::from_millis(4);
-        let (report, metrics) = run_microbench_metered(&spec);
-        (metrics.events(), report.mops)
+        let report = run_microbench(&spec);
+        (report.sim_events, report.mops)
     })
 }
 
@@ -323,8 +322,9 @@ fn fig07_decomposed() -> DecomposedResult {
     p.seed = 42;
     let plan = DomainPlan::per_blade(1, p.blades as u32);
     let domains = plan.domains();
+    let spec = Spec::Ht(p);
     time_decomposed("fig07_decomposed", "per_blade", domains, move |workers| {
-        run_ht_decomposed(&p, &plan, workers).report.sim_events
+        run(&spec, &plan, workers).report.sim_events
     })
 }
 

@@ -1,56 +1,121 @@
-//! The one driver: every closed-loop workload runs through
-//! [`smart_rnic::run_decomposed`].
+//! The one driver: every closed-loop workload runs through [`run`],
+//! which runs it through [`smart_rnic::run_decomposed`].
 //!
-//! `run_closed_loop` runs a `ClosedLoop` scenario in domain 0 of a
-//! [`DomainPlan`]. Its phase controller — written once, here — sleeps
-//! through the warm-up, opens the measure window, sleeps through it,
-//! closes it (the workers exit after their in-flight operation) and
-//! quiesces every `SmartContext`'s controller coroutines; the engine then
-//! runs to quiescence, so in-flight recoveries finish on their own and no
-//! fixed drain window is needed. [`crate::run_ht`], [`crate::run_dtx`]
-//! and [`crate::run_bt`] are this driver under [`DomainPlan::single`]
-//! on one engine worker.
+//! [`run`] takes a [`Spec`] — a hash-table, transaction or B+Tree run —
+//! and any [`DomainPlan`]. The workload's scenario runs in domain 0. Its
+//! phase controller — written once, here — sleeps through the warm-up,
+//! opens the measure window, sleeps through it, closes it (the workers
+//! exit after their in-flight operation) and quiesces every
+//! `SmartContext`'s controller coroutines; the engine then runs to
+//! quiescence, so in-flight recoveries finish on their own and no fixed
+//! drain window is needed. [`crate::run_ht`], [`crate::run_dtx`] and
+//! [`crate::run_bt`] are [`run`] under [`DomainPlan::single`] on one
+//! engine worker.
 //!
-//! [`run_ht_decomposed`] takes any plan: compute-side verbs cross to the
-//! blade domains over [`BladeRequest`](smart_rnic::BladeRequest)/[`BladeReply`](smart_rnic::BladeReply)
+//! Compute-side verbs cross to the blade domains over
+//! [`BladeRequest`](smart_rnic::BladeRequest)/[`BladeReply`](smart_rnic::BladeReply)
 //! channels at fabric one-way latency (the conservative lookahead), and
 //! a blade the plan keeps in domain 0 — every blade, under
-//! [`DomainPlan::single`] — is served in place. All plans share one verb
-//! lifecycle (one blade half, one fault rule); what a partition changes
-//! is the order in which events of different domains that fall on the
-//! same nanosecond merge. The determinism gate is *worker-count
-//! invariance for a fixed plan*, asserted by `tests/scheduler_equiv.rs`
-//! at workers 1/2/4/8 against committed goldens.
+//! [`DomainPlan::single`] — is served in place. Every blade domain
+//! replays the workload's deterministic preload, so its blades are
+//! authoritative without state shipping, and installs its share of the
+//! fault plan: the driver lowers the plan onto the partition
+//! ([`smart_fault::FaultPlan::lower_onto`]), so the authoritative blades
+//! crash and restart on the same schedule as the compute domain's
+//! shadows. All plans share one verb lifecycle (one blade half, one fault
+//! rule); what a partition changes is the order in which events of
+//! different domains that fall on the same nanosecond merge. The
+//! determinism gate is *worker-count invariance for a fixed plan*,
+//! asserted by `tests/scheduler_equiv.rs` at workers 1/2/4/8 against
+//! committed goldens.
 
 use std::rc::Rc;
 
 use smart_fault::FaultInjector;
-use smart_rnic::{run_decomposed, Cluster, ClusterConfig, Decomposed, DomainPlan};
-use smart_rt::pdes::DomainId;
-use smart_rt::SimHandle;
+use smart_rnic::{run_decomposed, ClusterConfig, Decomposed, DomainPlan};
+use smart_rt::SchedulePolicy;
+use smart_sherman::ShermanConfig;
 
-use crate::runners::{ht_cluster_config, load_ht, start_ht, ClosedLoop, HtParams, RunReport};
+use crate::runners::{
+    load_bt, load_dtx, load_ht, start_bt, start_dtx, start_ht, BtParams, DtxParams, DtxWorkload,
+    HtParams, RunReport,
+};
 
-/// Runs the closed-loop scenario `start` builds in domain 0 of `plan`,
-/// executable by up to `engine_workers` OS threads, and fills the
-/// report's `sim_events` (summed over all domains) and `live_tasks`.
-/// `bootstrap` runs in every blade domain on its own replica of the
-/// cluster: it must replay the deterministic preload `start` performs.
-pub(crate) fn run_closed_loop(
-    seed: u64,
-    cfg: ClusterConfig,
-    plan: &DomainPlan,
-    engine_workers: usize,
-    start: impl FnOnce(&SimHandle, &Cluster) -> ClosedLoop + 'static,
-    bootstrap: impl Fn(&Cluster, DomainId) + Clone + Send + 'static,
-) -> Decomposed<RunReport> {
+/// A closed-loop workload [`run`] can run under any [`DomainPlan`].
+#[derive(Clone, Debug)]
+pub enum Spec {
+    /// A hash-table run (RACE / SMART-HT).
+    Ht(HtParams),
+    /// A transaction run (FORD+ / SMART-DTX).
+    Dtx(DtxParams),
+    /// A B+Tree run (Sherman+ / SMART-BT).
+    Bt(BtParams),
+}
+
+impl Spec {
+    /// The cluster shape the workload runs on, every blade sized for its
+    /// preload.
+    pub fn cluster_config(&self) -> ClusterConfig {
+        let mb64 = 64 * 1024 * 1024;
+        match self {
+            Spec::Ht(p) => {
+                ClusterConfig::with_region(p.compute_nodes, p.blades, mb64 + p.keys * 96)
+            }
+            // Always 2 memory blades, as in §6.2.2.
+            Spec::Dtx(p) => ClusterConfig::with_region(1, 2, mb64 + p.rows * 512),
+            // Blades mirror compute nodes: the paper co-locates a memory
+            // blade with every server.
+            Spec::Bt(p) => {
+                let blades = p.compute_nodes.max(2);
+                ClusterConfig::with_region(p.compute_nodes, blades, mb64 + p.keys * 64)
+            }
+        }
+    }
+}
+
+/// What every blade domain replays before its engine starts: the
+/// workload's deterministic preload, as `start_*` performs it in the
+/// compute domain. Unlike a [`Spec`], which may carry a trace sink, it
+/// can cross to a worker thread.
+#[derive(Clone)]
+enum Preload {
+    Ht(u64),
+    Dtx(DtxWorkload, u64),
+    Bt(ShermanConfig, u64),
+}
+
+/// Runs `spec` decomposed over `plan`, executable by up to
+/// `engine_workers` OS threads; the spec's trace sink, when set, is
+/// installed in the compute domain. `report.sim_events` sums scheduling
+/// events over all domains.
+///
+/// The result is byte-identical for every `engine_workers` value — that
+/// is the PDES contract this driver inherits.
+///
+/// # Panics
+///
+/// Panics if the plan hosts a compute node outside domain 0 or does not
+/// cover the spec's cluster shape.
+pub fn run(spec: &Spec, plan: &DomainPlan, engine_workers: usize) -> Decomposed<RunReport> {
+    let (seed, fault, preload) = match spec {
+        Spec::Ht(p) => (p.seed, &p.fault, Preload::Ht(p.keys)),
+        Spec::Dtx(p) => (p.seed, &p.fault, Preload::Dtx(p.workload, p.rows)),
+        Spec::Bt(p) => (p.seed, &p.fault, Preload::Bt(p.tree_config(), p.keys)),
+    };
+    let lowered = fault.clone().unwrap_or_default().lower_onto(plan);
+    let spec0 = spec.clone();
     let mut d = run_decomposed(
         seed,
-        cfg,
+        SchedulePolicy::Fifo,
+        spec.cluster_config(),
         plan,
         engine_workers,
         move |h, cluster| {
-            let scenario = Rc::new(start(h, cluster));
+            let scenario = Rc::new(match &spec0 {
+                Spec::Ht(p) => start_ht(h, cluster, p),
+                Spec::Dtx(p) => start_dtx(h, cluster, p),
+                Spec::Bt(p) => start_bt(h, cluster, p),
+            });
             let (hh, s) = (h.clone(), Rc::clone(&scenario));
             h.spawn(async move {
                 hh.sleep(s.warmup).await;
@@ -64,61 +129,19 @@ pub(crate) fn run_closed_loop(
             Box::new(move || scenario.report())
         },
         move |cluster, domain| {
-            bootstrap(cluster, domain);
+            let blades = cluster.blades();
+            match &preload {
+                Preload::Ht(keys) => drop(load_ht(blades, *keys)),
+                Preload::Dtx(workload, rows) => drop(load_dtx(blades, *workload, *rows)),
+                Preload::Bt(tree, keys) => drop(load_bt(blades, tree, *keys)),
+            }
+            FaultInjector::install_share(cluster, &lowered[domain.index()].1);
             Box::new(|_, _| String::new())
         },
     );
     d.report.sim_events = d.events;
     d.report.live_tasks = d.live_tasks;
     d
-}
-
-/// Runs a hash-table experiment decomposed over `plan`, executable by up
-/// to `engine_workers` OS threads; `p.trace`, when set, is installed in
-/// the compute domain.
-///
-/// Every domain replays the same deterministic bootstrap (`load_ht`), so
-/// the blade domains' copies are authoritative without any state
-/// shipping. A fault plan is installed in full on the compute domain
-/// (post-side draws, QP errors and the shadow crash/restart timeline that
-/// drives `MrRevoked` epochs) and lowered onto the blade domains
-/// ([`smart_fault::FaultPlan::lower_onto`]) so the authoritative blades
-/// crash and restart on the same schedule.
-///
-/// The result is byte-identical for every `engine_workers` value — that
-/// is the PDES contract this driver inherits.
-///
-/// # Panics
-///
-/// Panics if the plan hosts a compute node outside domain 0 or does not
-/// cover `p`'s cluster shape.
-pub fn run_ht_decomposed(
-    p: &HtParams,
-    plan: &DomainPlan,
-    engine_workers: usize,
-) -> Decomposed<RunReport> {
-    let p0 = p.clone();
-    let lowered = p.fault.clone().unwrap_or_default().lower_onto(plan);
-    let keys = p.keys;
-    run_closed_loop(
-        p.seed,
-        ht_cluster_config(p),
-        plan,
-        engine_workers,
-        move |h, cluster| start_ht(h, cluster, &p0),
-        move |cluster, domain| {
-            // The table can go once loaded: the blades keep its bytes.
-            load_ht(cluster.blades(), keys);
-            let sub = &lowered[domain.index()].1;
-            if !sub.events().is_empty() {
-                // Only the scheduled crash/restart timeline matters here
-                // — nothing posts in this domain, so the hook's
-                // probabilistic draws never fire (the driver task keeps
-                // its own reference to the injector).
-                let _ = FaultInjector::install(cluster, sub.clone());
-            }
-        },
-    )
 }
 
 #[cfg(test)]
@@ -139,7 +162,7 @@ mod tests {
             let sink = TraceSink::with_capacity(1024);
             let mut p = p.clone();
             p.trace = Some(sink.clone());
-            (run_ht_decomposed(&p, &plan, workers), sink.chrome_json())
+            (run(&Spec::Ht(p), &plan, workers), sink.chrome_json())
         };
         let (seq, seq_trace) = traced(1);
         let (par, par_trace) = traced(3);

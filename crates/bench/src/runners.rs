@@ -3,12 +3,11 @@
 //! throughput and latency over a virtual-time window.
 //!
 //! Each workload is a `ClosedLoop` scenario — the application loaded
-//! and every worker coroutine spawned — built by its `start_*` function,
-//! and [`run_ht`], [`run_dtx`] and [`run_bt`] run it through the one
-//! driver, `crate::decomposed::run_closed_loop`, under
-//! [`DomainPlan::single`] on one engine worker: the phase controller
-//! sleeps through warm-up and the measure window, quiesces the framework
-//! controllers, and the engine runs to quiescence.
+//! and every worker coroutine spawned — built by its `start_*` function
+//! over a deterministic preload (`load_ht`, `load_dtx`, `load_bt`) that
+//! every domain of a plan replays. [`crate::run`] drives any of them
+//! under any [`DomainPlan`]; [`run_ht`], [`run_dtx`] and [`run_bt`] are
+//! views of it under [`DomainPlan::single`] on one engine worker.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -17,7 +16,7 @@ use smart::{SmartConfig, SmartContext, SmartCoro, SmartThread};
 use smart_fault::{FaultInjector, FaultPlan};
 use smart_ford::{backoff_after_abort, SmallBank, Tatp};
 use smart_race::{RaceConfig, RaceHashTable};
-use smart_rnic::{BladeConfig, Cluster, ClusterConfig, DomainPlan, MemoryBlade};
+use smart_rnic::{Cluster, DomainPlan, MemoryBlade};
 use smart_rt::metrics::Counter;
 use smart_rt::{Duration, SimHandle, SimTime};
 use smart_serve::{AdmissionConfig, MembershipPlan, RatePlan, ServeSpec};
@@ -28,7 +27,7 @@ use smart_workloads::smallbank::SmallBankGenerator;
 use smart_workloads::tatp::TatpGenerator;
 use smart_workloads::ycsb::{Mix, YcsbGenerator, YcsbOp};
 
-use crate::decomposed::{run_closed_loop, run_ht_decomposed};
+use crate::decomposed::{run, Spec};
 
 /// Common measurement output.
 #[derive(Clone, Debug, Default)]
@@ -280,16 +279,11 @@ impl ClosedLoop {
     }
 }
 
-/// Runs the scenario `start` builds through `run_closed_loop` under
-/// [`DomainPlan::single`] on one engine worker.
-fn run_single(
-    seed: u64,
-    cfg: ClusterConfig,
-    start: impl FnOnce(&SimHandle, &Cluster) -> ClosedLoop + 'static,
-) -> RunReport {
+/// Runs `spec` under its single plan on one engine worker.
+fn sequential(spec: Spec) -> RunReport {
+    let cfg = spec.cluster_config();
     let plan = DomainPlan::single(cfg.compute_nodes as u32, cfg.memory_blades as u32);
-    let no_blade_domain = |_: &Cluster, _| unreachable!("a single plan has no blade domain");
-    run_closed_loop(seed, cfg, &plan, 1, start, no_blade_domain).report
+    run(&spec, &plan, 1).report
 }
 
 // ---------------------------------------------------------------------------
@@ -368,19 +362,6 @@ fn ht_table_config(keys: u64) -> RaceConfig {
     }
 }
 
-/// The cluster shape a hash-table run needs.
-pub(crate) fn ht_cluster_config(p: &HtParams) -> ClusterConfig {
-    ClusterConfig {
-        compute_nodes: p.compute_nodes,
-        memory_blades: p.blades,
-        blade: BladeConfig {
-            region_bytes: 64 * 1024 * 1024 + p.keys * 96,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
 /// Creates the table and preloads `keys` keys. Only the bump allocator
 /// and direct writes are used — no RNG, no simulated time — so every
 /// domain of a decomposed run replays this and holds identical bytes.
@@ -431,11 +412,11 @@ pub(crate) fn start_ht(h: &SimHandle, cluster: &Cluster, p: &HtParams) -> Closed
     run
 }
 
-/// Runs a hash-table experiment: [`run_ht_decomposed`] under
-/// [`DomainPlan::single`] on one engine worker.
+/// Runs a hash-table experiment: [`crate::run`] under
+/// [`DomainPlan::single`](smart_rnic::DomainPlan::single) on one engine
+/// worker.
 pub fn run_ht(p: &HtParams) -> RunReport {
-    let plan = DomainPlan::single(p.compute_nodes as u32, p.blades as u32);
-    run_ht_decomposed(p, &plan, 1).report
+    sequential(Spec::Ht(p.clone()))
 }
 
 // ---------------------------------------------------------------------------
@@ -498,22 +479,30 @@ impl DtxParams {
     }
 }
 
+/// The loaded application of a transaction run.
+pub(crate) enum DtxApp {
+    Bank(Rc<SmallBank>),
+    Tatp(Rc<Tatp>),
+}
+
+/// Creates the benchmark's tables and loads `rows` rows, as
+/// deterministically as [`load_ht`].
+pub(crate) fn load_dtx(blades: &[Rc<MemoryBlade>], workload: DtxWorkload, rows: u64) -> DtxApp {
+    match workload {
+        DtxWorkload::SmallBank => DtxApp::Bank(SmallBank::create(blades, rows, 10_000)),
+        DtxWorkload::Tatp => DtxApp::Tatp(Tatp::create(blades, rows)),
+    }
+}
+
 /// Starts a transaction scenario on `cluster`.
-fn start_dtx(h: &SimHandle, cluster: &Cluster, p: &DtxParams) -> ClosedLoop {
+pub(crate) fn start_dtx(h: &SimHandle, cluster: &Cluster, p: &DtxParams) -> ClosedLoop {
     let mut run = ClosedLoop::new(
         h, cluster, &p.trace, &p.fault, &p.smart, p.warmup, p.measure,
     );
-    enum App {
-        Bank(Rc<SmallBank>),
-        Tatp(Rc<Tatp>),
-    }
-    let app = Rc::new(match p.workload {
-        DtxWorkload::SmallBank => App::Bank(SmallBank::create(cluster.blades(), p.rows, 10_000)),
-        DtxWorkload::Tatp => App::Tatp(Tatp::create(cluster.blades(), p.rows)),
-    });
+    let app = Rc::new(load_dtx(cluster.blades(), p.workload, p.rows));
     let db = match &*app {
-        App::Bank(b) => Rc::clone(b.db()),
-        App::Tatp(t) => Rc::clone(t.db()),
+        DtxApp::Bank(b) => Rc::clone(b.db()),
+        DtxApp::Tatp(t) => Rc::clone(t.db()),
     };
     let grid = [1, p.threads, p.depth];
     run.spawn_workers(h, cluster, grid, p.pace, |_, t, c, coro| {
@@ -525,14 +514,14 @@ fn start_dtx(h: &SimHandle, cluster: &Cluster, p: &DtxParams) -> ClosedLoop {
         async move |_| {
             let mut attempt = 0u32;
             match &*app {
-                App::Bank(bank) => {
+                DtxApp::Bank(bank) => {
                     let txn = bank_gen.next_txn();
                     while bank.execute(&coro, log, &txn).await.is_err() {
                         attempt += 1;
                         backoff_after_abort(&coro, attempt).await;
                     }
                 }
-                App::Tatp(tatp) => {
+                DtxApp::Tatp(tatp) => {
                     let txn = tatp_gen.next_txn();
                     while tatp.execute(&coro, log, &txn).await.is_err() {
                         attempt += 1;
@@ -553,20 +542,11 @@ fn start_dtx(h: &SimHandle, cluster: &Cluster, p: &DtxParams) -> ClosedLoop {
     run
 }
 
-/// Runs a transaction experiment (always 2 memory blades, as in §6.2.2)
-/// under [`DomainPlan::single`] on one engine worker.
+/// Runs a transaction experiment: [`crate::run`] under
+/// [`DomainPlan::single`](smart_rnic::DomainPlan::single) on one engine
+/// worker.
 pub fn run_dtx(p: &DtxParams) -> RunReport {
-    let cfg = ClusterConfig {
-        compute_nodes: 1,
-        memory_blades: 2,
-        blade: BladeConfig {
-            region_bytes: 64 * 1024 * 1024 + p.rows * 512,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let p = p.clone();
-    run_single(p.seed, cfg, move |h, c| start_dtx(h, c, &p))
+    sequential(Spec::Dtx(p.clone()))
 }
 
 // ---------------------------------------------------------------------------
@@ -668,20 +648,37 @@ impl BtParams {
     }
 }
 
+impl BtParams {
+    /// The tree configuration: the variant's, unless overridden.
+    pub(crate) fn tree_config(&self) -> ShermanConfig {
+        let variant = self.variant.configs(self.threads).0;
+        self.tree_override.clone().unwrap_or(variant)
+    }
+}
+
+/// Creates the tree and bulk-loads `keys` keys host-side, as
+/// deterministically as [`load_ht`].
+pub(crate) fn load_bt(
+    blades: &[Rc<MemoryBlade>],
+    cfg: &ShermanConfig,
+    keys: u64,
+) -> Rc<ShermanTree> {
+    let tree = ShermanTree::create(blades, cfg.clone());
+    for k in 0..keys {
+        tree.load(k, k.wrapping_mul(3));
+    }
+    tree
+}
+
 /// Starts a B+Tree scenario on `cluster`: one tree handle per compute
 /// node over one shared tree.
-fn start_bt(h: &SimHandle, cluster: &Cluster, p: &BtParams) -> ClosedLoop {
-    let (mut tree_cfg, smart_cfg) = p.variant.configs(p.threads);
+pub(crate) fn start_bt(h: &SimHandle, cluster: &Cluster, p: &BtParams) -> ClosedLoop {
+    let smart_cfg = p.variant.configs(p.threads).1;
     let mut run = ClosedLoop::new(
         h, cluster, &p.trace, &p.fault, &smart_cfg, p.warmup, p.measure,
     );
-    if let Some(over) = &p.tree_override {
-        tree_cfg = over.clone();
-    }
-    let tree0 = ShermanTree::create(cluster.blades(), tree_cfg.clone());
-    for k in 0..p.keys {
-        tree0.load(k, k.wrapping_mul(3));
-    }
+    let tree_cfg = p.tree_config();
+    let tree0 = load_bt(cluster.blades(), &tree_cfg, p.keys);
     let base_gen = YcsbGenerator::new(p.keys, p.theta, p.mix, p.seed);
     let root = tree0.root_ptr();
     let mut trees = vec![tree0];
@@ -706,21 +703,11 @@ fn start_bt(h: &SimHandle, cluster: &Cluster, p: &BtParams) -> ClosedLoop {
     run
 }
 
-/// Runs a B+Tree experiment under [`DomainPlan::single`] on one engine
-/// worker. Blades mirror compute nodes (the paper co-locates a memory
-/// blade with every server).
+/// Runs a B+Tree experiment: [`crate::run`] under
+/// [`DomainPlan::single`](smart_rnic::DomainPlan::single) on one engine
+/// worker.
 pub fn run_bt(p: &BtParams) -> RunReport {
-    let cfg = ClusterConfig {
-        compute_nodes: p.compute_nodes,
-        memory_blades: p.compute_nodes.max(2),
-        blade: BladeConfig {
-            region_bytes: 64 * 1024 * 1024 + p.keys * 64,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let p = p.clone();
-    run_single(p.seed, cfg, move |h, c| start_bt(h, c, &p))
+    sequential(Spec::Bt(p.clone()))
 }
 
 /// The standard serve scenario at a given client population and offered

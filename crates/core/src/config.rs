@@ -242,14 +242,6 @@ impl SmartConfig {
         self
     }
 
-    /// Enables/disables the full conflict-avoidance stack (§4.3).
-    pub fn with_conflict_avoidance(mut self, on: bool) -> Self {
-        self.conflict_backoff = on;
-        self.dynamic_backoff_limit = on;
-        self.coroutine_throttle = on;
-        self
-    }
-
     /// Sets the fault-recovery retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;

@@ -277,9 +277,4 @@ impl SmartContext {
             stats,
         )
     }
-
-    /// Number of threads created so far.
-    pub fn thread_count(&self) -> usize {
-        self.next_thread.get()
-    }
 }

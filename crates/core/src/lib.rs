@@ -69,9 +69,7 @@ pub use conflict::ConflictControl;
 pub use context::SmartContext;
 pub use coro::{FaultError, OpGuard, SmartCoro};
 pub use hub::CompletionHub;
-pub use microbench::{
-    run_microbench, run_microbench_metered, DynamicLoad, MicroOp, MicrobenchReport, MicrobenchSpec,
-};
+pub use microbench::{run_microbench, DynamicLoad, MicroOp, MicrobenchReport, MicrobenchSpec};
 pub use pool::QpPool;
 pub use report::{ContentionReport, DoorbellReport};
 pub use route::ShardRouter;

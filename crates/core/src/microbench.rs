@@ -8,13 +8,27 @@
 //! exactly the paper's loop. Throughput and the PCIe-inbound DRAM traffic
 //! per WR (Figure 4b) are measured over a virtual-time window after a
 //! warm-up.
+//!
+//! The run goes through the one driver, [`smart_rnic::run_decomposed`],
+//! under `DomainPlan::single` on one engine worker, with the spec's
+//! schedule policy. A phase-controller coroutine reads the node counters
+//! at the window edges — each read waits until its instant has settled
+//! ([`smart_rt::SimHandle::settle_until`]), so it sees what stepping the
+//! simulation to that edge would — then stops the workers and the
+//! dynamic-load toggler and quiesces the framework controllers; the
+//! engine runs to quiescence. Every blade domain replays the region
+//! reservation, so the microbench also runs under any
+//! [`DomainPlan`].
 
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use smart_rnic::{Cluster, ClusterConfig, RemoteAddr, RnicConfig};
-use smart_rt::{SchedulePolicy, Simulation};
+use smart_rnic::{
+    run_decomposed, BladeId, Cluster, ClusterConfig, Decomposed, DomainPlan, MemoryBlade,
+    RemoteAddr, RnicConfig,
+};
+use smart_rt::{SchedulePolicy, SimHandle, SimTime};
 
 use crate::config::SmartConfig;
 use crate::context::SmartContext;
@@ -111,6 +125,16 @@ pub struct MicrobenchReport {
     pub wqe_hit_ratio: f64,
     /// MTT/MPT cache hit ratio during the whole run.
     pub mtt_hit_ratio: f64,
+    /// Simulator scheduling events (task polls + timer fires) over the
+    /// whole run, summed over all domains: the denominator of the
+    /// `smart-bench` perf harness's wall-clock `ns/event`. Left out of
+    /// report goldens, like `RunReport::sim_events` in `smart-bench`.
+    pub sim_events: u64,
+    /// Tasks still live in the compute domain once the run quiesced
+    /// ([`Decomposed::live_tasks`]): one parked CQ pump per thread plus
+    /// one reply dispatcher per remote blade. A worker left here is a
+    /// lost wakeup.
+    pub live_tasks: usize,
 }
 
 /// Runs the micro-benchmark to completion and reports throughput.
@@ -130,50 +154,68 @@ pub struct MicrobenchReport {
 /// assert!(report.mops > 1.0);
 /// ```
 pub fn run_microbench(spec: &MicrobenchSpec) -> MicrobenchReport {
-    run_microbench_metered(spec).0
+    run_planned(spec, &DomainPlan::single(1, spec.blades as u32), 1).report
 }
 
-/// Like [`run_microbench`], additionally returning the executor's
-/// scheduling metrics for the whole run. The `smart-bench` perf harness
-/// uses the event count as the denominator of its wall-clock `ns/event`
-/// figure; the report itself is unchanged so result goldens keep their
-/// bytes.
-pub fn run_microbench_metered(
+/// Runs the micro-benchmark in domain 0 of `plan` on up to
+/// `engine_workers` OS threads.
+fn run_planned(
     spec: &MicrobenchSpec,
-) -> (MicrobenchReport, smart_rt::metrics::ExecutorMetrics) {
-    let mut sim = Simulation::with_policy(spec.seed, spec.schedule);
-    if let Some(sink) = &spec.trace {
-        sim.handle().install_tracer(sink.clone());
-    }
-    let cluster = Cluster::new(
-        sim.handle(),
-        ClusterConfig {
-            compute_nodes: 1,
-            memory_blades: spec.blades,
-            blade: smart_rnic::BladeConfig {
-                region_bytes: spec.region_bytes,
-                ..Default::default()
-            },
-            rnic: spec.rnic.clone(),
-            ..Default::default()
+    plan: &DomainPlan,
+    engine_workers: usize,
+) -> Decomposed<MicrobenchReport> {
+    let cfg = ClusterConfig {
+        rnic: spec.rnic.clone(),
+        ..ClusterConfig::with_region(1, spec.blades, spec.region_bytes)
+    };
+    let (spec0, region) = (spec.clone(), spec.region_bytes);
+    let mut d = run_decomposed(
+        spec.seed,
+        spec.schedule,
+        cfg,
+        plan,
+        engine_workers,
+        move |h, cluster| start(h, cluster, &spec0),
+        move |cluster, _| {
+            reserve(cluster.blades(), region);
+            Box::new(|_, _| String::new())
         },
     );
-    // Reserve the whole region so random offsets land in valid memory.
-    for blade in cluster.blades() {
-        blade.alloc(spec.region_bytes - 64, 8);
+    d.report.sim_events = d.events;
+    d.report.live_tasks = d.live_tasks;
+    d
+}
+
+/// Reserves the whole region so random offsets land in valid memory.
+fn reserve(blades: &[Rc<MemoryBlade>], region_bytes: u64) {
+    for blade in blades {
+        blade.alloc(region_bytes - 64, 8);
     }
+}
+
+/// Spawns the toggler, the workers and the phase controller; returns the
+/// finish hook that assembles the report.
+fn start(
+    h: &SimHandle,
+    cluster: &Cluster,
+    spec: &MicrobenchSpec,
+) -> Box<dyn FnOnce() -> MicrobenchReport> {
+    if let Some(sink) = &spec.trace {
+        h.install_tracer(sink.clone());
+    }
+    reserve(cluster.blades(), spec.region_bytes);
     let mut smart_cfg = spec.smart.clone();
     smart_cfg.expected_threads = spec.threads;
     let ctx = SmartContext::new(cluster.compute(0), cluster.blades(), smart_cfg);
 
-    let active: Rc<Cell<usize>> = Rc::new(Cell::new(spec.threads));
+    let stop = Rc::new(Cell::new(false));
+    let active = Rc::new(Cell::new(spec.threads));
     if let Some(dynamic) = spec.dynamic {
-        let active = Rc::clone(&active);
-        let handle = sim.handle();
+        let (active, stop, handle) = (Rc::clone(&active), Rc::clone(&stop), h.clone());
         active.set(dynamic.high_threads);
-        sim.spawn(async move {
+        h.spawn(async move {
             let mut high = true;
-            loop {
+            while !stop.get() {
                 handle.sleep(dynamic.interval).await;
                 high = !high;
                 active.set(if high {
@@ -189,22 +231,20 @@ pub fn run_microbench_metered(
     let op = spec.op;
     let blades = spec.blades as u64;
     let slots = (spec.region_bytes - 64) / 8 - 2;
-    for t in 0..spec.threads {
+    for _ in 0..spec.threads {
         let thread = ctx.create_thread();
         let coro = thread.coroutine();
-        let handle = sim.handle();
-        let active = Rc::clone(&active);
-        sim.spawn(async move {
-            loop {
+        let (active, stop, handle) = (Rc::clone(&active), Rc::clone(&stop), h.clone());
+        h.spawn(async move {
+            while !stop.get() {
                 if thread.index() >= active.get() {
                     handle.sleep(Duration::from_micros(20)).await;
                     continue;
                 }
                 let _op = coro.op_scope_named("micro").await;
                 for _ in 0..depth {
-                    let blade = cluster_blade_id(t as u64, handle.rand_below(blades));
-                    let offset = 64 + handle.rand_below(slots) * 8;
-                    let addr = RemoteAddr::new(smart_rnic::BladeId(blade), offset);
+                    let blade = BladeId(handle.rand_below(blades) as u32);
+                    let addr = RemoteAddr::new(blade, 64 + handle.rand_below(slots) * 8);
                     match op {
                         MicroOp::Read(len) => {
                             coro.read(addr, len);
@@ -223,36 +263,43 @@ pub fn run_microbench_metered(
         });
     }
 
-    sim.run_for(spec.warmup);
-    let node = cluster.compute(0);
-    let before = node.counters();
-    sim.run_for(spec.measure);
-    let after = node.counters();
+    // The phase controller: the window's counters, then the stop.
+    let window = Rc::new(Cell::new(None));
+    let (node, handle, done) = (Rc::clone(cluster.compute(0)), h.clone(), Rc::clone(&window));
+    let (open, close) = (
+        SimTime::ZERO + spec.warmup,
+        SimTime::ZERO + spec.warmup + spec.measure,
+    );
+    h.spawn(async move {
+        handle.settle_until(open).await;
+        let before = node.counters();
+        handle.settle_until(close).await;
+        done.set(Some((before, node.counters())));
+        stop.set(true);
+        ctx.quiesce_controllers();
+    });
 
-    let ops = after.ops_completed - before.ops_completed;
     let secs = spec.measure.as_secs_f64();
-    let wqe_total = after.wqe_hits + after.wqe_misses;
-    let mtt_total = after.mtt_hits + after.mtt_misses;
-    let report = MicrobenchReport {
-        ops,
-        mops: ops as f64 / secs / 1e6,
-        dram_bytes_per_op: after.dram_bytes_per_op_since(&before),
-        wqe_hit_ratio: if wqe_total == 0 {
-            1.0
-        } else {
-            after.wqe_hits as f64 / wqe_total as f64
-        },
-        mtt_hit_ratio: if mtt_total == 0 {
-            1.0
-        } else {
-            after.mtt_hits as f64 / mtt_total as f64
-        },
-    };
-    (report, sim.handle().metrics())
-}
-
-fn cluster_blade_id(_thread: u64, pick: u64) -> u32 {
-    pick as u32
+    Box::new(move || {
+        let (before, after) = window.take().expect("the window never closed");
+        let ops = after.ops_completed - before.ops_completed;
+        let ratio = |hits: u64, misses: u64| {
+            if hits + misses == 0 {
+                1.0
+            } else {
+                hits as f64 / (hits + misses) as f64
+            }
+        };
+        MicrobenchReport {
+            ops,
+            mops: ops as f64 / secs / 1e6,
+            dram_bytes_per_op: after.dram_bytes_per_op_since(&before),
+            wqe_hit_ratio: ratio(after.wqe_hits, after.wqe_misses),
+            mtt_hit_ratio: ratio(after.mtt_hits, after.mtt_misses),
+            sim_events: 0,
+            live_tasks: 0,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -294,6 +341,28 @@ mod tests {
             one.mops,
             sixteen.mops
         );
+    }
+
+    #[test]
+    fn per_blade_runs_are_byte_identical_across_engine_workers() {
+        let mut spec = MicrobenchSpec::new(
+            SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 4),
+            4,
+            8,
+        );
+        spec.blades = 2;
+        spec.region_bytes = 1 << 20;
+        quick(&mut spec);
+        let plan = DomainPlan::per_blade(1, 2);
+        let (one, two) = (run_planned(&spec, &plan, 1), run_planned(&spec, &plan, 2));
+        assert_eq!(format!("{:?}", one.report), format!("{:?}", two.report));
+        assert_eq!(one.blade_log, two.blade_log);
+        assert_eq!((one.epochs, one.envelopes), (two.epochs, two.envelopes));
+        assert!(one.report.ops > 0, "no batch completed");
+        // One parked CQ pump per thread, one reply dispatcher per blade.
+        assert_eq!(one.report.live_tasks, spec.threads + 2, "stranded tasks");
+        assert_eq!(one.blade_log.lines().count(), 2);
+        assert!(!one.blade_log.contains(" served=0 "), "{}", one.blade_log);
     }
 
     #[test]

@@ -81,6 +81,18 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInjector {
+    /// Installs a blade domain's share of a plan lowered with
+    /// [`FaultPlan::lower_onto`] on that domain's cluster replica, if the
+    /// share schedules anything. Only the crash/restart timeline matters
+    /// there: nothing posts in a blade domain, so the probabilistic draws
+    /// never fire (the timeline task keeps its own reference to the
+    /// injector).
+    pub fn install_share(cluster: &Cluster, share: &FaultPlan) {
+        if !share.events().is_empty() {
+            FaultInjector::install(cluster, share.clone());
+        }
+    }
+
     /// Installs `plan` on every compute node of `cluster` and spawns the
     /// timeline task that applies its scheduled events. Call before
     /// creating QPs so the injector can track them from birth.

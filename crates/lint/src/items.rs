@@ -259,7 +259,9 @@ fn parse_use(
             let close = matching(toks, i, '{', '}');
             i += 1;
             while i < close {
-                i = parse_use(toks, i, is_pub, prefix, out);
+                // An element `parse_use` cannot read (`r#type`, `'x'`)
+                // consumes nothing; step past it instead of retrying.
+                i = parse_use(toks, i, is_pub, prefix, out).max(i + 1);
                 if i < toks.len() && toks[i].is_punct(',') {
                     i += 1;
                 }
@@ -527,6 +529,29 @@ mod tests {
             vec![vec!["a", "b", "c"], vec!["a", "b", "e"], vec!["a", "f"]]
         );
         assert_eq!(m.uses[0].alias.as_deref(), Some("d"));
+    }
+
+    #[test]
+    fn unreadable_use_group_elements_terminate() {
+        // Parsed on a thread with a deadline, so a parser that stops
+        // advancing fails this test instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for src in [
+                "use a::{r#type};\n",
+                "use a::{'x'};\n",
+                "use a::{b, 'x', c};\n",
+            ] {
+                let paths: Vec<String> = map(src).uses.iter().map(|u| u.path.join("::")).collect();
+                tx.send(paths).unwrap();
+            }
+        });
+        let wait = std::time::Duration::from_secs(10);
+        for _ in 0..2 {
+            rx.recv_timeout(wait).expect("parse_use stopped advancing");
+        }
+        let mixed = rx.recv_timeout(wait).expect("parse_use stopped advancing");
+        assert_eq!(mixed, vec!["a::b", "a::c"]);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl MemoryBlade {
         self.mem.borrow().len() as u64
     }
 
-    /// Bytes handed out by [`Self::alloc`] so far.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.brk.get()
-    }
-
     /// Number of one-sided operations this blade has served.
     pub fn ops_served(&self) -> u64 {
         self.ops.get()

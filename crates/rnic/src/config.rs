@@ -233,6 +233,14 @@ impl ClusterConfig {
             ..Default::default()
         }
     }
+
+    /// [`Self::new`] with every blade's region `region_bytes` long: the
+    /// shape every workload driver sizes for its preload.
+    pub fn with_region(compute: usize, blades: usize, region_bytes: u64) -> Self {
+        let mut cfg = ClusterConfig::new(compute, blades);
+        cfg.blade.region_bytes = region_bytes;
+        cfg
+    }
 }
 
 #[cfg(test)]

@@ -126,11 +126,6 @@ impl Doorbell {
     pub fn contention_time(&self) -> Duration {
         self.lock.contention_time()
     }
-
-    /// Tasks currently queued on (or holding) the doorbell lock.
-    pub fn queue_len(&self) -> u32 {
-        self.lock.queued()
-    }
 }
 
 /// The doorbell table of one device context, with the driver's default

@@ -42,7 +42,7 @@ use smart_rt::pdes::{
     DomainCtx, DomainId, PdesBuilder, PdesReceiver, PdesSender, RxToken, TxToken,
 };
 use smart_rt::sync::Claims;
-use smart_rt::SimHandle;
+use smart_rt::{SchedulePolicy, SimHandle};
 use smart_trace::Actor;
 
 use crate::blade::MemoryBlade;
@@ -248,7 +248,8 @@ pub struct Decomposed<R> {
 }
 
 /// Runs a cluster scenario decomposed over `plan` on up to
-/// `engine_workers` OS threads: compute nodes, fabric requester side and
+/// `engine_workers` OS threads, every domain breaking same-instant ties
+/// by `policy`: compute nodes, fabric requester side and
 /// all client state live in domain 0 (a local domain on the calling
 /// thread, so the `Rc` graph `compute` builds — a caller-held trace sink
 /// included — never crosses a thread); every other domain of the plan
@@ -270,6 +271,7 @@ pub struct Decomposed<R> {
 /// cover `cfg`'s cluster shape.
 pub fn run_decomposed<R: 'static>(
     seed: u64,
+    policy: SchedulePolicy,
     cfg: ClusterConfig,
     plan: &DomainPlan,
     engine_workers: usize,
@@ -281,7 +283,7 @@ pub fn run_decomposed<R: 'static>(
         "compute nodes must live in domain 0"
     );
 
-    let mut b = PdesBuilder::new(seed);
+    let mut b = PdesBuilder::with_policy(seed, policy);
     // Channel pairs for every crossing blade; a blade co-located in
     // domain 0 keeps the classic same-domain path (no port attached).
     let mut ports = Vec::new();
@@ -508,6 +510,7 @@ mod tests {
         let log0 = Rc::clone(&log);
         let d = run_decomposed(
             0xFACE,
+            SchedulePolicy::Fifo,
             ClusterConfig::new(1, 1),
             plan,
             workers,

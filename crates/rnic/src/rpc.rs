@@ -77,11 +77,6 @@ impl RpcService {
         self.served.get()
     }
 
-    /// Aggregate CPU time burned on the blade cores.
-    pub fn cpu_time(&self) -> Duration {
-        self.cores.iter().map(|c| c.busy_time()).sum()
-    }
-
     fn least_loaded_core(&self) -> &FifoResource {
         self.cores
             .iter()

@@ -511,6 +511,18 @@ impl SimHandle {
         }
     }
 
+    /// Returns a future that completes once every event at `deadline`
+    /// has run — where [`Simulation::run_until`] stops: its timer fires
+    /// after every other timer of that instant, and only once the ready
+    /// queue is empty. The timer takes no tie-break sequence number, so
+    /// adding such a waiter moves no other event under any
+    /// [`SchedulePolicy`]. A deadline already passed means the end of the
+    /// current instant. Phase controllers read window counters at such
+    /// edges.
+    pub fn settle_until(&self, deadline: SimTime) -> Settle {
+        Settle(self.sleep_until(deadline.max(self.now())))
+    }
+
     /// Draws from the simulation's deterministic PRNG.
     pub fn with_rng<R>(&self, f: impl FnOnce(&mut SimRng) -> R) -> R {
         f(&mut self.inner.rng.borrow_mut())
@@ -603,6 +615,44 @@ impl Drop for Sleep {
     fn drop(&mut self) {
         if let Some(token) = self.token.take() {
             self.handle.cancel_timer(token);
+        }
+    }
+}
+
+/// Future returned by [`SimHandle::settle_until`]. Dropping it before
+/// it fires cancels the timer, as for [`Sleep`].
+#[derive(Debug)]
+pub struct Settle(Sleep);
+
+impl Future for Settle {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let sleep = &mut self.0;
+        let inner = &sleep.handle.inner;
+        match sleep.token {
+            Some(token) if inner.timers.borrow().is_pending(token) => Poll::Pending,
+            Some(_) => {
+                sleep.token = None;
+                Poll::Ready(())
+            }
+            None => {
+                let wake = match inner.polled_by(cx) {
+                    Some(id) => TimerWake::Task(id),
+                    None => TimerWake::Waker(cx.waker().clone()),
+                };
+                bump(&inner.stats.timers_scheduled);
+                // The largest key and seq: last of its instant, and the
+                // sequence every other timer draws from is left alone.
+                let at = sleep.deadline.as_nanos();
+                sleep.token = Some(
+                    inner
+                        .timers
+                        .borrow_mut()
+                        .insert(at, u64::MAX, u64::MAX, wake),
+                );
+                Poll::Pending
+            }
         }
     }
 }
@@ -1095,6 +1145,57 @@ mod tests {
         sim.block_on(async {
             std::future::pending::<()>().await;
         });
+    }
+
+    #[test]
+    fn settle_runs_last_in_its_instant_and_leaves_ties_alone() {
+        // Eight sleepers tie at 7 ns, the first of them re-arming for the
+        // same instant; a settle waiter registered first and one for a
+        // passed deadline must still see all of them, and the sleepers'
+        // tie order must be what it is without any settle waiter.
+        fn run_once(policy: SchedulePolicy, settle: bool) -> Vec<u32> {
+            let mut sim = Simulation::with_policy(0, policy);
+            let h = sim.handle();
+            let order = Rc::new(RefCell::new(Vec::new()));
+            if settle {
+                let (h2, order) = (h.clone(), Rc::clone(&order));
+                sim.spawn(async move {
+                    h2.settle_until(SimTime::from_nanos(7)).await;
+                    order.borrow_mut().push(100);
+                    h2.settle_until(SimTime::ZERO).await;
+                    order.borrow_mut().push(101);
+                });
+            }
+            for i in 0..8u32 {
+                let (h2, order) = (h.clone(), Rc::clone(&order));
+                sim.spawn(async move {
+                    h2.sleep(Duration::from_nanos(7)).await;
+                    if i == 0 {
+                        // A timer registered for the instant being run.
+                        let mut armed = false;
+                        std::future::poll_fn(|cx| {
+                            if std::mem::replace(&mut armed, true) {
+                                return Poll::Ready(());
+                            }
+                            h2.wake_at(h2.now(), cx.waker().clone());
+                            Poll::Pending
+                        })
+                        .await;
+                    }
+                    order.borrow_mut().push(i);
+                });
+            }
+            sim.run();
+            assert_eq!(sim.now().as_nanos(), 7);
+            let v = order.borrow().clone();
+            v
+        }
+        for policy in [SchedulePolicy::Fifo, SchedulePolicy::SeededTieBreak(3)] {
+            let plain = run_once(policy, false);
+            let mut settled = run_once(policy, true);
+            assert_eq!(settled.split_off(8), vec![100, 101], "{policy:?}");
+            assert_eq!(settled, plain, "{policy:?}");
+        }
     }
 
     #[test]

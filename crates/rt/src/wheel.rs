@@ -277,6 +277,14 @@ impl TimerWheel {
         true
     }
 
+    /// Whether the timer behind `token` has neither fired nor been
+    /// cancelled.
+    pub(crate) fn is_pending(&self, token: TimerToken) -> bool {
+        self.slab
+            .get(token.idx as usize)
+            .is_some_and(|node| node.gen == token.gen && node.is_live())
+    }
+
     /// Deadline of the next timer that will actually fire, purging any
     /// tombstones that have reached the front.
     pub(crate) fn peek_at(&mut self) -> Option<u64> {

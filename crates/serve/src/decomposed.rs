@@ -3,7 +3,8 @@
 //! [`run_serve_decomposed`] runs the `ServeScenario` body — compute
 //! node, arrival engine, admission controller, session pool and all
 //! worker coroutines — in domain 0 of a [`smart_rnic::run_decomposed`]
-//! topology; each blade domain of the [`DomainPlan`] runs its blades
+//! topology, the same driver every other workload runs through, with
+//! FIFO tie-breaking; each blade domain of the [`DomainPlan`] runs its blades
 //! behind typed request/completion envelopes whose channel latency is
 //! the fabric one-way delay; a blade the plan keeps in domain 0 (every
 //! blade, under [`DomainPlan::single`], which is what
@@ -20,7 +21,8 @@
 //! plan (plus chaos) is installed in full on domain 0 — post-side draws
 //! and the shadow crash timeline that drives `MrRevoked` epochs — and
 //! lowered onto the blade domains so the authoritative blades crash and
-//! rejoin on the same schedule.
+//! rejoin on the same schedule, as `smart_bench::run` does for the
+//! closed-loop workloads.
 //!
 //! The balance-conservation audit is split across the partition: domain
 //! 0 sums only the blades it owns, every blade domain's finish artifact
@@ -33,7 +35,7 @@ use std::rc::Rc;
 use smart_fault::FaultInjector;
 use smart_rnic::{run_decomposed, BladeId, Decomposed, DomainPlan};
 use smart_rt::pdes::DomainId;
-use smart_rt::Duration;
+use smart_rt::{Duration, SchedulePolicy};
 
 use crate::engine::{cluster_config, seed_balances, BalanceAudit, ServeScenario};
 use crate::report::ServeReport;
@@ -66,6 +68,7 @@ pub fn run_serve_decomposed(
     let (shards, accounts, initial) = (spec.shards, spec.accounts, spec.initial_balance);
     let mut d = run_decomposed(
         spec.seed,
+        SchedulePolicy::Fifo,
         cluster_config(spec),
         plan,
         engine_workers,
@@ -107,14 +110,7 @@ pub fn run_serve_decomposed(
         },
         move |cluster, domain| {
             let (_, slabs) = seed_balances(cluster.blades(), shards, accounts, initial);
-            let sub = &lowered[domain.index()].1;
-            if !sub.events().is_empty() {
-                // Only the scheduled crash/restart timeline matters here
-                // — nothing posts in this domain, so the hook's
-                // probabilistic draws never fire (the driver task keeps
-                // its own reference to the injector).
-                let _ = FaultInjector::install(cluster, sub.clone());
-            }
+            FaultInjector::install_share(cluster, &lowered[domain.index()].1);
             Box::new(move |i, blade| format!("sum={} ", slabs.sum_on(i, blade)))
         },
     );

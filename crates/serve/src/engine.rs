@@ -34,7 +34,7 @@ use std::rc::Rc;
 
 use smart::{FaultError, ShardRouter, SmartConfig, SmartContext, SmartThread};
 use smart_fault::{FaultInjector, FaultPlan};
-use smart_rnic::{BladeConfig, Cluster, ClusterConfig, DomainPlan, MemoryBlade, RemoteAddr};
+use smart_rnic::{Cluster, ClusterConfig, DomainPlan, MemoryBlade, RemoteAddr};
 use smart_rt::{Duration, JoinHandle, SimHandle};
 use smart_trace::{Actor, Args, Category, LogHistogram, TraceSink};
 
@@ -195,15 +195,7 @@ impl Slabs {
 /// `spec.blades` blades sized for the balance slabs.
 pub(crate) fn cluster_config(spec: &ServeSpec) -> ClusterConfig {
     let cells = spec.accounts.div_ceil(spec.shards as u64) * 8;
-    ClusterConfig {
-        compute_nodes: 1,
-        memory_blades: spec.blades,
-        blade: BladeConfig {
-            region_bytes: (spec.shards as u64 * cells) + (1 << 20),
-            ..Default::default()
-        },
-        ..Default::default()
-    }
+    ClusterConfig::with_region(1, spec.blades, (spec.shards as u64 * cells) + (1 << 20))
 }
 
 /// Carves the balance slabs and seeds every account's initial balance

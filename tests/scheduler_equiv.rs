@@ -22,17 +22,21 @@
 //! the ring pins the run's *tail*, and the drain's trailing `tune`
 //! counters are gone.
 //!
-//! Every cell that runs through the engine driver also asserts the
+//! Every cell — the fig03 microbench ones included, since the
+//! microbench runs through the same driver — also asserts the
 //! stranded-task gate ([`assert_quiesced`]): after quiescence, domain 0
 //! holds only the parked CQ pumps and remote-port dispatchers (the serve
 //! phase's gate is asserted by the `single` row of the serve matrix,
-//! which runs the same spec).
+//! which runs the same spec). The fig03 trace goldens were re-pinned
+//! when the microbench moved onto the driver: its run no longer stops
+//! at the window's close but drains the in-flight batches.
 //!
 //! The third section is the **engine-driver matrix** gating the blade
 //! engine domains: fig07 and a serve phase run under partitions that
 //! cover a domain per blade, blades sharing one remote domain, and a
-//! blade co-located with the compute domain next to a remote one, at
-//! 1/2/4/8 engine workers. Every leg — report bytes, blade-domain
+//! blade co-located with the compute domain next to a remote one, and
+//! SmallBank and SMART-BT run with a domain per blade, at 1/2/4/8
+//! engine workers. Every leg — report bytes, blade-domain
 //! artifacts, epoch/envelope counters and trace hash — must match the
 //! committed golden exactly, so the bytes are pinned across worker
 //! counts and across commits. The fingerprints are also published under
@@ -41,10 +45,12 @@
 use std::path::PathBuf;
 
 use smart_bench::{
-    run_bt, run_dtx, run_ht, run_ht_decomposed, serve_spec, BtParams, BtVariant, DtxParams,
-    DtxWorkload, HtParams, RunReport,
+    run, run_bt, run_dtx, run_ht, serve_spec, BtParams, BtVariant, DtxParams, DtxWorkload,
+    HtParams, RunReport, Spec,
 };
-use smart_lab::smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
+use smart_lab::smart::{
+    run_microbench, MicroOp, MicrobenchReport, MicrobenchSpec, QpPolicy, SmartConfig,
+};
 use smart_lab::smart_fault::FaultPlan;
 use smart_lab::smart_rnic::{BladeId, DomainPlan};
 use smart_lab::smart_rt::pdes::DomainId;
@@ -103,7 +109,33 @@ fn fig03_run(schedule: SchedulePolicy) -> (String, String) {
     spec.trace = Some(sink.clone());
     spec.schedule = schedule;
     let report = run_microbench(&spec);
-    (format!("{report:?}\n"), sink.chrome_json())
+    assert_quiesced(
+        &format!("fig03 {schedule:?}"),
+        report.live_tasks,
+        spec.threads,
+        0,
+    );
+    (micro_fingerprint(&report), sink.chrome_json())
+}
+
+/// Renders a [`MicrobenchReport`] in its derived `Debug` form without
+/// `sim_events` and `live_tasks`, which [`report_fingerprint`] leaves out
+/// of [`RunReport`] goldens too.
+fn micro_fingerprint(r: &MicrobenchReport) -> String {
+    let MicrobenchReport {
+        ops,
+        mops,
+        dram_bytes_per_op,
+        wqe_hit_ratio,
+        mtt_hit_ratio,
+        sim_events: _,
+        live_tasks: _,
+    } = r;
+    format!(
+        "MicrobenchReport {{ ops: {ops:?}, mops: {mops:?}, dram_bytes_per_op: \
+         {dram_bytes_per_op:?}, wqe_hit_ratio: {wqe_hit_ratio:?}, mtt_hit_ratio: \
+         {mtt_hit_ratio:?} }}\n"
+    )
 }
 
 /// A chaos-plan hash-table run: a QP error mid-batch and a blade crash
@@ -385,12 +417,12 @@ fn publish_fingerprint(name: &str, fp: &str) {
 /// full fingerprint (report bytes, blade artifacts, engine counters and
 /// trace hash) matches the committed golden each time — so the bytes are
 /// pinned across worker counts *and* across commits.
-fn assert_decomposed_golden<F>(label: &str, remote_blades: usize, run: F)
+fn assert_decomposed_golden<F>(label: &str, remote_blades: usize, cell: F)
 where
     F: Fn(usize) -> String,
 {
     for &workers in &ENGINE_WORKERS {
-        let fp = run(workers);
+        let fp = cell(workers);
         if workers == ENGINE_WORKERS[0] {
             publish_fingerprint(&format!("{label}.fp.txt"), &fp);
         }
@@ -427,6 +459,37 @@ fn assert_remote_blades_served(label: &str, remote: usize, fp: &str) {
     );
 }
 
+/// `spec` with `sink` installed as its tracer.
+fn with_trace(spec: &Spec, sink: TraceSink) -> Spec {
+    let mut spec = spec.clone();
+    match &mut spec {
+        Spec::Ht(p) => p.trace = Some(sink),
+        Spec::Dtx(p) => p.trace = Some(sink),
+        Spec::Bt(p) => p.trace = Some(sink),
+    }
+    spec
+}
+
+/// Runs a closed-loop cell of `threads` `SmartThread`s decomposed over
+/// `plan` with a tracer installed, through [`assert_decomposed_golden`].
+fn assert_closed_loop_matrix(label: &str, spec: &Spec, plan: &DomainPlan, threads: usize) {
+    let remote = remote_blades(plan, spec.cluster_config().memory_blades as u32);
+    assert_decomposed_golden(label, remote, |workers| {
+        let sink = TraceSink::with_capacity(TRACE_EVENTS);
+        let d = run(&with_trace(spec, sink.clone()), plan, workers);
+        assert_quiesced(label, d.live_tasks, threads, remote);
+        format!(
+            "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
+            report_fingerprint(&d.report),
+            d.blade_log,
+            d.epochs,
+            d.envelopes,
+            d.blade_requests,
+            trace_line(&sink.chrome_json())
+        )
+    });
+}
+
 #[test]
 fn matrix_fig07_decomposed_plans_are_byte_identical_across_engine_workers() {
     // 20 000 keys build two subtables, so both blades hold buckets.
@@ -442,29 +505,36 @@ fn matrix_fig07_decomposed_plans_are_byte_identical_across_engine_workers() {
         // No blade crosses: the engine runs the compute domain alone.
         ("single", DomainPlan::single(1, p.blades as u32)),
     ] {
-        let p = p.clone();
-        let remote = remote_blades(&plan, p.blades as u32);
-        assert_decomposed_golden(
-            &format!("decomposed_fig07_{pname}"),
-            remote,
-            move |workers| {
-                let sink = TraceSink::with_capacity(TRACE_EVENTS);
-                let mut p = p.clone();
-                p.trace = Some(sink.clone());
-                let d = run_ht_decomposed(&p, &plan, workers);
-                assert_quiesced(pname, d.live_tasks, p.threads, remote);
-                format!(
-                    "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
-                    report_fingerprint(&d.report),
-                    d.blade_log,
-                    d.epochs,
-                    d.envelopes,
-                    d.blade_requests,
-                    trace_line(&sink.chrome_json())
-                )
-            },
-        );
+        let label = format!("decomposed_fig07_{pname}");
+        assert_closed_loop_matrix(&label, &Spec::Ht(p.clone()), &plan, p.threads);
     }
+}
+
+#[test]
+fn matrix_dtx_smallbank_decomposed_per_blade_is_byte_identical_across_engine_workers() {
+    // The `inline_dtx_smallbank` shape; each blade holds half the rows.
+    let mut p = DtxParams::new(SmartConfig::smart_full(4), 4, DtxWorkload::SmallBank, 2_000);
+    p.warmup = Duration::from_micros(500);
+    p.measure = Duration::from_millis(1);
+    let spec = Spec::Dtx(p.clone());
+    let plan = DomainPlan::per_blade(1, spec.cluster_config().memory_blades as u32);
+    assert_closed_loop_matrix(
+        "decomposed_dtx_smallbank_per_blade",
+        &spec,
+        &plan,
+        p.threads,
+    );
+}
+
+#[test]
+fn matrix_bt_smart_decomposed_per_blade_is_byte_identical_across_engine_workers() {
+    // The `inline_bt_smart` shape; tree nodes round-robin over the blades.
+    let mut p = BtParams::new(BtVariant::SmartBt, 4, 5_000, Mix::WriteHeavy);
+    p.warmup = Duration::from_micros(500);
+    p.measure = Duration::from_millis(1);
+    let spec = Spec::Bt(p.clone());
+    let plan = DomainPlan::per_blade(1, spec.cluster_config().memory_blades as u32);
+    assert_closed_loop_matrix("decomposed_bt_smart_per_blade", &spec, &plan, p.threads);
 }
 
 #[test]
@@ -524,7 +594,7 @@ fn matrix_fault_decomposed_per_blade_is_byte_identical_across_engine_workers() {
                 1,
                 p.blades as u32,
             ));
-            let d = run_ht_decomposed(&p, &plan, workers);
+            let d = run(&Spec::Ht(p.clone()), &plan, workers);
             assert_quiesced("fault_per_blade", d.live_tasks, p.threads, p.blades);
             let r = &d.report;
             assert!(r.faults_injected > 0, "seed {seed}: no fault fired");
@@ -565,7 +635,7 @@ fn decomposed_envelope_accounting_matches_cross_domain_wrs() {
         p.measure = Duration::from_millis(1);
         p.seed = 7;
         let plan = DomainPlan::per_blade(1, p.blades as u32);
-        let d = run_ht_decomposed(&p, &plan, 2);
+        let d = run(&Spec::Ht(p.clone()), &plan, 2);
         assert_quiesced(label, d.live_tasks, p.threads, p.blades);
         assert!(d.report.ops > 0, "{label}: no ops through blade domains");
         assert_eq!(
