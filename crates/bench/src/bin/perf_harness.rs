@@ -20,9 +20,11 @@
 //! scheduling noise as "speedup", so the harness prints a perf-note and
 //! writes `null` in their place.
 //!
-//! If a previous `BENCH_SIM.json` exists, each config's measured event
+//! The committed `BENCH_SIM.json` at the repo root is the baseline of
+//! every run, wherever the run writes: each config's measured event
 //! count is printed beside the committed one, and its new `ns/event`
-//! is compared against it: a regression beyond 25 % prints a warning
+//! is compared against it (a perf-note says so when the file cannot be
+//! read): a regression beyond 25 % prints a warning
 //! (and fails the process under `SMART_PERF_STRICT=1` — CI keeps the
 //! default job a soft warning, since shared runners make wall clocks
 //! noisy; the ratchet job runs strict). Under strict mode a multi-core
@@ -30,7 +32,8 @@
 //! 4 engine workers — the payoff gate for the blade-domain partition.
 //!
 //! Env knobs: `SMART_PERF_REPS` (default 3, best-of wins),
-//! `SMART_PERF_OUT` (output path override), `SMART_PERF_STRICT`.
+//! `SMART_PERF_OUT` (output path override; the baseline stays the
+//! committed file), `SMART_PERF_STRICT`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -348,12 +351,16 @@ fn fig_serve_decomposed() -> DecomposedResult {
     )
 }
 
+/// The committed `BENCH_SIM.json`: every run's baseline, and its output
+/// unless `SMART_PERF_OUT` names another file.
+fn committed_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_SIM.json")
+}
+
 fn out_path() -> std::path::PathBuf {
     std::env::var("SMART_PERF_OUT")
         .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_SIM.json")
-        })
+        .unwrap_or_else(|_| committed_path())
 }
 
 /// Pulls `(name, events, ns_per_event)` out of each pinned result of a
@@ -481,27 +488,29 @@ fn main() {
     let sweep = sweep_speedup();
     let decomposed = [fig07_decomposed(), fig_serve_decomposed()];
 
-    let path = out_path();
     let mut regressions = Vec::new();
-    if let Ok(old) = std::fs::read_to_string(&path) {
-        for (name, old_events, old_ns) in baseline(&old) {
-            let Some(new) = results.iter().find(|r| r.name == name) else {
-                continue;
-            };
-            // A change that removes (or adds) events on purpose moves
-            // ns/event for that reason alone: log both counts beside it.
-            eprintln!(
-                "  {name}: {} events measured vs {old_events} committed ({:+.1}%)",
-                new.events,
-                (new.events as f64 / old_events - 1.0) * 100.0
-            );
-            let new_ns = new.ns_per_event();
-            if new_ns > old_ns * (1.0 + REGRESSION_TOLERANCE) {
-                regressions.push(format!(
-                    "{name}: {new_ns:.2} ns/event vs baseline {old_ns:.2} (+{:.0}%)",
-                    (new_ns / old_ns - 1.0) * 100.0
-                ));
-            }
+    let committed = committed_path();
+    let old = std::fs::read_to_string(&committed).unwrap_or_else(|e| {
+        eprintln!("perf-note: no baseline read from {committed:?}: {e}");
+        String::new()
+    });
+    for (name, old_events, old_ns) in baseline(&old) {
+        let Some(new) = results.iter().find(|r| r.name == name) else {
+            continue;
+        };
+        // A change that removes (or adds) events on purpose moves
+        // ns/event for that reason alone: log both counts beside it.
+        eprintln!(
+            "  {name}: {} events measured vs {old_events} committed ({:+.1}%)",
+            new.events,
+            (new.events as f64 / old_events - 1.0) * 100.0
+        );
+        let new_ns = new.ns_per_event();
+        if new_ns > old_ns * (1.0 + REGRESSION_TOLERANCE) {
+            regressions.push(format!(
+                "{name}: {new_ns:.2} ns/event vs baseline {old_ns:.2} (+{:.0}%)",
+                (new_ns / old_ns - 1.0) * 100.0
+            ));
         }
     }
     // The payoff gate: a genuinely multi-core host must see the blade
@@ -522,6 +531,7 @@ fn main() {
     }
 
     let json = render_json(&results, &sweep, &decomposed);
+    let path = out_path();
     std::fs::write(&path, &json).expect("write BENCH_SIM.json");
     eprintln!("[perf] wrote {}", path.display());
 

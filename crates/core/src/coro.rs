@@ -512,12 +512,6 @@ impl SmartCoro {
         self.roundtrip(id).await;
     }
 
-    /// Persistent WRITE + `post_send` + `sync`.
-    pub async fn write_persistent_sync(&self, addr: RemoteAddr, data: Vec<u8>) {
-        let id = self.write_persistent(addr, data);
-        self.roundtrip(id).await;
-    }
-
     /// CAS + `post_send` + `sync`, returning the old value.
     ///
     /// Emits a `smart-check` CAS probe on the target cell: in the

@@ -2,7 +2,6 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::time::Duration;
 
 use smart_rnic::{BladeId, Qp};
 use smart_rt::sync::FifoResource;
@@ -164,11 +163,5 @@ impl SmartThread {
     /// [`SmartConfig::coroutines_per_thread`](crate::SmartConfig) of them.
     pub fn coroutine(self: &Rc<Self>) -> SmartCoro {
         SmartCoro::new(Rc::clone(self))
-    }
-
-    /// Charges `d` of application compute time to this thread's CPU
-    /// (sibling coroutines queue behind it).
-    pub async fn cpu_work(&self, d: Duration) {
-        self.cpu.use_for(d).await;
     }
 }

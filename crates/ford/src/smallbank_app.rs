@@ -173,19 +173,6 @@ impl SmallBank {
         t.commit().await
     }
 
-    /// Net money the committed execution of `txn` injects into (positive)
-    /// or removes from (negative) the bank, given the pre-state — used by
-    /// the conservation invariant tests. Transfers return 0.
-    pub fn money_delta(&self, txn: &SmallBankTxn) -> Option<i64> {
-        match *txn {
-            SmallBankTxn::Amalgamate { .. } | SmallBankTxn::Balance { .. } => Some(0),
-            SmallBankTxn::DepositChecking { amount, .. } => Some(amount),
-            SmallBankTxn::SendPayment { .. } => None, // 0 or no-op: both conserve
-            SmallBankTxn::TransactSavings { .. } => None, // amount or no-op
-            SmallBankTxn::WriteCheck { .. } => None,  // -amount or -amount-1
-        }
-    }
-
     /// `smart-check` conservation invariant: at quiescence the bank-wide
     /// sum must equal `expected_total` and no record lock may remain held.
     /// Panics inside [`Self::total_money`] (a leaked lock) are converted

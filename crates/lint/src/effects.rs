@@ -54,10 +54,6 @@ impl Effects {
         self.0 & other.0 == other.0
     }
 
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
     /// The atom names present, in canonical order.
     pub fn names(self) -> Vec<&'static str> {
         ATOMS
@@ -128,27 +124,35 @@ pub const SHARED_MUT_METHODS: &[&str] = &["set", "borrow_mut", "probe_cell"];
 /// matched separately in the flow walk).
 pub const ALLOC_METHODS: &[&str] = &["to_string", "to_vec", "with_capacity"];
 
+/// Each seed table with the atom a call to one of its names seeds.
+const SEEDS: [(Effects, &[&str]); 6] = [
+    (Effects::CLOCK, CLOCK_METHODS),
+    (Effects::RNG, RNG_METHODS),
+    (Effects::FABRIC, FABRIC_METHODS),
+    (Effects::SHARED_MUT, SHARED_MUT_METHODS),
+    (Effects::ALLOC, ALLOC_METHODS),
+    (Effects::SPAWN, SPAWN_METHODS),
+];
+
+/// The effect a method *name* seeds at its call site.
+pub fn method_seed(name: &str) -> Effects {
+    SEEDS
+        .iter()
+        .filter(|(_, names)| names.contains(&name))
+        .fold(Effects::EMPTY, |e, &(atom, _)| e.join(atom))
+}
+
 /// The intrinsic effect a workspace fn *implements* (rather than calls):
 /// the kernel clock/RNG accessors read plain cells, and the RNIC verb
 /// paths are the fabric, so name-based call-site seeding alone would
 /// leave the primitives themselves pure. Keyed by `(crate, fn name)`.
 pub fn intrinsic_root(krate: &str, name: &str) -> Effects {
-    let mut e = Effects::EMPTY;
-    if krate == "rt" {
-        if CLOCK_METHODS.contains(&name) {
-            e = e.join(Effects::CLOCK);
-        }
-        if RNG_METHODS.contains(&name) {
-            e = e.join(Effects::RNG);
-        }
-        if SPAWN_METHODS.contains(&name) {
-            e = e.join(Effects::SPAWN);
-        }
-    }
-    if krate == "rnic" && FABRIC_METHODS.contains(&name) {
-        e = e.join(Effects::FABRIC);
-    }
-    e
+    let implemented = match krate {
+        "rt" => Effects::CLOCK.join(Effects::RNG).join(Effects::SPAWN),
+        "rnic" => Effects::FABRIC,
+        _ => Effects::EMPTY,
+    };
+    Effects(method_seed(name).0 & implemented.0)
 }
 
 // ---------------------------------------------------------------------------

@@ -40,8 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::effects::{
-    self, domain_of, intrinsic_root, parse_effects_json, Domain, Effects, ALLOC_METHODS,
-    CLOCK_METHODS, EFFECTS_PATH, FABRIC_METHODS, RNG_METHODS, SHARED_MUT_METHODS, SPAWN_METHODS,
+    self, domain_of, intrinsic_root, method_seed, parse_effects_json, Domain, Effects, EFFECTS_PATH,
 };
 use crate::items::{self, FnItem};
 use crate::lex::{is_path_sep, Tok};
@@ -131,30 +130,19 @@ const UBIQUITOUS: &[&str] = &[
     "values",
 ];
 
-/// One `SharedMut` call site whose receiver resolved to a workspace
-/// type, recorded for the `cross-domain-shared-state` rule.
+/// One call site the domain-isolation rules judge: a `SharedMut` call
+/// whose receiver resolved to a workspace type (`cross-domain-shared-state`),
+/// or an `Rc` handle captured inside a `.spawn(…)` argument (`rc-escape`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedSite {
+pub struct Site {
     pub line: usize,
-    /// The written receiver head (`c` in `c.hits.set(…)`).
-    pub recv: String,
-    /// The workspace type owning the mutated state.
-    pub state_ty: String,
-    /// The crate defining `state_ty`.
-    pub state_crate: String,
-}
-
-/// One `Rc` handle captured inside a `.spawn(…)` argument, recorded for
-/// the `rc-escape` rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EscapeSite {
-    pub line: usize,
-    /// The captured binding.
+    /// The written receiver head (`c` in `c.hits.set(…)`), or the
+    /// captured binding.
     pub name: String,
-    /// The workspace type inside the `Rc`.
-    pub inner_ty: String,
-    /// The crate defining `inner_ty`.
-    pub inner_crate: String,
+    /// The workspace type owning the mutated state, or inside the `Rc`.
+    pub ty: String,
+    /// The crate defining `ty`.
+    pub krate: String,
 }
 
 /// One fn in the workspace call graph.
@@ -174,8 +162,8 @@ pub struct FnNode {
     pub effects: Effects,
     /// Sorted, deduplicated callee node ids.
     pub callees: Vec<usize>,
-    pub shared_sites: Vec<SharedSite>,
-    pub escape_sites: Vec<EscapeSite>,
+    pub shared_sites: Vec<Site>,
+    pub escape_sites: Vec<Site>,
 }
 
 impl FnNode {
@@ -223,10 +211,7 @@ impl FlowGraph {
         for (fi, f) in files.iter().enumerate() {
             let krate = resolve::crate_of(&f.rel).unwrap_or_default();
             for t in &f.items.types {
-                g.types
-                    .entry(t.name.clone())
-                    .or_default()
-                    .insert(krate.clone());
+                g.types.entry(t.clone()).or_default().insert(krate.clone());
             }
             let mut ids = Vec::with_capacity(f.items.fns.len());
             for item in &f.items.fns {
@@ -413,32 +398,8 @@ impl FlowGraph {
 struct ScanOut {
     intrinsic: Effects,
     callees: BTreeSet<usize>,
-    shared: Vec<SharedSite>,
-    escapes: Vec<EscapeSite>,
-}
-
-/// The effect a method *name* seeds at its call site.
-fn method_seed(name: &str) -> Effects {
-    let mut e = Effects::EMPTY;
-    if CLOCK_METHODS.contains(&name) {
-        e = e.join(Effects::CLOCK);
-    }
-    if RNG_METHODS.contains(&name) {
-        e = e.join(Effects::RNG);
-    }
-    if FABRIC_METHODS.contains(&name) {
-        e = e.join(Effects::FABRIC);
-    }
-    if SHARED_MUT_METHODS.contains(&name) {
-        e = e.join(Effects::SHARED_MUT);
-    }
-    if ALLOC_METHODS.contains(&name) {
-        e = e.join(Effects::ALLOC);
-    }
-    if SPAWN_METHODS.contains(&name) {
-        e = e.join(Effects::SPAWN);
-    }
-    e
+    shared: Vec<Site>,
+    escapes: Vec<Site>,
 }
 
 /// The crate defining type `name`, as seen from `krate`: the scanning
@@ -513,12 +474,13 @@ fn scan_fn(
             out.intrinsic = out.intrinsic.join(Effects::ALLOC);
         } else if prev_dot && next_paren {
             // Method call.
-            out.intrinsic = out.intrinsic.join(method_seed(name));
+            let seed = method_seed(name);
+            out.intrinsic = out.intrinsic.join(seed);
             let recv = resolve::receiver(toks, &f.items.fields, res, binds, i - 2);
-            if SHARED_MUT_METHODS.contains(&name) {
+            if seed.contains(Effects::SHARED_MUT) {
                 record_shared_site(&recv, types, krate, t.line, &mut out.shared);
             }
-            if SPAWN_METHODS.contains(&name) {
+            if seed.contains(Effects::SPAWN) {
                 record_escapes(toks, binds, types, krate, i, close, &mut out.escapes);
             }
             let edge_type = match &recv {
@@ -657,7 +619,7 @@ fn record_shared_site(
     types: &BTreeMap<String, BTreeSet<String>>,
     krate: &str,
     line: usize,
-    out: &mut Vec<SharedSite>,
+    out: &mut Vec<Site>,
 ) {
     let (recv_name, ty, owned_field) = match recv {
         Recv::SelfField(_, ty) => ("self", ty, true),
@@ -674,11 +636,11 @@ fn record_shared_site(
                 return;
             }
         }
-        out.push(SharedSite {
+        out.push(Site {
             line,
-            recv: recv_name.to_string(),
-            state_ty,
-            state_crate: state_crate.to_string(),
+            name: recv_name.to_string(),
+            ty: state_ty,
+            krate: state_crate.to_string(),
         });
     }
 }
@@ -692,7 +654,7 @@ fn record_escapes(
     krate: &str,
     i: usize,
     body_close: usize,
-    out: &mut Vec<EscapeSite>,
+    out: &mut Vec<Site>,
 ) {
     let close = items::matching(toks, i + 1, '(', ')').min(body_close);
     let line = toks[i].line;
@@ -714,11 +676,11 @@ fn record_escapes(
             continue;
         }
         if let Some((inner_ty, inner_crate)) = first_workspace_type(types, &b.ty, krate) {
-            out.push(EscapeSite {
+            out.push(Site {
                 line,
                 name: name.to_string(),
-                inner_ty,
-                inner_crate: inner_crate.to_string(),
+                ty: inner_ty,
+                krate: inner_crate.to_string(),
             });
         }
     }
@@ -792,8 +754,7 @@ fn tarjan(adj: &[&[usize]]) -> Vec<Vec<usize>> {
 pub fn flow_pass(root: &Path, files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     let sim: Vec<&SourceFile> = files.iter().filter(|f| f.is_sim_src()).collect();
     let g = FlowGraph::build(&sim);
-    cross_domain_shared_state(&g, &sim, out);
-    rc_escape(&g, &sim, out);
+    domain_isolation(&g, &sim, out);
     effect_drift(root, &g, out);
 }
 
@@ -803,98 +764,66 @@ pub fn build_graph(files: &[SourceFile]) -> FlowGraph {
     FlowGraph::build(&sim)
 }
 
-/// Rule 15 — `cross-domain-shared-state`: thread-domain code mutating
-/// fabric-domain state (or vice versa) through interior mutability,
-/// without a fabric verb in the same fn. Under PDES (ROADMAP #1) the two
-/// domains run on different OS threads with lookahead equal to the
-/// fabric latency; any such mutation is a data race the sequential
-/// executor happens to serialize. Kernel and observer domains are
-/// exempt: the kernel *is* the scheduler, and the observers never feed
-/// state back into the simulation. Fns with an intrinsic `Fabric` effect
-/// are the boundary itself — their mutations ride the verb path.
-pub fn cross_domain_shared_state(g: &FlowGraph, sim: &[&SourceFile], out: &mut Vec<Diagnostic>) {
-    let mut seen: BTreeSet<(String, usize)> = BTreeSet::new();
+/// Rules 15 and 16, over the thread and fabric domains. Kernel and
+/// observer domains are exempt: the kernel *is* the scheduler, and the
+/// observers never feed state back into the simulation. Under PDES
+/// (ROADMAP #1) the two domains run on different OS threads with
+/// lookahead equal to the fabric latency, so they may meet only through
+/// fabric verbs.
+///
+/// `cross-domain-shared-state`: code of one domain mutating the other's
+/// state through interior mutability, without a fabric verb in the same
+/// fn — a data race the sequential executor happens to serialize. Fns
+/// with an intrinsic `Fabric` effect are the boundary itself — their
+/// mutations ride the verb path. One finding per line.
+///
+/// `rc-escape`: an `Rc` handle to the other domain's type captured
+/// across a `.spawn(…)` boundary. The new coroutine aliases
+/// foreign-domain state outside the verb interface, which PDES cannot
+/// serialize; pass ids or route through the RNIC instead. One finding
+/// per captured name.
+pub fn domain_isolation(g: &FlowGraph, sim: &[&SourceFile], out: &mut Vec<Diagnostic>) {
+    let isolated =
+        |krate: &str| domain_of(krate).filter(|d| matches!(d, Domain::Thread | Domain::Fabric));
+    let mut seen: BTreeSet<(&str, &str, usize, &str)> = BTreeSet::new();
     for n in &g.nodes {
-        let Some(dom) = domain_of(&n.krate) else {
+        let Some(dom) = isolated(&n.krate) else {
             continue;
         };
-        if !matches!(dom, Domain::Thread | Domain::Fabric) {
-            continue;
-        }
-        if n.intrinsic.contains(Effects::FABRIC) {
-            continue;
-        }
-        for s in &n.shared_sites {
-            let Some(sdom) = domain_of(&s.state_crate) else {
+        let boundary = n.intrinsic.contains(Effects::FABRIC);
+        let shared = n.shared_sites.iter().filter(|_| !boundary);
+        let sites = shared.map(|s| ("cross-domain-shared-state", s));
+        for (rule, s) in sites.chain(n.escape_sites.iter().map(|s| ("rc-escape", s))) {
+            let Some(sdom) = isolated(&s.krate).filter(|&d| d != dom) else {
                 continue;
             };
-            if !matches!(sdom, Domain::Thread | Domain::Fabric) || sdom == dom {
-                continue;
-            }
-            if !seen.insert((n.file.clone(), s.line)) {
-                continue;
-            }
-            diag(
-                sim[n.file_idx],
+            let escape = rule == "rc-escape";
+            let key = (
+                rule,
+                n.file.as_str(),
                 s.line,
-                "cross-domain-shared-state",
+                if escape { s.name.as_str() } else { "" },
+            );
+            if !seen.insert(key) {
+                continue;
+            }
+            let (q, dn, sn) = (n.qualified(), dom.name(), sdom.name());
+            let msg = if escape {
                 format!(
-                    "`{}` ({}-domain) mutates `{}` state via `{}`, owned by {}-domain crate \
+                    "`{}` (an Rc<{}>, {sn}-domain crate `{}`) is captured across a spawn \
+                     boundary in {dn}-domain `{q}`; the new coroutine aliases foreign-domain \
+                     state outside the verb interface",
+                    s.name, s.ty, s.krate
+                )
+            } else {
+                format!(
+                    "`{q}` ({dn}-domain) mutates `{}` state via `{}`, owned by {sn}-domain crate \
                      `{}`, with no fabric verb in scope; cross-domain effects must travel as \
                      WR traffic or the PDES lookahead claim breaks",
-                    n.qualified(),
-                    dom.name(),
-                    s.state_ty,
-                    s.recv,
-                    sdom.name(),
-                    s.state_crate
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// Rule 16 — `rc-escape`: an `Rc` handle to another domain's type
-/// captured across a `.spawn(…)` boundary. The new coroutine aliases
-/// foreign-domain state outside the verb interface, which PDES cannot
-/// serialize; pass ids or route through the RNIC instead.
-pub fn rc_escape(g: &FlowGraph, sim: &[&SourceFile], out: &mut Vec<Diagnostic>) {
-    let mut seen: BTreeSet<(String, usize, String)> = BTreeSet::new();
-    for n in &g.nodes {
-        let Some(dom) = domain_of(&n.krate) else {
-            continue;
-        };
-        if !matches!(dom, Domain::Thread | Domain::Fabric) {
-            continue;
-        }
-        for e in &n.escape_sites {
-            let Some(idom) = domain_of(&e.inner_crate) else {
-                continue;
+                    s.ty, s.name, s.krate
+                )
             };
-            if !matches!(idom, Domain::Thread | Domain::Fabric) || idom == dom {
-                continue;
-            }
-            if !seen.insert((n.file.clone(), e.line, e.name.clone())) {
-                continue;
-            }
-            diag(
-                sim[n.file_idx],
-                e.line,
-                "rc-escape",
-                format!(
-                    "`{}` (an Rc<{}>, {}-domain crate `{}`) is captured across a spawn \
-                     boundary in {}-domain `{}`; the new coroutine aliases foreign-domain \
-                     state outside the verb interface",
-                    e.name,
-                    e.inner_ty,
-                    idom.name(),
-                    e.inner_crate,
-                    dom.name(),
-                    n.qualified()
-                ),
-                out,
-            );
+            diag(sim[n.file_idx], s.line, rule, msg, out);
         }
     }
 }
@@ -1032,8 +961,8 @@ mod tests {
             .find(|n| n.name == "tally")
             .expect("tally node");
         assert_eq!(tally.shared_sites.len(), 1, "{:?}", tally.shared_sites);
-        assert_eq!(tally.shared_sites[0].state_ty, "FabricCounter");
-        assert_eq!(tally.shared_sites[0].state_crate, "rnic");
+        assert_eq!(tally.shared_sites[0].ty, "FabricCounter");
+        assert_eq!(tally.shared_sites[0].krate, "rnic");
         assert!(tally.intrinsic.contains(Effects::SHARED_MUT));
         let leak = g
             .nodes
@@ -1042,7 +971,7 @@ mod tests {
             .expect("leak node");
         assert_eq!(leak.escape_sites.len(), 1, "{:?}", leak.escape_sites);
         assert_eq!(leak.escape_sites[0].name, "stash");
-        assert_eq!(leak.escape_sites[0].inner_crate, "rnic");
+        assert_eq!(leak.escape_sites[0].krate, "rnic");
         assert!(leak.intrinsic.contains(Effects::SPAWN));
     }
 
@@ -1069,8 +998,7 @@ mod tests {
         let g = graph(&files);
         let sim: Vec<&SourceFile> = files.iter().collect();
         let mut out = Vec::new();
-        cross_domain_shared_state(&g, &sim, &mut out);
-        rc_escape(&g, &sim, &mut out);
+        domain_isolation(&g, &sim, &mut out);
         assert!(
             out.is_empty(),
             "local + fabric-mediated mutations must not fire: {out:#?}"

@@ -14,8 +14,6 @@ use crate::lex::{is_path_sep, Tok, TokKind};
 pub struct UseDecl {
     /// 1-based line of the leaf segment (diagnostics point here).
     pub line: usize,
-    /// Whether the declaration re-exports (`pub use`).
-    pub is_pub: bool,
     /// Full path segments, e.g. `["std", "time", "Instant"]`.
     pub path: Vec<String>,
     /// `Some("Clock")` for `as Clock`.
@@ -80,22 +78,16 @@ pub struct FieldDecl {
     pub ty: Vec<String>,
 }
 
-/// One nominal type declaration (`struct` or `enum`), recorded so
-/// cross-file passes can attribute a written type name to the crate that
-/// defines it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TypeDecl {
-    pub name: String,
-    pub line: usize,
-}
-
 /// The item map of one file.
 #[derive(Debug, Default)]
 pub struct FileMap {
     pub uses: Vec<UseDecl>,
     pub fns: Vec<FnItem>,
     pub fields: Vec<FieldDecl>,
-    pub types: Vec<TypeDecl>,
+    /// The names of the nominal types (`struct` or `enum`) declared
+    /// here, so cross-file passes can attribute a written type name to
+    /// the crate that defines it.
+    pub types: Vec<String>,
 }
 
 /// Finds the matching close delimiter for the open delimiter at `open`.
@@ -169,7 +161,6 @@ pub(crate) fn type_at(
 pub fn parse(toks: &[Tok]) -> FileMap {
     let mut map = FileMap::default();
     let mut impl_stack: Vec<(usize, Option<String>)> = Vec::new(); // (close idx, type)
-    let mut saw_pub = false;
     let mut i = 0;
     while i < toks.len() {
         while impl_stack.last().is_some_and(|&(close, _)| i > close) {
@@ -180,45 +171,25 @@ pub fn parse(toks: &[Tok]) -> FileMap {
             TokKind::Punct('#') if i + 1 < toks.len() && toks[i + 1].is_punct('[') => {
                 i = matching(toks, i + 1, '[', ']') + 1;
             }
-            TokKind::Punct(';') | TokKind::Punct('{') | TokKind::Punct('}') => {
-                saw_pub = false;
-                i += 1;
-            }
-            TokKind::Ident(kw) if kw == "pub" => {
-                saw_pub = true;
-                // Skip a `pub(crate)`/`pub(in …)` restriction.
-                if i + 1 < toks.len() && toks[i + 1].is_punct('(') {
-                    i = matching(toks, i + 1, '(', ')') + 1;
-                } else {
-                    i += 1;
-                }
-            }
             TokKind::Ident(kw) if kw == "use" => {
-                i = parse_use(toks, i + 1, saw_pub, &mut Vec::new(), &mut map.uses);
-                saw_pub = false;
+                i = parse_use(toks, i + 1, &mut Vec::new(), &mut map.uses);
             }
             TokKind::Ident(kw) if kw == "impl" => {
                 i = parse_impl_header(toks, i + 1, &mut impl_stack);
-                saw_pub = false;
             }
             TokKind::Ident(kw) if kw == "fn" => {
                 let impl_type = impl_stack.last().and_then(|(_, t)| t.clone());
                 i = parse_fn(toks, i, impl_type, &mut map.fns);
-                saw_pub = false;
             }
             TokKind::Ident(kw) if kw == "struct" || kw == "enum" => {
                 if let Some(name) = toks.get(i + 1).and_then(|t| t.ident()) {
-                    map.types.push(TypeDecl {
-                        name: name.to_string(),
-                        line: toks[i + 1].line,
-                    });
+                    map.types.push(name.to_string());
                 }
                 if kw == "struct" {
                     i = parse_struct(toks, i + 1, &mut map.fields);
                 } else {
                     i += 1;
                 }
-                saw_pub = false;
             }
             _ => {
                 i += 1;
@@ -234,7 +205,6 @@ pub fn parse(toks: &[Tok]) -> FileMap {
 fn parse_use(
     toks: &[Tok],
     mut i: usize,
-    is_pub: bool,
     prefix: &mut Vec<String>,
     out: &mut Vec<UseDecl>,
 ) -> usize {
@@ -246,7 +216,6 @@ fn parse_use(
         if toks[i].is_punct('*') {
             out.push(UseDecl {
                 line: toks[i].line,
-                is_pub,
                 path: prefix.clone(),
                 alias: None,
                 glob: true,
@@ -261,7 +230,7 @@ fn parse_use(
             while i < close {
                 // An element `parse_use` cannot read (`r#type`, `'x'`)
                 // consumes nothing; step past it instead of retrying.
-                i = parse_use(toks, i, is_pub, prefix, out).max(i + 1);
+                i = parse_use(toks, i, prefix, out).max(i + 1);
                 if i < toks.len() && toks[i].is_punct(',') {
                     i += 1;
                 }
@@ -295,7 +264,6 @@ fn parse_use(
         };
         out.push(UseDecl {
             line,
-            is_pub,
             path: prefix.clone(),
             alias,
             glob: false,
@@ -503,7 +471,6 @@ mod tests {
         assert_eq!(m.uses[0].local_name(), Some("Clock"));
         assert_eq!(m.uses[1].path, vec!["std", "time", "Duration"]);
         assert_eq!(m.uses[1].alias, None);
-        assert!(m.uses[2].is_pub);
         assert_eq!(m.uses[2].path, vec!["smart_trace"]);
         assert!(m.uses[3].glob);
         assert_eq!(m.uses[3].path, vec!["std", "collections"]);
@@ -614,9 +581,7 @@ fn free() -> Result<u32, Error> { Ok(0) }
     #[test]
     fn type_decls_cover_structs_and_enums() {
         let m = map("pub struct Doorbell { pub idx: u32 }\nenum WrState { Posted, Done }\npub struct Unit;\n");
-        let names: Vec<&str> = m.types.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["Doorbell", "WrState", "Unit"]);
-        assert_eq!(m.types[1].line, 2);
+        assert_eq!(m.types, vec!["Doorbell", "WrState", "Unit"]);
     }
 
     #[test]

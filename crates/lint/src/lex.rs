@@ -7,14 +7,11 @@
 //!
 //! * the token stream (idents, lifetimes, numbers, literal markers,
 //!   single-char puncts), each token tagged with its 1-based line;
-//! * the per-line *condensed projection* — every character of a line
-//!   that is code, in order, with whitespace, comments and literal
-//!   contents left out (a literal keeps its two quotes);
 //! * the suppression pragmas found in plain `//` comments.
 //!
 //! Comments and literal contents never become tokens. The body of a
-//! `#[cfg(test)] mod … { … }` is dropped from both the tokens and the
-//! projection (its braces stay), but pragmas inside it still count.
+//! `#[cfg(test)] mod … { … }` is dropped from the tokens (its braces
+//! stay), but pragmas inside it still count.
 
 /// A suppression pragma found in a comment.
 ///
@@ -80,28 +77,11 @@ impl Tok {
 #[derive(Debug)]
 pub struct Lexed {
     pub toks: Vec<Tok>,
-    /// `lines[i]` is the condensed projection of line `i + 1`.
-    pub lines: Vec<String>,
     /// All suppression pragmas, in file order.
     pub allows: Vec<Allow>,
 }
 
 impl Lexed {
-    /// `(1-based line, condensed projection)` pairs.
-    pub fn condensed_lines(&self) -> impl Iterator<Item = (usize, &str)> + '_ {
-        self.lines
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.as_str()))
-    }
-
-    /// The condensed projection of a 1-based line ("" past EOF).
-    pub fn line(&self, line: usize) -> &str {
-        line.checked_sub(1)
-            .and_then(|i| self.lines.get(i))
-            .map_or("", String::as_str)
-    }
-
     /// True if `rule` is suppressed at `line` (1-based).
     pub fn allowed(&self, rule: &str, line: usize) -> bool {
         self.allows
@@ -113,10 +93,6 @@ impl Lexed {
 /// True at a `::` separator (two adjacent `:` puncts).
 pub fn is_path_sep(toks: &[Tok], i: usize) -> bool {
     i + 1 < toks.len() && toks[i].is_punct(':') && toks[i + 1].is_punct(':')
-}
-
-fn is_word_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
 }
 
 /// Cursor state of one [`lex`] call.
@@ -139,19 +115,12 @@ impl Scan {
         s.chars().enumerate().all(|(k, c)| self.at(k) == Some(c))
     }
 
-    /// Steps over one char, opening a new projection line at `\n`.
+    /// Steps over one char, counting lines.
     fn bump(&mut self) {
         if self.at(0) == Some('\n') {
             self.line += 1;
-            self.out.lines.push(String::new());
         }
         self.i += 1;
-    }
-
-    fn project(&mut self, s: &str) {
-        if self.blank == 0 {
-            self.out.lines.last_mut().expect("never empty").push_str(s);
-        }
     }
 
     /// A string literal starting here: `"`, `b"`, `r"`, `r#"`, `br##"` …
@@ -171,7 +140,8 @@ impl Scan {
     /// Reads identifier chars, stopping where a string literal starts.
     fn word(&mut self, text: &mut String) {
         while let Some(c) = self.at(0) {
-            if !is_word_char(c) || (!text.is_empty() && self.string_start().is_some()) {
+            let word = c.is_alphanumeric() || c == '_';
+            if !word || (!text.is_empty() && self.string_start().is_some()) {
                 break;
             }
             text.push(c);
@@ -189,7 +159,6 @@ impl Scan {
                 self.i += 1;
             } else if c == q {
                 self.i += 1;
-                self.project(&q.to_string());
                 return;
             } else {
                 self.bump();
@@ -198,8 +167,7 @@ impl Scan {
     }
 }
 
-/// Scans Rust source into tokens, the condensed projection and the
-/// suppression pragmas.
+/// Scans Rust source into tokens and suppression pragmas.
 pub fn lex(src: &str) -> Lexed {
     let mut s = Scan {
         src: src.chars().collect(),
@@ -208,7 +176,6 @@ pub fn lex(src: &str) -> Lexed {
         blank: 0,
         out: Lexed {
             toks: Vec::new(),
-            lines: vec![String::new()],
             allows: Vec::new(),
         },
     };
@@ -255,14 +222,12 @@ pub fn lex(src: &str) -> Lexed {
             continue;
         } else if let Some((prefix, raw)) = s.string_start() {
             s.i += prefix + 1;
-            s.project("\"");
             match raw {
                 None => s.quoted('"'),
                 Some(hashes) => {
                     while s.at(0).is_some() {
                         if s.at(0) == Some('"') && (1..=hashes).all(|k| s.at(k) == Some('#')) {
                             s.i += 1 + hashes;
-                            s.project("\"");
                             break;
                         }
                         s.bump();
@@ -279,7 +244,6 @@ pub fn lex(src: &str) -> Lexed {
                 s.word(&mut text);
                 TokKind::Lifetime(text)
             } else {
-                s.project("'");
                 s.quoted('\'');
                 TokKind::Char
             }
@@ -317,11 +281,6 @@ pub fn lex(src: &str) -> Lexed {
                 continue;
             }
         }
-        match &kind {
-            TokKind::Ident(t) | TokKind::Lifetime(t) | TokKind::Num(t) => s.project(t),
-            TokKind::Punct(p) => s.project(&p.to_string()),
-            TokKind::Str | TokKind::Char => {}
-        }
         if mod_check == Some(s.out.toks.len()) {
             armed |= matches!(&kind, TokKind::Ident(t) if t.starts_with("mod"));
         }
@@ -331,11 +290,6 @@ pub fn lex(src: &str) -> Lexed {
             armed = false;
             s.blank = 1;
         }
-    }
-    // `str::lines` drops the final empty piece after a trailing newline;
-    // the projection follows it.
-    if src.ends_with('\n') {
-        s.out.lines.pop();
     }
     s.out
 }
@@ -373,9 +327,19 @@ mod tests {
         format!("lint:{kind}({rule})")
     }
 
-    /// The condensed projection, one line per source line.
+    /// The tokens of each source line rendered as text (a string literal
+    /// as `""`, a char literal as `''`), one line per source line.
     fn text(src: &str) -> String {
-        lex(src).lines.join("\n")
+        let toks = lex(src).toks;
+        let render = |t: &Tok| match &t.kind {
+            TokKind::Ident(s) | TokKind::Lifetime(s) | TokKind::Num(s) => s.clone(),
+            TokKind::Str => "\"\"".into(),
+            TokKind::Char => "''".into(),
+            TokKind::Punct(c) => c.to_string(),
+        };
+        let line = |n: usize| toks.iter().filter(|t| t.line == n).map(render).collect();
+        let lines: Vec<String> = (1..=src.lines().count()).map(line).collect();
+        lines.join("\n")
     }
 
     #[test]
@@ -419,10 +383,8 @@ mod tests {
     #[test]
     fn string_line_continuation_preserves_line_count() {
         let src = "let s = \"a\\\n    b\";\nlet t = 1;\n";
-        let l = lex(src);
-        assert_eq!(l.lines.len(), src.lines().count(), "{:?}", l.lines);
-        assert_eq!(l.line(3), "lett=1;");
-        assert!(l.toks.iter().any(|t| t.is_ident("t") && t.line == 3));
+        assert_eq!(text(src).lines().nth(2), Some("lett=1;"));
+        assert!(lex(src).toks.iter().any(|t| t.is_ident("t") && t.line == 3));
     }
 
     #[test]
@@ -451,14 +413,10 @@ mod tests {
 
     #[test]
     fn char_literals_and_lifetimes() {
-        let l = lex("fn f<'a>(x: &'a str) { let c = 'y'; }");
-        assert!(l.lines[0].contains("'a>"), "lifetime kept: {}", l.lines[0]);
-        assert!(
-            !l.lines[0].contains('y'),
-            "char literal blanked: {}",
-            l.lines[0]
-        );
-        assert!(l.lines[0].contains("=''"), "{}", l.lines[0]);
+        let t = text("fn f<'a>(x: &'a str) { let c = 'y'; }");
+        assert!(t.contains("'a>"), "lifetime kept: {t}");
+        assert!(!t.contains('y'), "char literal blanked: {t}");
+        assert!(t.contains("=''"), "{t}");
     }
 
     #[test]
@@ -488,14 +446,12 @@ mod tests {
             pragma("allow", "unordered-iter")
         );
         let l = lex(&src);
-        let t = l.lines.join("\n");
+        let t = text(&src);
         assert!(!t.contains("HashMap"));
         assert!(t.contains("BTreeMap"));
         assert!(t.contains("fnlive"));
-        assert_eq!(l.lines.len(), src.lines().count());
-        assert!(!l.toks.iter().any(|t| t.is_ident("HashMap")));
-        assert_eq!(l.line(3), "modtests{", "the braces stay");
-        assert_eq!(l.line(5), "}");
+        assert_eq!(t.lines().nth(2), Some("modtests{"), "the braces stay");
+        assert_eq!(t.lines().nth(4), Some("}"));
         assert!(l.allowed("unordered-iter", 4), "pragmas inside still count");
     }
 
@@ -513,9 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn projection_keeps_code_and_literal_quotes() {
-        let l = lex("let x = \"Hash Map\";  // comment\nfor (k, v) in &m { }\n");
-        assert_eq!(l.lines, vec!["letx=\"\";", "for(k,v)in&m{}"]);
+    fn tokens_keep_code_and_literal_markers() {
+        let t = text("let x = \"Hash Map\";  // comment\nfor (k, v) in &m { }\n");
+        assert_eq!(t, "letx=\"\";\nfor(k,v)in&m{}");
     }
 
     #[test]

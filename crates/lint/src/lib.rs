@@ -7,14 +7,15 @@
 //! workspace `.rs` sources plus DESIGN.md, with zero dependencies.
 //!
 //! Each job is done once. One scan of the source ([`lex`]) yields the
-//! token stream, the per-line condensed projection and the suppression
-//! pragmas, with comments, literal contents and `#[cfg(test)]` module
-//! bodies left out. The item mapper ([`items`]) finds `use`
-//! declarations, fn items with their parameters and brace-matched body
-//! spans, and struct fields; [`resolve`] adds alias resolution and the
-//! one body walk that tracks scoped bindings and resolves receivers.
-//! Pattern rules match the projection; structural rules walk the tokens
-//! and items; the `smart-flow` pass ([`flow`]) builds a workspace call
+//! token stream and the suppression pragmas, with comments, literal
+//! contents and `#[cfg(test)]` module bodies left out. The item mapper
+//! ([`items`]) finds `use` declarations, fn items with their parameters
+//! and brace-matched body spans, and struct fields; [`resolve`] adds
+//! alias resolution and the one body walk that tracks scoped bindings
+//! and resolves receivers. The banned APIs are one table
+//! ([`rules::BANNED`]) matched on the tokens and, through resolved `use`
+//! paths, on renamed imports; structural rules walk the tokens and
+//! items; the `smart-flow` pass ([`flow`]) builds a workspace call
 //! graph on top and infers per-function effect signatures ([`effects`])
 //! to a fixed point. Every finding is a [`Diagnostic`], built by one
 //! constructor. `tests/golden_findings.rs` pins the full raw finding set
@@ -42,14 +43,14 @@
 //!
 //! False positives are silenced inline with `// lint:allow(<rule>)`
 //! (covers that line and the next) or `// lint:allow-file(<rule>)`
-//! (covers the file); both should carry a rationale. CI gates the
+//! (covers the file) — the only way to silence one; both should carry a
+//! rationale. CI gates the
 //! pragma count ([`count_pragmas`]) against a committed budget so the
 //! suppression count only ever shrinks.
 //!
 //! Run it with `cargo run -p smart-lint` (non-zero exit on violations);
 //! `--format=json` emits one JSON object per finding, `--format=github`
-//! emits workflow error annotations, `--baseline <file>` filters out
-//! findings recorded in a previous JSON run, and `--effects` prints the
+//! emits workflow error annotations, and `--effects` prints the
 //! inferred effect table (`--effects-out <dir>` additionally writes the
 //! call-graph and effects JSONL artifacts; `--update-effects` rewrites
 //! the `EFFECTS.json` baseline from the current tree).
@@ -146,11 +147,10 @@ pub fn run_lint_raw(root: &Path) -> Vec<Diagnostic> {
     let files = load_all(root);
     let mut out = Vec::new();
     for file in &files {
-        rules::pattern_rules(file, &mut out);
+        rules::banned_apis(file, &mut out);
         rules::await_holding_guard(file, &mut out);
         rules::fallible_unhandled(file, &mut out);
         rules::hot_path_alloc(file, &mut out);
-        rules::alias_evasion(file, &mut out);
         rules::unordered_iter_binding(file, &mut out);
     }
     rules::panic_in_recovery(&files, &mut out);
@@ -199,8 +199,7 @@ pub fn count_pragmas(root: &Path) -> usize {
 }
 
 /// Serializes one diagnostic as a single-line JSON object with `path`,
-/// `line`, `rule` and `message` fields — the `--format=json` /
-/// `--baseline` interchange format.
+/// `line`, `rule` and `message` fields — the `--format=json` output.
 pub fn to_json(d: &Diagnostic) -> String {
     format!(
         "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",

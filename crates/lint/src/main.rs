@@ -10,12 +10,9 @@
 //!
 //! * `--format=text` (default) — `file:line: [rule] message` lines.
 //! * `--format=json` — one JSON object per finding (`path`, `line`,
-//!   `rule`, `message`), one per line; the `--baseline` input format.
+//!   `rule`, `message`), one per line.
 //! * `--format=github` — GitHub Actions `::error` workflow annotations,
 //!   so findings surface inline on the PR diff.
-//! * `--baseline <file>` — suppress findings whose JSON line appears
-//!   verbatim in `<file>` (a previous `--format=json` run); exit status
-//!   reflects only the remaining findings.
 //! * `--pragmas` — print the suppression-pragma count for the workspace
 //!   and exit 0; CI compares it against the committed budget.
 //! * `--effects` — run the full lint, then print the `smart-flow` effect
@@ -29,7 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -53,15 +49,14 @@ enum Format {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: smart-lint [--format=text|json|github] [--baseline <file>] [--pragmas] \
-         [--effects] [--effects-out <dir>] [--update-effects] [<root>]"
+        "usage: smart-lint [--format=text|json|github] [--pragmas] [--effects] \
+          [--effects-out <dir>] [--update-effects] [<root>]"
     );
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let mut format = Format::Text;
-    let mut baseline: Option<PathBuf> = None;
     let mut pragmas = false;
     let mut effects = false;
     let mut effects_out: Option<PathBuf> = None;
@@ -77,11 +72,6 @@ fn main() -> ExitCode {
                 "github" => Format::Github,
                 _ => return usage(),
             };
-        } else if arg == "--baseline" {
-            match argv.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => return usage(),
-            }
         } else if arg == "--effects-out" {
             match argv.next() {
                 Some(p) => effects_out = Some(PathBuf::from(p)),
@@ -122,21 +112,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let known: BTreeSet<String> = match &baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => text.lines().map(str::to_string).collect(),
-            Err(e) => {
-                eprintln!("smart-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => BTreeSet::new(),
-    };
-
-    let diags: Vec<_> = smart_lint::run_lint(&root)
-        .into_iter()
-        .filter(|d| !known.contains(&smart_lint::to_json(d)))
-        .collect();
+    let diags = smart_lint::run_lint(&root);
 
     if effects {
         let g = smart_lint::effect_graph(&root);

@@ -45,15 +45,10 @@ impl Resolver {
         Resolver { map }
     }
 
-    /// The full path a local name was imported from, if any.
-    pub fn lookup(&self, name: &str) -> Option<&[String]> {
-        self.map.get(name).map(|v| v.as_slice())
-    }
-
     /// Expands a written path or type through the alias map: an imported
-    /// head segment is replaced by its full path.
+    /// head segment is replaced by the full path it was imported from.
     pub fn expand(&self, segments: &[String]) -> Vec<String> {
-        match segments.first().and_then(|h| self.lookup(h)) {
+        match segments.first().and_then(|h| self.map.get(h)) {
             Some(full) => full.iter().chain(&segments[1..]).cloned().collect(),
             None => segments.to_vec(),
         }
@@ -294,7 +289,7 @@ mod tests {
     fn plain_imports_resolve_to_their_full_path() {
         let (_, res) = setup("use std::collections::HashMap;\n");
         assert_eq!(
-            res.lookup("HashMap").unwrap(),
+            res.expand(&["HashMap".to_string()]),
             ["std", "collections", "HashMap"]
         );
     }

@@ -2,22 +2,24 @@
 //!
 //! Every rule is a pure function from scanned sources to diagnostics;
 //! the driver in [`crate::run_lint`] handles file discovery and
-//! scanning, and [`diag`] marks pragma-suppressed findings. The pattern
-//! rules ([`PATTERNS`], [`fallible_unhandled`], [`hot_path_alloc`])
-//! match per line on the condensed projection of [`crate::lex`], so
-//! `Instant :: now` and `Instant::now` both match while anything inside
-//! comments, string literals or `#[cfg(test)]` modules never does. The
-//! structural rules ([`await_holding_guard`], [`alias_evasion`],
+//! scanning, and [`diag`] marks pragma-suppressed findings. The banned
+//! APIs of rules 1–4 and 8 are one table, [`BANNED`]: [`banned_apis`]
+//! matches its written forms on the tokens of each line of [`crate::lex`]
+//! (so `Instant :: now` and `Instant::now` both match while anything
+//! inside comments, string literals or `#[cfg(test)]` modules never does)
+//! and, as `alias-evasion`, on the resolved paths of renamed or grouped
+//! imports. [`fallible_unhandled`] and [`hot_path_alloc`] match per line
+//! too. The structural rules ([`await_holding_guard`],
 //! [`unordered_iter_binding`], [`panic_in_recovery`], [`layering`]) walk
 //! the token stream and the item/scope layer instead, which lets them
-//! see through renames, track bindings and distinguish construction
-//! from per-event code. The domain-isolation rules
-//! (`cross-domain-shared-state`, `rc-escape`, `effect-drift`) live in
-//! [`crate::flow`] on top of the workspace call graph and the effect
-//! lattice in [`crate::effects`].
+//! track bindings and distinguish construction from per-event code. The
+//! domain-isolation rules (`cross-domain-shared-state`, `rc-escape`,
+//! `effect-drift`) live in [`crate::flow`] on top of the workspace call
+//! graph and the effect lattice in [`crate::effects`].
 //!
 //! `tests/golden_findings.rs` pins the full raw finding set on the real
-//! workspace against a committed snapshot.
+//! workspace against a committed snapshot, and `tests/banned_table.rs`
+//! walks every entry of [`BANNED`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -190,37 +192,6 @@ impl SourceFile {
             .iter()
             .any(|c| s.starts_with(&format!("crates/{c}/src/")))
     }
-
-    /// True if this file is the PDES engine itself (see
-    /// [`PDES_ENGINE_FILES`]): exempt from the OS-concurrency ban, and
-    /// nothing else.
-    pub fn is_pdes_engine(&self) -> bool {
-        PDES_ENGINE_FILES.contains(&self.rel_str().as_str())
-    }
-}
-
-/// True if `needle` occurs in `hay` delimited by non-identifier chars.
-pub(crate) fn has_ident(hay: &str, needle: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(needle) {
-        let at = from + pos;
-        let before_ok = at == 0
-            || !hay[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = at + needle.len();
-        let after_ok = after >= hay.len()
-            || !hay[after..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        from = at + needle.len();
-    }
-    false
 }
 
 /// Reports a finding in a source file, suppressed if a pragma covers it.
@@ -238,69 +209,23 @@ pub(crate) fn diag(
 }
 
 // ---------------------------------------------------------------------------
-// Pattern rules, matched per line of the condensed projection
+// The banned vocabulary, matched on the tokens of one line at a time
 // ---------------------------------------------------------------------------
 
-/// The first of `pats` on a condensed line. A pattern with no `::` must
-/// match a whole identifier when `words` is set; otherwise any substring
-/// matches.
-fn first_hit(l: &str, pats: &[&'static str], words: bool) -> Option<&'static str> {
-    pats.iter().copied().find(|p| {
-        if words && !p.contains("::") {
-            has_ident(l, p)
-        } else {
-            l.contains(p)
-        }
-    })
-}
-
-fn wall_clock_hit(l: &str) -> Option<&'static str> {
-    first_hit(
-        l,
-        &["Instant::now", "std::time::Instant", "SystemTime"],
-        false,
-    )
-}
-
-fn os_concurrency_hit(l: &str) -> Option<&'static str> {
-    if l.contains("thread::spawn") || l.contains("std::thread") {
-        Some("std::thread")
-    } else if l.contains("std::sync::Mutex") {
-        Some("std::sync::Mutex")
-    } else if l.contains("std::sync::RwLock") {
-        Some("std::sync::RwLock")
-    } else if l.contains("std::sync::Condvar") || has_ident(l, "Condvar") {
-        Some("Condvar")
-    } else if l.contains("std::sync::{") && (has_ident(l, "Mutex") || has_ident(l, "RwLock")) {
-        Some("std::sync::{Mutex|RwLock}")
-    } else {
-        None
-    }
-}
-
-fn unordered_iter_hit(l: &str) -> Option<&'static str> {
-    first_hit(l, &["HashMap", "HashSet"], true)
-}
-
-fn unseeded_rng_hit(l: &str) -> Option<&'static str> {
-    first_hit(
-        l,
-        &["thread_rng", "from_entropy", "OsRng", "rand::random"],
-        true,
-    )
-}
-
-fn rc_identity_hit(l: &str) -> Option<&'static str> {
-    first_hit(l, &["Rc::as_ptr", "Rc::ptr_eq"], false)
-}
-
-/// One pattern rule: its id, whether it checks sim code only, its line
-/// matcher, and the message that follows "`<pattern>` ".
-struct Pattern {
-    rule: &'static str,
-    sim_only: bool,
-    hit: fn(&str) -> Option<&'static str>,
-    tail: &'static str,
+/// One banned rule: where it holds, its message after the quoted form
+/// (`alias-evasion` repeats the fix, the part after "; "), and its
+/// entries in report order, each `(quote, written forms, import arm)`.
+/// Forms are matched by `written`; on a line, the first entry that
+/// matches is the rule's one finding, quoting the entry. With the import
+/// arm set, a `use` whose full path names one of the entry's forms (see
+/// `imports`) on a line the direct match misses — a rename or a group —
+/// is an `alias-evasion` finding.
+pub struct Banned {
+    pub rule: &'static str,
+    /// Banned in every file, tests included; otherwise in sim code only.
+    pub everywhere: bool,
+    pub tail: &'static str,
+    pub bans: &'static [(&'static str, &'static [&'static str], bool)],
 }
 
 /// Rules 1–4 and 8. `wall-clock`: sim code is driven by `SimTime` only;
@@ -315,53 +240,202 @@ struct Pattern {
 /// `Rc::as_ptr` / `Rc::ptr_eq` expose heap addresses, which vary across
 /// runs even with one seed; uses that only compare or count carry a
 /// pragma with the argument.
-const PATTERNS: [Pattern; 5] = [
-    Pattern {
+pub const BANNED: [Banned; 5] = [
+    Banned {
         rule: "wall-clock",
-        sim_only: true,
-        hit: wall_clock_hit,
+        everywhere: false,
         tail: "in sim code; only SimTime may drive time",
+        bans: &[
+            ("Instant::now", &["Instant::now"], false),
+            ("std::time::Instant", &["std::time::Instant"], true),
+            ("SystemTime", &["*SystemTime"], false),
+        ],
     },
-    Pattern {
+    Banned {
         rule: "os-concurrency",
-        sim_only: true,
-        hit: os_concurrency_hit,
+        everywhere: false,
         tail: "in sim code; the executor is single-threaded — use smart_rt::sync primitives",
+        bans: &[
+            ("std::thread", &["std::thread", "thread::spawn"], true),
+            ("std::sync::Mutex", &["std::sync::Mutex"], true),
+            ("std::sync::RwLock", &["std::sync::RwLock"], true),
+            ("Condvar", &["std::sync::Condvar"], true),
+            ("Condvar", &["Condvar"], false),
+            (
+                "std::sync::{Mutex|RwLock}",
+                &["std::sync::{Mutex", "std::sync::{RwLock"],
+                false,
+            ),
+        ],
     },
-    Pattern {
+    Banned {
         rule: "unordered-iter",
-        sim_only: true,
-        hit: unordered_iter_hit,
+        everywhere: false,
         tail: "in sim code; iteration order is unseeded — use BTreeMap/BTreeSet/Vec \
                or justify with lint:allow(unordered-iter)",
+        bans: &[
+            ("HashMap", &["HashMap"], false),
+            ("HashSet", &["HashSet"], false),
+        ],
     },
-    Pattern {
+    Banned {
         rule: "unseeded-rng",
-        sim_only: false,
-        hit: unseeded_rng_hit,
+        everywhere: true,
         tail: "draws OS entropy; use the seeded smart_rt::rng::SimRng",
+        bans: &[
+            ("thread_rng", &["thread_rng"], true),
+            ("from_entropy", &["from_entropy"], false),
+            ("OsRng", &["OsRng"], true),
+            ("rand::random", &["rand::random"], true),
+        ],
     },
-    Pattern {
+    Banned {
         rule: "rc-identity",
-        sim_only: true,
-        hit: rc_identity_hit,
+        everywhere: false,
         tail: "exposes a heap address, which is not seed-stable; key on a \
                stable id instead or justify with lint:allow(rc-identity)",
+        bans: &[
+            ("Rc::as_ptr", &["Rc::as_ptr"], false),
+            ("Rc::ptr_eq", &["Rc::ptr_eq"], false),
+        ],
     },
 ];
 
-/// Runs the [`PATTERNS`] rules over one file.
-pub fn pattern_rules(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for p in &PATTERNS {
-        let exempt = p.rule == "os-concurrency" && file.is_pdes_engine();
-        if exempt || (p.sim_only && !file.is_sim_src()) {
-            continue;
+/// Whether `rule` holds in `file`: its scope, less the PDES engine's
+/// OS-thread exemption (the [`PDES_ENGINE_FILES`] are exempt from that
+/// ban, and nothing else).
+fn in_scope(rule: &Banned, file: &SourceFile) -> bool {
+    let engine = PDES_ENGINE_FILES.contains(&file.rel_str().as_str());
+    (rule.everywhere || file.is_sim_src()) && !(rule.rule == "os-concurrency" && engine)
+}
+
+/// The tokens of a written form.
+fn form(text: &str) -> Vec<TokKind> {
+    lex::lex(text).toks.into_iter().map(|t| t.kind).collect()
+}
+
+/// The source lines of a token stream, as runs of tokens.
+fn lines(toks: &[Tok]) -> impl Iterator<Item = &[Tok]> {
+    toks.chunk_by(|a, b| a.line == b.line)
+}
+
+/// Whether the written form `pat` starts at token `i` of `line`, read as
+/// text with the whitespace gone. A form's first identifier may end a
+/// longer one and its last may begin one (`std::thread_local` holds
+/// `std::thread`), and `*Name` matches inside any identifier. A lone
+/// `Name` is a whole word, so it misses when a neighbouring identifier,
+/// number or lifetime runs into it (`HashMap as Map` reads
+/// `HashMapasMap`: the rename is the import arm's). The words after a `{`
+/// may come anywhere later on the line (`std::sync::{Arc, Mutex}`).
+fn written(line: &[Tok], i: usize, pat: &[TokKind]) -> bool {
+    use TokKind::{Ident, Lifetime, Num, Punct};
+    let word = |k: usize| {
+        matches!(
+            line.get(k).map(|t| &t.kind),
+            Some(Ident(_) | Num(_) | Lifetime(_))
+        )
+    };
+    let group = pat.iter().position(|p| *p == Punct('{'));
+    match (pat, group.filter(|&g| g + 1 < pat.len())) {
+        (_, Some(g)) => {
+            written(line, i, &pat[..=g])
+                && (i + g + 1..line.len()).any(|j| written(line, j, &pat[g + 1..]))
         }
-        for (line, l) in file.lex.condensed_lines() {
-            if let Some(pat) = (p.hit)(l) {
-                diag(file, line, p.rule, format!("`{pat}` {}", p.tail), out);
+        ([Punct('*'), Ident(name)], _) => line
+            .get(i)
+            .and_then(Tok::ident)
+            .is_some_and(|t| t.contains(name.as_str())),
+        ([name], _) => line[i].kind == *name && !(i > 0 && word(i - 1)) && !word(i + 1),
+        _ => line.get(i..i + pat.len()).is_some_and(|ts| {
+            let last = pat.len() - 1;
+            ts.iter()
+                .zip(pat)
+                .enumerate()
+                .all(|(k, (t, p))| match (&t.kind, p) {
+                    (Ident(t), Ident(p)) => {
+                        t == p
+                            || (k == 0 && t.ends_with(p.as_str()))
+                            || (k == last && t.starts_with(p.as_str()))
+                    }
+                    (t, p) => t == p,
+                })
+        }),
+    }
+}
+
+/// Whether some written form in `pats` occurs on `line`.
+fn on_line(line: &[Tok], pats: &[Vec<TokKind>]) -> bool {
+    (0..line.len()).any(|i| pats.iter().any(|p| written(line, i, p)))
+}
+
+/// Whether an import's full path names the written form `pat`: it starts
+/// with the form's leading segments and names the last one next or at
+/// its end (`std::thread::spawn` lies under `std::thread`,
+/// `rand::prelude::random` reaches `rand::random`).
+fn imports(path: &[String], pat: &str) -> bool {
+    let segs: Vec<&str> = pat.split("::").collect();
+    let (last, head) = segs.split_last().expect("split yields one piece");
+    path.len() > head.len()
+        && path.iter().zip(head).all(|(a, b)| a == b)
+        && (path[head.len()] == *last || path[path.len() - 1] == *last)
+}
+
+/// The direct matches in `file`: `(line, rule, quote)` for each rule in
+/// force and each line one of its entries matches.
+fn direct_hits(file: &SourceFile) -> Vec<(usize, &'static Banned, &'static str)> {
+    let mut hits = Vec::new();
+    for rule in BANNED.iter().filter(|r| in_scope(r, file)) {
+        let bans: Vec<(&str, Vec<Vec<TokKind>>)> = rule
+            .bans
+            .iter()
+            .map(|&(quote, paths, _)| (quote, paths.iter().map(|p| form(p)).collect()))
+            .collect();
+        for line in lines(&file.lex.toks) {
+            if let Some((quote, _)) = bans.iter().find(|(_, forms)| on_line(line, forms)) {
+                hits.push((line[0].line, rule, *quote));
             }
         }
+    }
+    hits
+}
+
+/// Rules 1–4, 8 and 11 over one file: every direct match of [`BANNED`],
+/// and — rule 11, `alias-evasion` — every import of a banned path that
+/// the direct match cannot see, because a rename or a grouped `use`
+/// hides the written form (`use std::time::{Instant as Clock, …}` shows
+/// neither `std::time::Instant` nor `Instant::now`). An import the
+/// direct match sees on its line stays that rule's finding, so no site
+/// is reported twice.
+pub fn banned_apis(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let hits = direct_hits(file);
+    for &(line, rule, quote) in &hits {
+        diag(
+            file,
+            line,
+            rule.rule,
+            format!("`{quote}` {}", rule.tail),
+            out,
+        );
+    }
+    for u in file.items.uses.iter().filter(|u| !u.glob) {
+        let names = |&(_, paths, import): &(_, &[&str], bool)| {
+            import && paths.iter().any(|p| imports(&u.path, p))
+        };
+        let mut in_force = BANNED.iter().filter(|r| in_scope(r, file));
+        let Some(rule) = in_force.find(|r| r.bans.iter().any(names)) else {
+            continue;
+        };
+        if hits
+            .iter()
+            .any(|&(l, r, _)| l == u.line && r.rule == rule.rule)
+        {
+            continue;
+        }
+        let (full, bound) = (u.path.join("::"), u.local_name().unwrap_or("_"));
+        let fix = rule.tail.split_once("; ").map_or("", |(_, fix)| fix);
+        let msg =
+            format!("import binds `{full}` as `{bound}`, hiding it from the pattern rules; {fix}");
+        diag(file, u.line, "alias-evasion", msg, out);
     }
 }
 
@@ -391,20 +465,23 @@ pub fn fallible_unhandled(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if !file.is_sim_src() {
         return;
     }
+    let sinks = [".unwrap()", ".expect("].map(form);
     let mut verb: Option<&'static str> = None;
-    for (line, l) in file.lex.condensed_lines() {
+    for line in lines(&file.lex.toks) {
         if verb.is_none() {
-            verb = FALLIBLE_VERBS
-                .iter()
-                .find(|v| has_ident(l, v) && l.contains(&format!("{v}(")))
-                .copied();
+            verb = FALLIBLE_VERBS.iter().copied().find(|v| {
+                let name = [TokKind::Ident(v.to_string())];
+                (0..line.len()).any(|i| {
+                    written(line, i, &name) && line.get(i + 1).is_some_and(|t| t.is_punct('('))
+                })
+            });
         }
         if let Some(v) = verb {
-            let sink = first_hit(l, &[".unwrap()", ".expect("], false);
-            if let Some(sink) = sink.map(|s| if s == ".expect(" { ".expect(…)" } else { s }) {
+            if let Some(k) = (0..2).find(|&k| on_line(line, &sinks[k..=k])) {
+                let sink = [".unwrap()", ".expect(…)"][k];
                 diag(
                     file,
-                    line,
+                    line[0].line,
                     "fallible-unhandled",
                     format!(
                         "`{sink}` on a `{v}` result panics on a recoverable fault; \
@@ -415,7 +492,10 @@ pub fn fallible_unhandled(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 verb = None;
             }
         }
-        if l.ends_with(';') || l.ends_with('{') || l.ends_with('}') {
+        if line
+            .last()
+            .is_some_and(|t| t.is_punct(';') || t.is_punct('{') || t.is_punct('}'))
+        {
             verb = None;
         }
     }
@@ -473,7 +553,7 @@ pub fn await_holding_guard(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 guards.retain(|g| g.0 != name);
             }
         } else if is_method(toks, i, "acquire_guard") || is_method(toks, i, "enter_as") {
-            if let Some(name) = stmt_let_name(toks, stmt_start) {
+            if let Some(name) = stmt_let_name(toks, stmt_start, &res) {
                 guards.push((name, binds.depth(), t.line));
             }
             acquiring = true;
@@ -498,10 +578,9 @@ pub fn await_holding_guard(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// The name bound by a `let` statement starting at `start`, if the
-/// pattern is a bare name (destructured temporaries drop at statement
-/// end and are not tracked).
-fn stmt_let_name(toks: &[Tok], start: usize) -> Option<String> {
-    let mut i = start;
+/// pattern is a bare name bound by `=` (destructured temporaries drop at
+/// statement end and are not tracked).
+fn stmt_let_name(toks: &[Tok], mut i: usize, res: &Resolver) -> Option<String> {
     while toks.get(i).is_some_and(|t| t.is_punct('#'))
         && toks.get(i + 1).is_some_and(|t| t.is_punct('['))
     {
@@ -510,20 +589,8 @@ fn stmt_let_name(toks: &[Tok], start: usize) -> Option<String> {
     if !toks.get(i)?.is_ident("let") {
         return None;
     }
-    i += 1;
-    if toks.get(i).is_some_and(|t| t.is_ident("mut")) {
-        i += 1;
-    }
-    let name = toks.get(i)?.ident()?;
-    if name == "_" {
-        return None;
-    }
-    let nxt = toks.get(i + 1)?;
-    if nxt.is_punct('=') || (nxt.is_punct(':') && !is_path_sep(toks, i + 1)) {
-        Some(name.to_string())
-    } else {
-        None
-    }
+    let (b, next) = resolve::let_binding_at(toks, i, res)?;
+    toks.get(next)?.is_punct('=').then_some(b.name)
 }
 
 /// Rule 10 — `hot-path-alloc`: no `format!` / `.to_string()` /
@@ -549,74 +616,22 @@ pub fn hot_path_alloc(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 .map(|(o, c)| (file.lex.toks[o].line, file.lex.toks[c].line))
         })
         .collect();
-    for (line, l) in file.lex.condensed_lines() {
-        if ctor_ranges.iter().any(|&(a, b)| a <= line && line <= b) {
+    let pats = ["format!(", ".to_string(", "Vec::new()", "String::new()"];
+    let forms = pats.map(form);
+    for line in lines(&file.lex.toks) {
+        let at = line[0].line;
+        if ctor_ranges.iter().any(|&(a, b)| a <= at && at <= b) {
             continue;
         }
-        let pats = ["format!(", ".to_string(", "Vec::new()", "String::new()"];
-        if let Some(pat) = first_hit(l, &pats, false) {
+        if let Some(k) = (0..pats.len()).find(|&k| on_line(line, &forms[k..=k])) {
             let msg = format!(
-                "`{pat}` in a per-event hot-path file; allocate at construction time \
-                 or justify with lint:allow(hot-path-alloc)"
+                "`{}` in a per-event hot-path file; allocate at construction time \
+                 or justify with lint:allow(hot-path-alloc)",
+                pats[k]
             );
-            diag(file, line, "hot-path-alloc", msg, out);
+            diag(file, at, "hot-path-alloc", msg, out);
         }
     }
-}
-
-/// Rule 11 — `alias-evasion`: a banned wall-clock / OS-thread / entropy
-/// source imported through a rename or a grouped `use` never shows the
-/// substring the pattern rules match on (`use std::time::{Instant as
-/// Clock, …}` contains neither `std::time::Instant` nor `Instant::now`).
-/// This rule resolves every `use` leaf to its full path and flags banned
-/// imports the line patterns cannot see; imports the line rules already
-/// catch stay theirs, so no site is reported twice.
-pub fn alias_evasion(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let sim = file.is_sim_src();
-    for u in &file.items.uses {
-        if u.glob {
-            continue;
-        }
-        let Some(p) = banned_import(&u.path, sim) else {
-            continue;
-        };
-        // The engine's OS-thread exemption covers aliased imports too,
-        // and an import the pattern rule already sees is its finding.
-        let exempt = p.rule == "os-concurrency" && file.is_pdes_engine();
-        if exempt || (p.hit)(file.lex.line(u.line)).is_some() {
-            continue;
-        }
-        let (full, bound) = (u.path.join("::"), u.local_name().unwrap_or("_"));
-        let fix = p.tail.split_once("; ").map_or(p.tail, |(_, fix)| fix);
-        let msg =
-            format!("import binds `{full}` as `{bound}`, hiding it from the pattern rules; {fix}");
-        diag(file, u.line, "alias-evasion", msg, out);
-    }
-}
-
-/// The pattern rule an imported path evades, mirroring the rules'
-/// scopes: entropy sources are banned everywhere (like `unseeded-rng`);
-/// clocks and OS concurrency only in sim code.
-fn banned_import(path: &[String], sim: bool) -> Option<&'static Pattern> {
-    let segs: Vec<&str> = path.iter().map(String::as_str).collect();
-    let last = *segs.last()?;
-    let std = |m: &str| segs.len() >= 2 && segs[0] == "std" && segs[1] == m;
-    let rule = if last == "thread_rng"
-        || last == "OsRng"
-        || (segs.first() == Some(&"rand") && last == "random")
-    {
-        "unseeded-rng"
-    } else if sim && std("time") && (last == "Instant" || last == "SystemTime") {
-        "wall-clock"
-    } else if sim
-        && (std("thread")
-            || (std("sync") && segs.len() == 3 && ["Mutex", "RwLock", "Condvar"].contains(&last)))
-    {
-        "os-concurrency"
-    } else {
-        return None;
-    };
-    PATTERNS.iter().find(|p| p.rule == rule)
 }
 
 /// Methods whose call on a map/set observes its iteration order.
@@ -642,6 +657,7 @@ pub fn unordered_iter_binding(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if !file.is_sim_src() {
         return;
     }
+    let hits = direct_hits(file);
     let toks = &file.lex.toks;
     let res = Resolver::new(&file.items);
     let mut binds = Bindings::default();
@@ -682,7 +698,10 @@ pub fn unordered_iter_binding(file: &SourceFile, out: &mut Vec<Diagnostic>) {
         };
         // If the declaration line names the type openly, `unordered-iter`
         // already owns that finding.
-        if unordered_iter_hit(file.lex.line(decl_line)).is_none() && flagged.insert(t.line) {
+        let open = hits
+            .iter()
+            .any(|&(l, r, _)| l == decl_line && r.rule == "unordered-iter");
+        if !open && flagged.insert(t.line) {
             let name = toks[r].ident().unwrap_or_default();
             let msg = format!(
                 "iterating `{name}`, bound as a {which} (unseeded order), in sim code; \
@@ -970,26 +989,26 @@ fn parse_toml_deps(toml: &str) -> Vec<(usize, String)> {
 // DESIGN.md drift
 // ---------------------------------------------------------------------------
 
-/// A numeric config field parsed out of a source's condensed projection.
+/// A numeric config field's default: the first `field:` on a line that
+/// holds a number or a `Duration` built from one.
 fn field_value(file: &SourceFile, field: &str) -> Option<(usize, f64)> {
-    let marker = format!("{field}:");
-    for (line, l) in file.lex.condensed_lines() {
-        let Some(pos) = l.find(&marker) else { continue };
-        let rest = &l[pos + marker.len()..];
-        // Either a literal (`uar_medium:12,`) or a duration constructor
-        // (`base_service:Duration::from_nanos(9),`).
-        let num = if let Some(inner) = rest.strip_prefix("Duration::from_nanos(") {
-            parse_number(inner)
-        } else if let Some(inner) = rest.strip_prefix("Duration::from_micros(") {
-            parse_number(inner).map(|v| v * 1_000.0)
-        } else {
-            parse_number(rest)
+    let marker = form(&format!("{field}:"));
+    let units = [
+        ("Duration::from_nanos(", 1.0),
+        ("Duration::from_micros(", 1_000.0),
+    ];
+    let units = units.map(|(u, scale)| (form(u), scale));
+    lines(&file.lex.toks).find_map(|line| {
+        let at = (0..line.len()).find(|&i| written(line, i, &marker))? + marker.len();
+        let (at, scale) = match units.iter().find(|(u, _)| written(line, at, u)) {
+            Some((u, scale)) => (at + u.len(), *scale),
+            None => (at, 1.0),
         };
-        if let Some(v) = num {
-            return Some((line, v));
+        match &line.get(at)?.kind {
+            TokKind::Num(n) => parse_number(n).map(|v| (line[0].line, v * scale)),
+            _ => None,
         }
-    }
-    None
+    })
 }
 
 /// Parses a leading `f64` allowing `_` separators; `None` if the text
@@ -1216,19 +1235,32 @@ mod tests {
     }
 
     #[test]
-    fn ident_matching_respects_boundaries() {
-        assert!(!has_ident("useHashMap;", "HashMap"));
-        assert!(has_ident("x: HashMap<u64,u32>", "HashMap"));
-        assert!(!has_ident("MyHashMapLike", "HashMap"));
+    fn written_forms_match_like_text_without_whitespace() {
+        let hit = |src: &str, pat: &str| on_line(&lex::lex(src).toks, &[form(pat)]);
+        assert!(!hit("use HashMap;", "HashMap"), "glued to `use`");
+        assert!(!hit("use a::HashMap as Map;", "HashMap"), "glued to `as`");
+        assert!(hit("x: HashMap<u64,u32>", "HashMap"));
+        assert!(!hit("MyHashMapLike", "HashMap"));
+        assert!(
+            hit("std::thread_local!(x)", "std::thread"),
+            "a path's ends extend"
+        );
+        assert!(hit("SystemTimeError", "*SystemTime"));
+        assert!(!hit("SystemTimeError", "SystemTime"));
+        assert!(hit("use std::sync::{Arc, Mutex};", "std::sync::{Mutex"));
+        assert!(!hit(
+            "use std::sync::{Arc, Mutex as M};",
+            "std::sync::{Mutex"
+        ));
     }
 
     #[test]
     fn wall_clock_flags_and_pragma_suppresses() {
         let mut out = Vec::new();
-        pattern_rules(&sim_file("let t = Instant::now();"), &mut out);
+        banned_apis(&sim_file("let t = Instant::now();"), &mut out);
         assert_eq!(out.len(), 1);
         out.clear();
-        pattern_rules(
+        banned_apis(
             &sim_file(&format!(
                 "let t = Instant::now(); // {}",
                 allow("wall-clock")
@@ -1246,7 +1278,7 @@ mod tests {
             "let t = Instant::now();",
         );
         let mut out = Vec::new();
-        pattern_rules(&file, &mut out);
+        banned_apis(&file, &mut out);
         assert!(out.is_empty());
     }
 
@@ -1323,14 +1355,14 @@ async fn f(sem: &Semaphore) {{
     #[test]
     fn rc_identity_flags_and_pragma_suppresses() {
         let mut out = Vec::new();
-        pattern_rules(
+        banned_apis(
             &sim_file("v.sort_by_key(|r| Rc::as_ptr(r) as usize);"),
             &mut out,
         );
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("Rc::as_ptr"));
         out.clear();
-        pattern_rules(
+        banned_apis(
             &sim_file(&format!(
                 "// equality only. {}\nif Rc::ptr_eq(&a, &b) {{}}",
                 allow("rc-identity")
@@ -1438,7 +1470,7 @@ use rand::rngs::OsRng as Entropy;
 pub fn stamp() -> Clock { Clock::now() }
 ";
         let mut out = Vec::new();
-        alias_evasion(&sim_file(src), &mut out);
+        banned_apis(&sim_file(src), &mut out);
         let lines: Vec<usize> = out.iter().map(|d| d.line).collect();
         assert_eq!(lines, vec![1, 2, 3], "{out:#?}");
         assert!(out[0].message.contains("std::time::Instant"));
@@ -1448,13 +1480,14 @@ pub fn stamp() -> Clock { Clock::now() }
 
     #[test]
     fn alias_evasion_defers_to_the_line_rules() {
-        // A plain banned import is the line rules' finding, not ours.
+        // A plain banned import is the direct match's finding, not ours.
         let mut out = Vec::new();
-        alias_evasion(&sim_file("use std::time::Instant;\n"), &mut out);
-        assert!(out.is_empty(), "{out:#?}");
+        banned_apis(&sim_file("use std::time::Instant;\n"), &mut out);
+        let rules: Vec<&str> = out.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, ["wall-clock"], "{out:#?}");
         // Benign imports don't fire at all.
         out.clear();
-        alias_evasion(
+        banned_apis(
             &sim_file("use std::time::Duration;\nuse std::sync::Arc;\n"),
             &mut out,
         );
@@ -1468,7 +1501,7 @@ pub fn stamp() -> Clock { Clock::now() }
             "use rand::rngs::OsRng as Entropy;\nuse std::time::{Instant as Clock, Duration};\n",
         );
         let mut out = Vec::new();
-        alias_evasion(&file, &mut out);
+        banned_apis(&file, &mut out);
         assert_eq!(out.len(), 1, "{out:#?}");
         assert!(out[0].message.contains("OsRng"));
     }
@@ -1489,8 +1522,8 @@ pub fn sum() -> u64 {
 ";
         let f = sim_file(src);
         let mut out = Vec::new();
-        // The line rule must miss all of this…
-        pattern_rules(&f, &mut out);
+        // The direct match must miss all of this…
+        banned_apis(&f, &mut out);
         assert!(out.is_empty(), "{out:#?}");
         // …and the binding rule must catch the iteration.
         unordered_iter_binding(&f, &mut out);

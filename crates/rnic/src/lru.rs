@@ -1,19 +1,16 @@
 //! A small O(1) LRU cache used for the MTT/MPT translation cache.
 //!
-//! The key→slot map below is never iterated — every access is a point
-//! lookup, so its unordered layout cannot leak into simulation results,
-//! and HashMap keeps touch/insert O(1) where a BTreeMap would be
-//! O(log n) on the hot MTT/MPT path.
-// lint:allow-file(unordered-iter)
+//! Keys are `u64` ids in a [`DetMap`], which has no iteration API, so the
+//! table's layout cannot leak into simulation results: eviction order
+//! lives in the recency list alone.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use smart_rt::detmap::DetMap;
 
 const NIL: usize = usize::MAX;
 
 #[derive(Debug)]
-struct Node<K> {
-    key: K,
+struct Node {
+    key: u64,
     prev: usize,
     next: usize,
 }
@@ -36,16 +33,16 @@ struct Node<K> {
 /// assert!(c.touch(&1) && c.touch(&3));
 /// ```
 #[derive(Debug)]
-pub struct LruCache<K> {
-    map: HashMap<K, usize, BuildHasherDefault<MixHasher>>,
-    nodes: Vec<Node<K>>,
+pub struct LruCache {
+    map: DetMap<usize>,
+    nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
     capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone> LruCache<K> {
+impl LruCache {
     /// Creates a cache holding at most `capacity` keys.
     ///
     /// # Panics
@@ -54,7 +51,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruCache {
-            map: HashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
+            map: DetMap::new(),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -105,7 +102,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
     }
 
     /// Refreshes `key`'s recency; returns whether it was present (a hit).
-    pub fn touch(&mut self, key: &K) -> bool {
+    pub fn touch(&mut self, key: &u64) -> bool {
         match self.map.get(key) {
             Some(&idx) => {
                 if self.head != idx {
@@ -120,7 +117,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
 
     /// Inserts `key` as most-recently-used, evicting the LRU key if the
     /// cache is full. Returns the evicted key, if any.
-    pub fn insert(&mut self, key: K) -> Option<K> {
+    pub fn insert(&mut self, key: u64) -> Option<u64> {
         if self.touch(&key) {
             return None;
         }
@@ -129,7 +126,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
             self.unlink(victim);
-            let old = self.nodes[victim].key.clone();
+            let old = self.nodes[victim].key;
             self.map.remove(&old);
             self.free.push(victim);
             evicted = Some(old);
@@ -137,7 +134,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
         let idx = match self.free.pop() {
             Some(i) => {
                 self.nodes[i] = Node {
-                    key: key.clone(),
+                    key,
                     prev: NIL,
                     next: NIL,
                 };
@@ -145,7 +142,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
             }
             None => {
                 self.nodes.push(Node {
-                    key: key.clone(),
+                    key,
                     prev: NIL,
                     next: NIL,
                 });
@@ -158,7 +155,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
     }
 
     /// Removes `key`; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
+    pub fn remove(&mut self, key: &u64) -> bool {
         match self.map.remove(key) {
             Some(idx) => {
                 self.unlink(idx);
@@ -167,36 +164,6 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
             }
             None => false,
         }
-    }
-}
-
-/// The map's hasher: folds each written word into the state with one
-/// [`mix64`](smart_rt::rng::mix64). Keys are the simulator's own ids,
-/// never outside input, so `RandomState`'s keyed SipHash would buy
-/// nothing — and a fixed hash keeps per-process random state out of the
-/// sim crates altogether.
-#[derive(Debug, Default)]
-struct MixHasher(u64);
-
-impl Hasher for MixHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(word as u64);
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = smart_rt::rng::mix64(self.0 ^ word);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -218,13 +185,13 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut c = LruCache::new(2);
-        c.insert("a");
-        c.insert("b");
-        assert!(c.touch(&"a"));
-        let evicted = c.insert("c");
-        assert_eq!(evicted, Some("b"));
-        assert!(c.touch(&"a"));
-        assert!(c.touch(&"c"));
+        c.insert(1);
+        c.insert(2);
+        assert!(c.touch(&1));
+        let evicted = c.insert(3);
+        assert_eq!(evicted, Some(2));
+        assert!(c.touch(&1));
+        assert!(c.touch(&3));
     }
 
     #[test]
@@ -259,7 +226,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
-        let _ = LruCache::<u32>::new(0);
+        let _ = LruCache::new(0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct ComputeNode {
     /// WQE-cache hit/miss statistics.
     pub(crate) wqe_stats: HitStats,
     /// MTT/MPT translation cache, keyed by (context id, page index).
-    pub(crate) mtt: RefCell<LruCache<(u32, u64)>>,
+    pub(crate) mtt: RefCell<LruCache>,
     /// MTT/MPT hit/miss statistics.
     pub(crate) mtt_stats: HitStats,
     /// Scheduling-domain plan installed by the cluster (PDES accounting).
@@ -260,7 +260,7 @@ impl ComputeNode {
         } else {
             self.handle.rand_below(pages)
         };
-        let key = (ctx_id, page);
+        let key = mtt_key(ctx_id, page);
         let hit = self.mtt.borrow_mut().touch(&key);
         if hit {
             self.mtt_stats.hits.incr();
@@ -277,10 +277,46 @@ impl ComputeNode {
     }
 }
 
+/// The MTT cache key of `page` of context `ctx_id`: the context in the
+/// high 32 bits and the page in the low 32, so distinct pairs never
+/// share a key.
+fn mtt_key(ctx_id: u32, page: u64) -> u64 {
+    assert!(
+        page <= u64::from(u32::MAX),
+        "MTT page {page} does not fit the key's 32-bit page field"
+    );
+    u64::from(ctx_id) << 32 | page
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use smart_rt::Simulation;
+
+    #[test]
+    fn mtt_keys_at_the_field_bounds_are_distinct() {
+        let max = u64::from(u32::MAX);
+        let pairs = [
+            (0, 0),
+            (0, 1),
+            (0, max),
+            (1, 0),
+            (1, max),
+            (u32::MAX, 0),
+            (u32::MAX, max),
+        ];
+        let keys: std::collections::BTreeSet<u64> = pairs
+            .iter()
+            .map(|&(ctx, page)| mtt_key(ctx, page))
+            .collect();
+        assert_eq!(keys.len(), pairs.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit page field")]
+    fn mtt_key_rejects_a_page_past_its_field() {
+        mtt_key(0, 1 << 32);
+    }
 
     fn node() -> (Simulation, Rc<ComputeNode>) {
         let sim = Simulation::new(1);

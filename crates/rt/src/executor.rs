@@ -466,11 +466,6 @@ impl SimHandle {
         self.inner.timers.borrow_mut().cancel(token);
     }
 
-    /// The active tie-breaking policy (see [`SchedulePolicy`]).
-    pub fn schedule_policy(&self) -> SchedulePolicy {
-        self.inner.policy.get()
-    }
-
     /// Allocates a fresh probe identity for a sync primitive or shared
     /// cell, for use in [`SimHandle::probe_sync`] events. Ids are handed
     /// out in deterministic creation order starting at 1 (0 is reserved
@@ -547,11 +542,6 @@ impl SimHandle {
     /// it.
     pub fn install_tracer(&self, sink: smart_trace::TraceSink) {
         *self.inner.tracer.borrow_mut() = Some(sink);
-    }
-
-    /// Removes and returns the installed tracer, if any.
-    pub fn take_tracer(&self) -> Option<smart_trace::TraceSink> {
-        self.inner.tracer.borrow_mut().take()
     }
 
     /// A clone of the installed tracer, if any.

@@ -452,11 +452,6 @@ impl PdesBuilder {
         DomainId(n)
     }
 
-    /// Number of domains added so far.
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
-    }
-
     /// Declares an inter-domain channel from `src` to `dst` with the
     /// given one-way latency and unbounded capacity. The engine's
     /// conservative lookahead is the minimum latency over all channels.

@@ -605,20 +605,6 @@ impl FifoResource {
         sleep
     }
 
-    /// Extends the server's busy horizon by `d` without sleeping.
-    ///
-    /// Used to model a task that occupies the resource while blocked
-    /// elsewhere — e.g. a thread spinning on a doorbell lock keeps its CPU
-    /// busy, so sibling coroutines must queue behind the spin.
-    pub fn block_for(&self, d: Duration) {
-        let now = self.inner.handle.now();
-        let start = self.inner.busy_until.get().max(now);
-        self.inner.busy_until.set(start + d);
-        self.inner
-            .busy_ns
-            .set(self.inner.busy_ns.get() + d.as_nanos() as u64);
-    }
-
     /// Current backlog: how far `busy_until` lies beyond `now`.
     pub fn backlog(&self) -> Duration {
         self.inner
@@ -652,7 +638,6 @@ struct LockInner {
     handoff: Duration,
     max_penalty_waiters: u32,
     acquisitions: Cell<u64>,
-    hold_ns: Cell<u64>,
     contention_ns: Cell<u64>,
 }
 
@@ -709,7 +694,6 @@ impl ContendedLock {
                 handoff,
                 max_penalty_waiters,
                 acquisitions: Cell::new(0),
-                hold_ns: Cell::new(0),
                 contention_ns: Cell::new(0),
             }),
         }
@@ -786,9 +770,6 @@ impl ContendedLock {
         let done = start + hold + penalty;
         inner.busy_until.set(done);
         inner.acquisitions.set(inner.acquisitions.get() + 1);
-        inner
-            .hold_ns
-            .set(inner.hold_ns.get() + hold.as_nanos() as u64);
         let contention = (done - now).as_nanos() as u64 - hold.as_nanos() as u64;
         inner
             .contention_ns
@@ -827,11 +808,6 @@ impl ContendedLock {
     /// Total acquisitions so far.
     pub fn acquisitions(&self) -> u64 {
         self.inner.acquisitions.get()
-    }
-
-    /// Total useful hold time.
-    pub fn hold_time(&self) -> Duration {
-        Duration::from_nanos(self.inner.hold_ns.get())
     }
 
     /// Total time lost to queueing + handoff penalties — the "spinlock

@@ -157,11 +157,6 @@ impl ShermanTree {
         &self.stats
     }
 
-    /// Lock statistics.
-    pub fn lock_stats(&self) -> &crate::hocl::HoclStats {
-        self.hocl.stats()
-    }
-
     fn blade(&self, addr: RemoteAddr) -> &Rc<MemoryBlade> {
         self.blades
             .iter()

@@ -109,24 +109,10 @@ impl OpKindStats {
         self.total_ns
     }
 
-    /// Histogram of end-to-end operation latencies.
-    pub fn total_hist(&self) -> &LogHistogram {
-        &self.total
-    }
-
     /// Total nanoseconds attributed to `cat` across all operations of this
     /// kind (0 for non-attributed categories).
     pub fn category_ns(&self, cat: Category) -> u64 {
         cat.attr_index().map_or(0, |i| self.cat_ns[i])
-    }
-
-    /// Per-operation histogram of time attributed to `cat`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cat` is not an attributed category.
-    pub fn category_hist(&self, cat: Category) -> &LogHistogram {
-        &self.cat_hist[cat.attr_index().expect("attributed category")]
     }
 
     /// Fraction of total op latency attributed to `cat` (0.0 when no ops
