@@ -323,17 +323,17 @@ fn lines(toks: &[Tok]) -> impl Iterator<Item = &[Tok]> {
 /// text with the whitespace gone. A form's first identifier may end a
 /// longer one and its last may begin one (`std::thread_local` holds
 /// `std::thread`), and `*Name` matches inside any identifier. A lone
-/// `Name` is a whole word, so it misses when a neighbouring identifier,
-/// number or lifetime runs into it (`HashMap as Map` reads
-/// `HashMapasMap`: the rename is the import arm's). The words after a `{`
+/// `Name` is a whole word, so it misses when a neighbouring identifier or
+/// number runs into it (`HashMap as Map` reads `HashMapasMap`: the rename
+/// is the import arm's). `mut` and a lifetime end a word, as the `&`
+/// before them does (`&mut OsRng`, `&'a HashMap`). The words after a `{`
 /// may come anywhere later on the line (`std::sync::{Arc, Mutex}`).
 fn written(line: &[Tok], i: usize, pat: &[TokKind]) -> bool {
-    use TokKind::{Ident, Lifetime, Num, Punct};
-    let word = |k: usize| {
-        matches!(
-            line.get(k).map(|t| &t.kind),
-            Some(Ident(_) | Num(_) | Lifetime(_))
-        )
+    use TokKind::{Ident, Num, Punct};
+    let word = |k: usize| match line.get(k).map(|t| &t.kind) {
+        Some(Ident(w)) => w != "mut",
+        Some(Num(_)) => true,
+        _ => false,
     };
     let group = pat.iter().position(|p| *p == Punct('{'));
     match (pat, group.filter(|&g| g + 1 < pat.len())) {
@@ -1240,6 +1240,11 @@ mod tests {
         assert!(!hit("use HashMap;", "HashMap"), "glued to `use`");
         assert!(!hit("use a::HashMap as Map;", "HashMap"), "glued to `as`");
         assert!(hit("x: HashMap<u64,u32>", "HashMap"));
+        assert!(hit("fn f(r: &mut OsRng) {}", "OsRng"), "after `&mut`");
+        assert!(
+            hit("fn f<'a>(m: &'a HashMap<u8, u8>) {}", "HashMap"),
+            "after a lifetime"
+        );
         assert!(!hit("MyHashMapLike", "HashMap"));
         assert!(
             hit("std::thread_local!(x)", "std::thread"),

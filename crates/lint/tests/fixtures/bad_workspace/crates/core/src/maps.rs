@@ -6,6 +6,10 @@ pub fn naughty_iter(m: &HashMap<u64, u64>) -> u64 {
     m.values().sum()
 }
 
+pub fn naughty_len<'a>(m: &'a HashMap<u8, u8>) -> usize {
+    m.len()
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;

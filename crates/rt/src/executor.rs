@@ -30,9 +30,10 @@ use std::time::Duration;
 
 use crate::join::{JoinHandle, JoinState};
 use crate::metrics::ExecutorMetrics;
+use crate::pdes::{Inbound, Payload};
 use crate::rng::{mix64, SimRng};
 use crate::time::SimTime;
-use crate::wheel::{TimerToken, TimerWake, TimerWheel};
+use crate::wheel::{TimerToken, TimerWake, TimerWheel, NO_TASK};
 
 /// A task identity: slab index in the low half, slot generation in the
 /// high half. The generation lets the executor drop a wake that was
@@ -263,6 +264,8 @@ pub(crate) struct Inner {
     polling: Cell<Option<(*const (), TaskId)>>,
     rng: RefCell<SimRng>,
     tracer: RefCell<Option<smart_trace::TraceSink>>,
+    /// PDES envelopes waiting on the wheel, and the channels they go to.
+    inbound: RefCell<Inbound>,
     stats: ExecStats,
 }
 
@@ -397,7 +400,8 @@ impl SimHandle {
             None => {
                 // First occupancy of a fresh slot: build its permanent
                 // waker. Every later task in this slot reuses it.
-                let idx = u32::try_from(tasks.len()).expect("task slab exhausted");
+                assert!(tasks.len() < NO_TASK as usize, "task slab exhausted");
+                let idx = tasks.len() as u32;
                 let slot = Arc::new(SlotWaker {
                     idx,
                     gen: AtomicU32::new(0),
@@ -459,6 +463,19 @@ impl SimHandle {
             .timers
             .borrow_mut()
             .insert(at.as_nanos(), key, seq, wake)
+    }
+
+    /// Parks a PDES envelope for channel `chan` and registers its delivery
+    /// at `at`: a timer that hands `payload` to the channel's receiver
+    /// when it fires, with no task to spawn or poll.
+    pub(crate) fn deliver_at(&self, at: SimTime, chan: u32, payload: Payload) {
+        let slot = self.inner.inbound.borrow_mut().park(chan, payload);
+        self.register_timer(at, TimerWake::Deliver(slot));
+    }
+
+    /// The simulation's PDES receiving side; see [`Inbound`].
+    pub(crate) fn inbound(&self) -> &RefCell<Inbound> {
+        &self.inner.inbound
     }
 
     /// Tombstones a pending timer; stale tokens are ignored.
@@ -707,6 +724,7 @@ impl Simulation {
                     polling: Cell::new(None),
                     rng: RefCell::new(SimRng::new(seed)),
                     tracer: RefCell::new(None),
+                    inbound: RefCell::new(Inbound::default()),
                     stats: ExecStats::default(),
                 }),
             },
@@ -815,9 +833,26 @@ impl Simulation {
                 bump(&inner.stats.task_wakes);
                 self.poll_task(id);
             }
+            TimerWake::Deliver(slot) => inner.inbound.borrow_mut().deliver(slot),
             TimerWake::Waker(waker) => waker.wake(),
         }
         true
+    }
+
+    /// Polls exactly the tasks that are ready now, in queue order: not the
+    /// ones they wake or spawn meanwhile, and no timer.
+    pub(crate) fn poll_ready(&mut self) {
+        let _stepping = self.enter();
+        let inner = &*self.handle.inner;
+        inner.fold_inbox();
+        let ready = inner.ready.borrow().len();
+        for _ in 0..ready {
+            // Wakes and spawns push behind these; nothing else pops.
+            let id = inner
+                .pop_ready()
+                .expect("a ready task leaves only when popped");
+            self.poll_task(id);
+        }
     }
 
     /// Runs until no ready tasks and no timers remain.
@@ -903,9 +938,12 @@ impl Drop for Simulation {
         // sleeps (Sleep::drop), which borrows the timer wheel — so the
         // wheel is cleared strictly afterwards — and may wake parked
         // tasks by id, which reads the slab, so it is emptied first.
+        // Envelopes still pending go with the wheel that would fire them.
         let tasks = std::mem::take(&mut *self.handle.inner.tasks.borrow_mut());
         drop(tasks);
         self.handle.inner.timers.borrow_mut().clear();
+        let inbound = std::mem::take(&mut *self.handle.inner.inbound.borrow_mut());
+        drop(inbound);
         self.handle.inner.ready.borrow_mut().clear();
         self.handle.inner.inbox.with(Vec::clear);
     }

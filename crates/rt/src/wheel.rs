@@ -87,26 +87,63 @@ pub(crate) enum TimerWake {
     /// A task of the wheel's own executor (a [`Sleep`](crate::executor::Sleep)
     /// polled with its task's context): the executor polls it in place.
     Task(TaskId),
+    /// A PDES envelope, parked in the executor's inbound table under this
+    /// slot (`crate::pdes`): the executor delivers it in place.
+    Deliver(u32),
     /// Anything else (`wake_at`, a `Sleep` inside a foreign combinator).
     Waker(Waker),
 }
 
-/// What a cancelled (or free) node holds instead: no task has this id.
-/// A reserved id rather than an `Option` around the enum keeps the node
-/// at the 48 bytes it had with a bare `Option<Waker>` (the option would
+/// A [`TimerWake`] as a node holds it. A third arm beside the `Waker`
+/// would need a tag of its own (a `Waker` has one niche) and grow the
+/// node to 56 bytes, so a delivery rides as an id no task has: task
+/// index [`NO_TASK`], the delivery slot in the generation half.
+enum Held {
+    Id(u64),
+    Waker(Waker),
+}
+
+/// The task index no task slot is given (the executor stops its slab
+/// short of it): ids with it are deliveries or the tombstone.
+pub(crate) const NO_TASK: u32 = u32::MAX;
+
+/// What a cancelled (or free) node holds instead: delivery slot
+/// `u32::MAX`, which the inbound table never hands out either. A
+/// reserved id rather than an `Option` around the enum keeps the node at
+/// the 48 bytes it had with a bare `Option<Waker>` (the option would
 /// cost a seventh more memory per pending timer).
-const TOMBSTONE: TimerWake = TimerWake::Task(TaskId::MAX);
+const TOMBSTONE: Held = Held::Id(u64::MAX);
+
+impl From<TimerWake> for Held {
+    fn from(wake: TimerWake) -> Held {
+        match wake {
+            TimerWake::Task(id) => Held::Id(id),
+            TimerWake::Deliver(slot) => Held::Id(u64::from(slot) << 32 | u64::from(NO_TASK)),
+            TimerWake::Waker(waker) => Held::Waker(waker),
+        }
+    }
+}
+
+impl From<Held> for TimerWake {
+    fn from(held: Held) -> TimerWake {
+        match held {
+            Held::Id(id) if id as u32 == NO_TASK => TimerWake::Deliver((id >> 32) as u32),
+            Held::Id(id) => TimerWake::Task(id),
+            Held::Waker(waker) => TimerWake::Waker(waker),
+        }
+    }
+}
 
 /// One slab entry. `wake` is [`TOMBSTONE`] once cancelled; the node
 /// itself is freed when the cursor reaches it. A live node holds a plain
-/// task id for the runtime's own sleeps — no reference count to take at
-/// registration or give back at the fire — and a `Waker` only for
-/// contexts the executor cannot name.
+/// id for the runtime's own sleeps and PDES deliveries — no reference
+/// count to take at registration or give back at the fire — and a
+/// `Waker` only for contexts the executor cannot name.
 struct TimerNode {
     at: u64,
     key: u64,
     seq: u64,
-    wake: TimerWake,
+    wake: Held,
     gen: u32,
     /// Next node in the bucket chain / free list.
     next: u32,
@@ -114,7 +151,7 @@ struct TimerNode {
 
 impl TimerNode {
     fn is_live(&self) -> bool {
-        !matches!(self.wake, TimerWake::Task(TaskId::MAX))
+        !matches!(self.wake, Held::Id(u64::MAX))
     }
 }
 
@@ -204,7 +241,7 @@ impl TimerWheel {
             node.at = at;
             node.key = key;
             node.seq = seq;
-            node.wake = wake;
+            node.wake = Held::from(wake);
             node.gen
         };
         self.live += 1;
@@ -312,7 +349,7 @@ impl TimerWheel {
         let wake = std::mem::replace(&mut self.slab[idx as usize].wake, TOMBSTONE);
         self.live -= 1;
         self.release(idx, false);
-        Some((at, wake))
+        Some((at, wake.into()))
     }
 
     /// Frees a slab node, bumping its generation so outstanding tokens
@@ -466,6 +503,28 @@ mod tests {
     #[test]
     fn node_stays_at_48_bytes() {
         assert_eq!(std::mem::size_of::<TimerNode>(), 48);
+        assert_eq!(std::mem::size_of::<Entry>(), 32, "a `due` entry");
+    }
+
+    #[test]
+    fn deliveries_and_tasks_keep_their_arm_through_a_node() {
+        let mut w = TimerWheel::new();
+        let max_task = u64::from(NO_TASK - 1) | u64::from(u32::MAX) << 32;
+        w.insert(3, 0, 0, TimerWake::Deliver(0));
+        w.insert(4, 1, 1, TimerWake::Task(max_task));
+        let dead = w.insert(5, 2, 2, TimerWake::Deliver(u32::MAX - 1));
+        w.insert(6, 3, 3, TimerWake::Deliver(u32::MAX - 1));
+        assert!(w.cancel(dead));
+        let mut fired = Vec::new();
+        while let Some((at, wake)) = w.pop() {
+            fired.push(match wake {
+                TimerWake::Deliver(slot) => (at, u64::from(slot), true),
+                TimerWake::Task(id) => (at, id, false),
+                TimerWake::Waker(_) => unreachable!(),
+            });
+        }
+        let last = u64::from(u32::MAX - 1);
+        assert_eq!(fired, [(3, 0, true), (4, max_task, false), (6, last, true)]);
     }
 
     fn drain(w: &mut TimerWheel) -> Vec<u64> {
@@ -658,7 +717,7 @@ mod tests {
                             assert_eq!(w.peek_at(), head.map(|(at, _, _)| at));
                             let got = w.pop_through(last).map(|(at, wake)| match wake {
                                 TimerWake::Task(seq) => (at, seq),
-                                TimerWake::Waker(_) => unreachable!("only task wakes here"),
+                                _ => unreachable!("only task wakes here"),
                             });
                             let want = head.filter(|&(at, _, _)| at <= last);
                             assert_eq!(got, want.map(|(at, _, seq)| (at, seq)));
@@ -673,7 +732,7 @@ mod tests {
                 while let Some(entry) = model.pop_first() {
                     let got = w.pop().map(|(at, wake)| match wake {
                         TimerWake::Task(seq) => (at, seq),
-                        TimerWake::Waker(_) => unreachable!(),
+                        _ => unreachable!(),
                     });
                     assert_eq!(got, Some((entry.0, entry.2)), "{policy:?} seed {seed}");
                 }

@@ -2,7 +2,8 @@
 //! the timer wheel have grown to their high-water marks, a timer event,
 //! a `Notify` round, a queueing-model visit, a wake by task id, a
 //! `DetMap` insert/remove and a `Claims` claim/deliver round must not
-//! touch the allocator at all. Every simulated event of every
+//! touch the allocator at all, and a PDES envelope only for its payload
+//! box. Every simulated event of every
 //! workload runs through these lines; one hidden `Vec` or `Arc` per
 //! event is the difference between 45 and 75 host ns per event.
 //!
@@ -15,6 +16,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use smart_rt::detmap::DetMap;
+use smart_rt::pdes::{DomainCtx, PdesBuilder};
 use smart_rt::sync::{Claims, ContendedLock, FifoResource, Notify, Semaphore};
 use smart_rt::{Duration, SimTime, Simulation};
 
@@ -228,6 +230,46 @@ fn claims_churn_is_allocation_free() {
     let n = steady_state_allocations(&mut sim, 1_000, 400_000);
     assert_eq!(laps.get(), CLAIMERS * 10_025);
     assert_eq!(n, 0, "{n} allocations in 10 000 laps of 8 claims each");
+}
+
+/// A two-domain ping-pong of `round_trips` round trips over 100 ns
+/// channels: one receiving task per side, none spawned per message.
+fn pdes_ping_pong(round_trips: u64) {
+    let mut b = PdesBuilder::new(7);
+    let (a, z) = (b.domain_id(0), b.domain_id(1));
+    let (ping_tx, ping_rx) = b.channel::<u64>(a, z, Duration::from_nanos(100));
+    let (pong_tx, pong_rx) = b.channel::<u64>(z, a, Duration::from_nanos(100));
+    b.add_domain("a", move |ctx| {
+        let (tx, rx) = (ctx.bind_tx(ping_tx), ctx.bind_rx(pong_rx));
+        ctx.handle().spawn(async move {
+            for i in 0..round_trips {
+                tx.send(i);
+                assert_eq!(rx.recv().await, i);
+            }
+        });
+        Box::new(|_: &DomainCtx| Vec::new())
+    });
+    b.add_domain("z", move |ctx| {
+        let (rx, tx) = (ctx.bind_rx(ping_rx), ctx.bind_tx(pong_tx));
+        ctx.handle().spawn(async move {
+            loop {
+                tx.send(rx.recv().await);
+            }
+        });
+        Box::new(|_: &DomainCtx| Vec::new())
+    });
+    let report = b.run(1);
+    assert_eq!(report.envelopes, 2 * round_trips);
+    assert_eq!(report.domains[0].delivered, round_trips);
+}
+
+#[test]
+fn pdes_round_trips_allocate_only_their_payload_boxes() {
+    // Set-up, buffers and slabs cost the same in both runs; each extra
+    // round trip adds two envelopes, each one boxed payload.
+    let short = allocations(|| pdes_ping_pong(1_000));
+    let long = allocations(|| pdes_ping_pong(2_000));
+    assert_eq!(long - short, 2 * 1_000, "{short} vs {long} allocations");
 }
 
 #[test]
