@@ -113,16 +113,10 @@ impl ConflictControl {
     }
 
     /// Acquires a coroutine slot (no-op when depth throttling is off).
-    pub async fn acquire_slot(&self) {
-        if self.coro_throttle {
-            self.slots.acquire(1).await;
-        }
-    }
-
-    /// [`Self::acquire_slot`] with tracing: time blocked on the `c_max`
-    /// slot semaphore is recorded as a `credit` span (`"coro_slot"`)
-    /// attributed to `actor`, and a `smart-check` acquire probe is emitted
-    /// when a probe identity is installed.
+    /// Time blocked on the `c_max` slot semaphore is recorded as a
+    /// `credit` span (`"coro_slot"`) attributed to `actor`, and a
+    /// `smart-check` acquire probe is emitted when a probe identity is
+    /// installed.
     pub async fn acquire_slot_as(&self, handle: &SimHandle, actor: Actor) {
         if self.coro_throttle {
             self.slots
@@ -132,14 +126,7 @@ impl ConflictControl {
         }
     }
 
-    /// Releases a coroutine slot.
-    pub fn release_slot(&self) {
-        if self.coro_throttle {
-            self.slots.release(1);
-        }
-    }
-
-    /// [`Self::release_slot`] emitting the release probe paired with
+    /// Releases a coroutine slot, emitting the release probe paired with
     /// [`Self::acquire_slot_as`].
     pub fn release_slot_as(&self, handle: &SimHandle, actor: Actor) {
         if self.coro_throttle {
@@ -366,9 +353,9 @@ mod tests {
             let h = h.clone();
             let done = std::rc::Rc::clone(&done);
             sim.spawn(async move {
-                c.acquire_slot().await;
+                c.acquire_slot_as(&h, Actor::SYSTEM).await;
                 h.sleep(Duration::from_nanos(100)).await;
-                c.release_slot();
+                c.release_slot_as(&h, Actor::SYSTEM);
                 done.set(done.get() + 1);
             });
         }

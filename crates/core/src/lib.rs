@@ -49,7 +49,6 @@
 //! assert_eq!(blade.read_u64(off), 9);
 //! ```
 
-pub mod admission;
 pub mod config;
 pub mod conflict;
 pub mod context;
@@ -63,7 +62,6 @@ pub mod stats;
 pub mod thread;
 pub mod throttle;
 
-pub use admission::TokenBucket;
 pub use config::{QpPolicy, RetryPolicy, SmartConfig};
 pub use conflict::ConflictControl;
 pub use context::SmartContext;

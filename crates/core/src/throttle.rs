@@ -109,42 +109,15 @@ impl WrThrottle {
         }
     }
 
-    /// Consumes `size` credits, stalling while the balance is short
-    /// (Algorithm 1 lines 5–7).
-    ///
-    /// Prefer [`Self::acquire_chunk`] for sizes derived from `C_max`: a
-    /// fixed-size acquire larger than the *current* `C_max` can never be
-    /// satisfied after the tuner shrinks the cap.
-    pub async fn acquire(&self, size: u64) {
-        if !self.enabled {
-            return;
-        }
-        if !self.credits.try_acquire(size) {
-            self.stalls.incr();
-            self.credits.acquire(size).await;
-        }
-    }
-
     /// Acquires between 1 and `want` credits, returning how many were
-    /// granted: waits for a single credit, then greedily takes what is
-    /// available. This is how posts are chunked — it adapts to `C_max`
-    /// changes mid-stall instead of deadlocking on a shrunken cap.
-    pub async fn acquire_chunk(&self, want: usize) -> usize {
-        debug_assert!(want > 0);
-        if !self.enabled {
-            return want;
-        }
-        if !self.credits.try_acquire(1) {
-            self.stalls.incr();
-            self.credits.acquire(1).await;
-        }
-        1 + self.credits.take_up_to(want as u64 - 1) as usize
-    }
-
-    /// [`Self::acquire_chunk`] with tracing: time stalled on depleted
-    /// credits is recorded as a `credit` span (`"wr_credits"`) attributed
-    /// to `actor`. The throttle holds no [`SimHandle`], so the caller
-    /// passes one in.
+    /// granted (Algorithm 1 lines 5–7): waits for a single credit, then
+    /// greedily takes what is available. This is how posts are chunked —
+    /// it adapts to `C_max` changes mid-stall, where a fixed-size wait
+    /// larger than the shrunken cap could never be satisfied.
+    ///
+    /// Time stalled on depleted credits is recorded as a `credit` span
+    /// (`"wr_credits"`) attributed to `actor`. The throttle holds no
+    /// [`SimHandle`], so the caller passes one in.
     pub async fn acquire_chunk_as(&self, want: usize, handle: &SimHandle, actor: Actor) -> usize {
         debug_assert!(want > 0);
         if !self.enabled {
@@ -238,13 +211,17 @@ mod tests {
     use super::*;
     use smart_rt::{Duration, Simulation};
 
+    const ACTOR: Actor = Actor::SYSTEM;
+
     #[test]
     fn disabled_throttle_never_blocks() {
         let mut sim = Simulation::new(0);
+        let h = sim.handle();
         let t = WrThrottle::new(false, 4);
         let t2 = Rc::clone(&t);
         sim.block_on(async move {
-            t2.acquire(1_000_000).await; // returns immediately
+            let got = t2.acquire_chunk_as(1_000_000, &h, ACTOR).await;
+            assert_eq!(got, 1_000_000, "returns at once, uncapped");
         });
         assert_eq!(t.chunk_limit(), usize::MAX);
     }
@@ -262,8 +239,8 @@ mod tests {
         });
         let t3 = Rc::clone(&t);
         let when = sim.block_on(async move {
-            t3.acquire(8).await; // all credits
-            t3.acquire(4).await; // stalls until replenish
+            assert_eq!(t3.acquire_chunk_as(8, &h, ACTOR).await, 8); // all credits
+            assert_eq!(t3.acquire_chunk_as(4, &h, ACTOR).await, 4); // stalls until replenish
             h.now().as_nanos()
         });
         assert_eq!(when, 500);
@@ -273,10 +250,11 @@ mod tests {
     #[test]
     fn update_c_max_shifts_balance() {
         let mut sim = Simulation::new(0);
+        let h = sim.handle();
         let t = WrThrottle::new(true, 8);
         let t2 = Rc::clone(&t);
         sim.block_on(async move {
-            t2.acquire(6).await; // balance 2
+            assert_eq!(t2.acquire_chunk_as(6, &h, ACTOR).await, 6); // balance 2
             t2.update_c_max(4); // balance 2 + (4-8) = -2
             assert_eq!(t2.c_max(), 4);
             // Replenish the 6 in flight: balance becomes 4 == new C_max.
@@ -287,15 +265,15 @@ mod tests {
 
     #[test]
     fn acquire_chunk_survives_c_max_shrink() {
-        // Regression: a fixed-size acquire(12) issued while C_max is 12
-        // deadlocks forever if the tuner then shrinks C_max to 4 (total
-        // credits < need). acquire_chunk adapts instead.
+        // Regression: a fixed-size wait for 12 credits issued while C_max
+        // is 12 deadlocks forever if the tuner then shrinks C_max to 4
+        // (total credits < need). A chunked acquire adapts instead.
         let mut sim = Simulation::new(0);
         let h = sim.handle();
         let t = WrThrottle::new(true, 12);
         let t2 = Rc::clone(&t);
         sim.block_on(async move {
-            t2.acquire(12).await; // all credits in flight
+            assert_eq!(t2.acquire_chunk_as(12, &h, ACTOR).await, 12); // all in flight
             let h2 = h.clone();
             let t3 = Rc::clone(&t2);
             h.spawn(async move {
@@ -303,7 +281,7 @@ mod tests {
                 t3.update_c_max(4); // shrink below the stalled request
                 t3.replenish(12); // in-flight completes: balance -> 4
             });
-            let got = t2.acquire_chunk(12).await;
+            let got = t2.acquire_chunk_as(12, &h, ACTOR).await;
             assert_eq!(got, 4, "chunk adapts to the shrunken cap");
         });
     }
@@ -311,11 +289,16 @@ mod tests {
     #[test]
     fn acquire_chunk_takes_what_is_available() {
         let mut sim = Simulation::new(0);
+        let h = sim.handle();
         let t = WrThrottle::new(true, 8);
         let t2 = Rc::clone(&t);
         sim.block_on(async move {
-            assert_eq!(t2.acquire_chunk(3).await, 3);
-            assert_eq!(t2.acquire_chunk(64).await, 5, "capped by balance");
+            assert_eq!(t2.acquire_chunk_as(3, &h, ACTOR).await, 3);
+            assert_eq!(
+                t2.acquire_chunk_as(64, &h, ACTOR).await,
+                5,
+                "capped by balance"
+            );
             t2.replenish(8);
         });
     }

@@ -325,13 +325,14 @@ fn lines(toks: &[Tok]) -> impl Iterator<Item = &[Tok]> {
 /// `std::thread`), and `*Name` matches inside any identifier. A lone
 /// `Name` is a whole word, so it misses when a neighbouring identifier or
 /// number runs into it (`HashMap as Map` reads `HashMapasMap`: the rename
-/// is the import arm's). `mut` and a lifetime end a word, as the `&`
-/// before them does (`&mut OsRng`, `&'a HashMap`). The words after a `{`
-/// may come anywhere later on the line (`std::sync::{Arc, Mutex}`).
+/// is the import arm's, and so is `use HashMap`). Any other keyword and a
+/// lifetime end a word, as the `&` before them does (`&mut OsRng`,
+/// `&'a HashMap`, `return HashMap::new()`). The words after a `{` may
+/// come anywhere later on the line (`std::sync::{Arc, Mutex}`).
 fn written(line: &[Tok], i: usize, pat: &[TokKind]) -> bool {
     use TokKind::{Ident, Num, Punct};
     let word = |k: usize| match line.get(k).map(|t| &t.kind) {
-        Some(Ident(w)) => w != "mut",
+        Some(Ident(w)) => !KEYWORDS.contains(&w.as_str()) || w == "use" || w == "as",
         Some(Num(_)) => true,
         _ => false,
     };
@@ -794,8 +795,10 @@ fn direct_callees(
     found.into_iter().collect()
 }
 
-/// Idents that can precede `[` without the bracket being an index.
-const NON_INDEX_KEYWORDS: &[&str] = &[
+/// Rust's keywords, which the lexer leaves as identifiers: none of them
+/// is a word a banned name can run into, and none can precede `[` with
+/// the bracket being an index.
+const KEYWORDS: &[&str] = &[
     "let", "in", "if", "else", "match", "return", "break", "continue", "as", "mut", "ref", "move",
     "loop", "while", "for", "where", "unsafe", "dyn", "impl", "fn", "use", "mod", "static",
     "const", "enum", "struct", "trait", "type", "pub", "crate", "super", "async", "await",
@@ -839,7 +842,7 @@ fn panic_site(toks: &[Tok], i: usize) -> Option<(&'static str, usize)> {
     } else if toks[i].is_punct('[') && i >= 1 {
         match &toks[i - 1].kind {
             TokKind::Punct(')' | ']') => "indexing",
-            TokKind::Ident(s) if !NON_INDEX_KEYWORDS.contains(&s.as_str()) => "indexing",
+            TokKind::Ident(s) if !KEYWORDS.contains(&s.as_str()) => "indexing",
             _ => return None,
         }
     } else {
@@ -1239,6 +1242,14 @@ mod tests {
         let hit = |src: &str, pat: &str| on_line(&lex::lex(src).toks, &[form(pat)]);
         assert!(!hit("use HashMap;", "HashMap"), "glued to `use`");
         assert!(!hit("use a::HashMap as Map;", "HashMap"), "glued to `as`");
+        assert!(
+            hit("return HashMap::<u8, u8>::new()", "HashMap"),
+            "after `return`"
+        );
+        assert!(
+            hit("for x in HashSet::<u8>::new() {}", "HashSet"),
+            "after `in`"
+        );
         assert!(hit("x: HashMap<u64,u32>", "HashMap"));
         assert!(hit("fn f(r: &mut OsRng) {}", "OsRng"), "after `&mut`");
         assert!(

@@ -10,6 +10,11 @@ pub fn naughty_len<'a>(m: &'a HashMap<u8, u8>) -> usize {
     m.len()
 }
 
+pub fn naughty_after_keywords() -> usize {
+    for _ in HashMap::<u8, u8>::new() {}
+    return HashMap::<u8, u8>::new().len();
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;

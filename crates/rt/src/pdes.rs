@@ -5,7 +5,7 @@
 //! domains** — one per blade / thread group, one for the fabric — each
 //! owning its *own* executor (timer wheel, ready queue, slab, PRNG) and
 //! hosted by one of the run's OS threads. Domains interact **only** through
-//! bounded, fixed-latency inter-domain channels, the simulated analogue
+//! fixed-latency inter-domain channels, the simulated analogue
 //! of NIC verbs crossing the fabric: that isolation is exactly what
 //! smart-lint's `cross-domain-shared-state` / `rc-escape` rules prove
 //! statically for the workspace (DESIGN.md §5.6), and it is the
@@ -150,7 +150,6 @@ fn domain_seed(seed: u64, id: u32) -> u64 {
 struct ChannelMeta {
     dst: u32,
     latency_ns: u64,
-    capacity: usize,
 }
 
 /// An envelope's value, type-erased for the crossing.
@@ -402,20 +401,10 @@ pub struct PdesReceiver<T> {
 }
 
 impl<T> PdesReceiver<T> {
-    /// Takes the next delivered value without waiting.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.queue.borrow_mut().pop_front()
-    }
-
     /// Waits until a value is delivered (at its stamped virtual delivery
     /// time) and returns it.
     pub fn recv(&self) -> Recv<'_, T> {
         Recv { rx: self }
-    }
-
-    /// Number of values delivered but not yet received.
-    pub fn pending(&self) -> usize {
-        self.state.queue.borrow().len()
     }
 }
 
@@ -497,8 +486,8 @@ impl PdesBuilder {
     }
 
     /// Declares an inter-domain channel from `src` to `dst` with the
-    /// given one-way latency and unbounded capacity. The engine's
-    /// conservative lookahead is the minimum latency over all channels.
+    /// given one-way latency. The engine's conservative lookahead is the
+    /// minimum latency over all channels.
     ///
     /// # Panics
     ///
@@ -510,28 +499,13 @@ impl PdesBuilder {
         dst: DomainId,
         latency: Duration,
     ) -> (TxToken<T>, RxToken<T>) {
-        self.channel_bounded(src, dst, latency, usize::MAX)
-    }
-
-    /// [`Self::channel`] with an explicit capacity: routing more than
-    /// `capacity` not-yet-injected envelopes onto the channel panics, so
-    /// a runaway producer fails loudly instead of ballooning memory.
-    pub fn channel_bounded<T: Send + 'static>(
-        &mut self,
-        src: DomainId,
-        dst: DomainId,
-        latency: Duration,
-        capacity: usize,
-    ) -> (TxToken<T>, RxToken<T>) {
         let latency_ns = u64::try_from(latency.as_nanos()).expect("latency fits u64");
         assert!(latency_ns > 0, "pdes channel latency must be positive");
-        assert!(capacity > 0, "pdes channel capacity must be positive");
         assert_ne!(src, dst, "pdes channels must cross domains");
         let chan = u32::try_from(self.channels.len()).expect("too many channels");
         self.channels.push(ChannelMeta {
             dst: dst.0,
             latency_ns,
-            capacity,
         });
         (
             TxToken {
@@ -599,8 +573,7 @@ impl PdesBuilder {
     /// # Panics
     ///
     /// Panics if a channel endpoint references a domain that was never
-    /// added, if a bounded channel overflows its capacity, or if a
-    /// domain thread panics.
+    /// added, or if a domain thread panics.
     pub fn run(self, workers: usize) -> PdesReport {
         let PdesBuilder {
             seed,
@@ -919,8 +892,6 @@ struct Routes {
     emitted: Vec<Vec<Envelope>>,
     /// Pending queues that received an out-of-order envelope.
     unsorted: Vec<bool>,
-    /// Per-channel occupancy for the capacity check.
-    in_flight: Vec<usize>,
     envelopes: u64,
 }
 
@@ -942,11 +913,8 @@ impl Routes {
     }
 
     /// Moves domain `i`'s pending queue into the (empty) `io` for
-    /// injection, releasing channel occupancy.
+    /// injection.
     fn take_batch(&mut self, i: usize, io: &mut Vec<Envelope>) {
-        for env in &self.pending[i] {
-            self.in_flight[env.chan as usize] -= 1;
-        }
         std::mem::swap(&mut self.pending[i], io);
     }
 
@@ -960,23 +928,15 @@ impl Routes {
     }
 
     /// Routes the epoch's emitted envelopes into per-destination pending
-    /// queues and restores merge order. Sources are visited in domain-id
-    /// order so that even an overflow panic is independent of the lane
-    /// layout; the sorted result is anyway, because merge keys are unique.
+    /// queues and restores merge order. The sorted result is independent
+    /// of the lane layout, because merge keys are unique.
     fn absorb(&mut self, channels: &[ChannelMeta]) {
         for out in &mut self.emitted {
             for env in out.drain(..) {
-                let meta = channels[env.chan as usize];
-                self.in_flight[env.chan as usize] += 1;
-                assert!(
-                    self.in_flight[env.chan as usize] <= meta.capacity,
-                    "pdes channel {} overflowed its capacity {}",
-                    env.chan,
-                    meta.capacity
-                );
-                let queue = &mut self.pending[meta.dst as usize];
+                let dst = channels[env.chan as usize].dst as usize;
+                let queue = &mut self.pending[dst];
                 if queue.last().is_some_and(|last| last.key() > env.key()) {
-                    self.unsorted[meta.dst as usize] = true;
+                    self.unsorted[dst] = true;
                 }
                 queue.push(env);
                 self.envelopes += 1;
@@ -1076,7 +1036,6 @@ impl Coordinator {
                 pending: (0..n).map(|_| Vec::new()).collect(),
                 emitted: (0..n).map(|_| Vec::new()).collect(),
                 unsorted: vec![false; n],
-                in_flight: vec![0; self.channels.len()],
                 envelopes: 0,
             };
             let mut epochs = 0u64;
@@ -1361,21 +1320,16 @@ mod tests {
             b.add_domain("consumer", move |ctx| {
                 let r1 = ctx.bind_rx(r1);
                 let r2 = ctx.bind_rx(r2);
-                let h = ctx.handle();
                 let seen = Rc::new(RefCell::new(Vec::new()));
-                let seen2 = Rc::clone(&seen);
-                ctx.handle().spawn(async move {
-                    // Both deliveries land at t=100; look after that.
-                    h.sleep(Duration::from_nanos(200)).await;
-                    let mut got = Vec::new();
-                    while let Some(v) = r1.try_recv() {
-                        got.push(v);
-                    }
-                    while let Some(v) = r2.try_recv() {
-                        got.push(v);
-                    }
-                    *seen2.borrow_mut() = got;
-                });
+                // Spawned in reverse, so only the delivery order can put
+                // channel 0's value first.
+                for r in [r2, r1] {
+                    let (h, seen) = (ctx.handle(), Rc::clone(&seen));
+                    ctx.handle().spawn(async move {
+                        let v = r.recv().await;
+                        seen.borrow_mut().push((h.now().as_nanos(), v));
+                    });
+                }
                 Box::new(move |_: &DomainCtx| format!("{:?}", seen.borrow()).into_bytes())
             });
             b.add_domain("p1", move |ctx| {
@@ -1392,7 +1346,7 @@ mod tests {
         };
         let seq = run(1);
         assert_eq!(
-            seq.domains[0].artifact, br#"["from-p1", "from-p2"]"#,
+            seq.domains[0].artifact, br#"[(100, "from-p1"), (100, "from-p2")]"#,
             "channel id breaks the same-time tie"
         );
         for workers in [2, 4] {
@@ -1677,37 +1631,28 @@ mod tests {
         run_with_panicking_domain(8);
     }
 
-    fn overflow_bounded_channel(workers: usize) {
+    /// Domain d0 runs on the coordinator's lane and panics there: lane 1,
+    /// waiting for its next epoch, must be released or `thread::scope`
+    /// would never join it.
+    #[test]
+    #[should_panic(expected = "domain d0 failed")]
+    fn panicking_coordinator_domain_releases_the_waiting_lane() {
         let mut b = PdesBuilder::new(3);
-        let a = b.domain_id(0);
-        let z = b.domain_id(1);
-        let (tx, rx) = b.channel_bounded::<u64>(a, z, Duration::from_nanos(50), 2);
-        b.add_domain("a", move |ctx| {
-            let tx = ctx.bind_tx(tx);
-            for i in 0..3 {
-                tx.send(i);
-            }
+        let (d0, d1) = (b.domain_id(0), b.domain_id(1));
+        let (tx, rx) = b.channel::<u64>(d1, d0, Duration::from_nanos(50));
+        b.add_domain("d0", move |ctx| {
+            let rx = ctx.bind_rx(rx);
+            ctx.handle().spawn(async move {
+                rx.recv().await;
+                panic!("domain d0 failed");
+            });
             Box::new(|_: &DomainCtx| Vec::new())
         });
-        b.add_domain("z", move |ctx| {
-            let _rx = ctx.bind_rx(rx);
+        b.add_domain("d1", move |ctx| {
+            ctx.bind_tx(tx).send(1);
             Box::new(|_: &DomainCtx| Vec::new())
         });
-        b.run(workers);
-    }
-
-    #[test]
-    #[should_panic(expected = "overflowed its capacity")]
-    fn bounded_channel_overflow_panics() {
-        overflow_bounded_channel(1);
-    }
-
-    /// The coordinator panics while lane 1 waits for its first epoch: the
-    /// lane must be released or `thread::scope` would never join it.
-    #[test]
-    #[should_panic(expected = "overflowed its capacity")]
-    fn bounded_channel_overflow_panics_with_a_waiting_lane() {
-        overflow_bounded_channel(2);
+        b.run(2);
     }
 
     #[test]

@@ -12,6 +12,21 @@
 //!   makes the doorbell-register spinlock from SMART §3.1 degrade under
 //!   sharing the way the paper measured (74 % of CPU time in
 //!   `pthread_spin_lock` at 96 threads).
+//!
+//! [`Notify`], [`Semaphore`] and [`Claims`] park their futures on one
+//! kind of FIFO wait list, under one rule:
+//!
+//! * whoever satisfies a waiter removes its entry and wakes it;
+//! * a parked future is done once its entry is gone;
+//! * a re-poll while the entry is still queued (a select or timeout
+//!   combinator polling its branches) refreshes the wakeup and stays
+//!   `Pending`;
+//! * dropping a parked future removes its entry, so it is never woken and
+//!   swallows nothing.
+//!
+//! What is queued as the wakeup is the polling task's id when the poll
+//! came with that task's own context (the usual `.await`), and a clone of
+//! the caller's waker otherwise.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -28,14 +43,83 @@ use crate::executor::{SimHandle, Sleep, Wakeup};
 use crate::time::SimTime;
 
 // ---------------------------------------------------------------------------
+// WaitList
+// ---------------------------------------------------------------------------
+
+/// One parked future: its key, what it waits for, and how to resume it.
+#[derive(Debug)]
+struct Waiter<D> {
+    key: u64,
+    data: D,
+    wakeup: Wakeup,
+}
+
+/// The FIFO every parking primitive queues on. Each key is one past the
+/// last one handed out, so the queue is sorted by key and a parked
+/// future finds its entry by binary search; keys are never reused, so a
+/// removed entry is never mistaken for a newer one.
+#[derive(Debug, Default)]
+struct WaitList<D> {
+    next_key: u64,
+    queue: VecDeque<Waiter<D>>,
+}
+
+impl<D> WaitList<D> {
+    /// Parks whoever polls with `cx` at the back; returns its key.
+    fn park(&mut self, data: D, cx: &Context<'_>) -> u64 {
+        let key = self.next_key;
+        self.next_key += 1;
+        let wakeup = Wakeup::of(cx);
+        self.queue.push_back(Waiter { key, data, wakeup });
+        key
+    }
+
+    fn index(&self, key: u64) -> Option<usize> {
+        self.queue.binary_search_by_key(&key, |w| w.key).ok()
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut Waiter<D>> {
+        let i = self.index(key)?;
+        self.queue.get_mut(i)
+    }
+
+    /// A re-poll of the future parked under `key`: `Ready` once its entry
+    /// is gone, else its wakeup is refreshed to `cx`'s.
+    fn repoll(&mut self, key: u64, cx: &Context<'_>) -> Poll<()> {
+        match self.get_mut(key) {
+            Some(w) => {
+                w.wakeup = Wakeup::of(cx);
+                Poll::Pending
+            }
+            None => Poll::Ready(()),
+        }
+    }
+
+    /// Removes the entry under `key`; `false` if it was already gone.
+    fn remove(&mut self, key: u64) -> bool {
+        let i = self.index(key);
+        i.and_then(|i| self.queue.remove(i)).is_some()
+    }
+
+    /// Removes the oldest entry if `ready` holds for it. Callers wake it
+    /// with the list released, so a foreign waker may re-enter.
+    fn pop_front_if(&mut self, ready: impl FnOnce(&D) -> bool) -> Option<Waiter<D>> {
+        self.queue.pop_front_if(|w| ready(&w.data))
+    }
+
+    fn len(&self) -> usize {
+        self.queue.len()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Notify
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
 struct NotifyInner {
     permit: Cell<bool>,
-    next_key: Cell<u64>,
-    waiters: RefCell<VecDeque<(u64, Wakeup)>>,
+    waiters: RefCell<WaitList<()>>,
 }
 
 /// Wakes one or all waiting tasks; a `notify_one` with no waiter stores a
@@ -76,23 +160,22 @@ impl Notify {
 
     /// Wakes the oldest waiter, or stores a permit if nobody waits.
     pub fn notify_one(&self) {
-        let waker = self.inner.waiters.borrow_mut().pop_front();
-        match waker {
-            Some((_, w)) => w.wake(),
+        let waiter = self.inner.waiters.borrow_mut().pop_front_if(|_| true);
+        match waiter {
+            Some(w) => w.wakeup.wake(),
             None => self.inner.permit.set(true),
         }
     }
 
     /// Wakes every current waiter (stores no permit).
     pub fn notify_all(&self) {
-        // In place, the queue borrow released around each wake: only the
-        // waiters present at entry, whatever a foreign waker does.
+        // Only the waiters present at entry, whatever a foreign waker does.
         let queued = self.inner.waiters.borrow().len();
         for _ in 0..queued {
-            let Some((_, w)) = self.inner.waiters.borrow_mut().pop_front() else {
+            let Some(w) = self.inner.waiters.borrow_mut().pop_front_if(|_| true) else {
                 break;
             };
-            w.wake();
+            w.wakeup.wake();
         }
     }
 
@@ -105,18 +188,9 @@ impl Notify {
     }
 }
 
-/// Future returned by [`Notify::notified`].
-///
-/// Each waiter is queued under a unique key, so a poll that was *not*
-/// caused by `notify_one`/`notify_all` (a select/timeout combinator
-/// re-polling its branches) finds its entry still queued and stays
-/// `Pending`; only a real notification — which removes the entry —
-/// resolves it. Dropping a registered `Notified` (the losing branch of
-/// a timeout) deregisters, so its notification is never swallowed.
-///
-/// What is queued is the polling task's id when the poll came with that
-/// task's own context (the usual `.await`), and a clone of the caller's
-/// waker otherwise.
+/// Future returned by [`Notify::notified`]; it parks under the module's
+/// rule, so a combinator's re-poll cannot resolve it and dropping it
+/// never swallows a notification.
 #[derive(Debug)]
 pub struct Notified {
     notify: Notify,
@@ -125,50 +199,25 @@ pub struct Notified {
 
 impl Future for Notified {
     type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.notify.inner.permit.replace(false) {
-            if let Some(key) = self.key.take() {
-                self.notify
-                    .inner
-                    .waiters
-                    .borrow_mut()
-                    .retain(|(k, _)| *k != key);
-            }
-            return Poll::Ready(());
-        }
-        if let Some(key) = self.key {
-            let mut waiters = self.notify.inner.waiters.borrow_mut();
-            match waiters.iter_mut().find(|(k, _)| *k == key) {
-                // Spurious poll: still queued — refresh the wakeup.
-                Some((_, w)) => {
-                    *w = Wakeup::of(cx);
-                    return Poll::Pending;
-                }
-                // Our entry was removed by a notify: that is the signal.
-                None => {
-                    drop(waiters);
-                    self.key = None;
-                    return Poll::Ready(());
-                }
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let inner = &*this.notify.inner;
+        let mut waiters = inner.waiters.borrow_mut();
+        match this.key {
+            Some(key) => waiters.repoll(key, cx).map(|()| this.key = None),
+            None if inner.permit.replace(false) => Poll::Ready(()),
+            None => {
+                this.key = Some(waiters.park((), cx));
+                Poll::Pending
             }
         }
-        let inner = &self.notify.inner;
-        let key = inner.next_key.get();
-        inner.next_key.set(key + 1);
-        inner.waiters.borrow_mut().push_back((key, Wakeup::of(cx)));
-        self.key = Some(key);
-        Poll::Pending
     }
 }
 
 impl Drop for Notified {
     fn drop(&mut self) {
         if let Some(key) = self.key {
-            self.notify
-                .inner
-                .waiters
-                .borrow_mut()
-                .retain(|(k, _)| *k != key);
+            self.notify.inner.waiters.borrow_mut().remove(key);
         }
     }
 }
@@ -177,43 +226,28 @@ impl Drop for Notified {
 // Semaphore
 // ---------------------------------------------------------------------------
 
-struct SemWaiter {
-    need: u64,
-    waker: Wakeup,
-    state: Rc<Cell<WaitState>>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WaitState {
-    Waiting,
-    Granted,
-    Cancelled,
-}
-
 #[derive(Default)]
 struct SemInner {
     permits: Cell<i64>,
-    waiters: RefCell<VecDeque<SemWaiter>>,
+    /// Parked acquires with the permits each needs.
+    waiters: RefCell<WaitList<u64>>,
     probe: Cell<u64>,
     probe_name: Cell<Option<&'static str>>,
 }
 
 impl SemInner {
+    /// Grants queued acquires in FIFO order while the balance covers the
+    /// oldest one.
     fn grant_ready(&self) {
-        let mut waiters = self.waiters.borrow_mut();
-        while let Some(front) = waiters.front() {
-            if front.state.get() == WaitState::Cancelled {
-                waiters.pop_front();
-                continue;
-            }
-            if self.permits.get() >= front.need as i64 {
-                let w = waiters.pop_front().expect("front exists");
-                self.permits.set(self.permits.get() - w.need as i64);
-                w.state.set(WaitState::Granted);
-                w.waker.wake();
-            } else {
-                break;
-            }
+        loop {
+            let permits = self.permits.get();
+            let granted = self
+                .waiters
+                .borrow_mut()
+                .pop_front_if(|&need| permits >= need as i64);
+            let Some(w) = granted else { break };
+            self.permits.set(permits - w.data as i64);
+            w.wakeup.wake();
         }
     }
 }
@@ -244,7 +278,7 @@ impl std::fmt::Debug for Semaphore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Semaphore")
             .field("permits", &self.inner.permits.get())
-            .field("waiters", &self.inner.waiters.borrow().len())
+            .field("waiters", &self.waiters())
             .finish()
     }
 }
@@ -264,12 +298,7 @@ impl Semaphore {
 
     /// Number of tasks currently blocked in [`Self::acquire`].
     pub fn waiters(&self) -> usize {
-        self.inner
-            .waiters
-            .borrow()
-            .iter()
-            .filter(|w| w.state.get() == WaitState::Waiting)
-            .count()
+        self.inner.waiters.borrow().len()
     }
 
     /// Acquires `n` permits, waiting FIFO until the balance allows it.
@@ -277,8 +306,7 @@ impl Semaphore {
         Acquire {
             sem: self.clone(),
             need: n,
-            state: Rc::new(Cell::new(WaitState::Waiting)),
-            registered: false,
+            key: None,
         }
     }
 
@@ -443,55 +471,45 @@ impl Drop for SemGuard {
     }
 }
 
-/// Future returned by [`Semaphore::acquire`].
+/// Future returned by [`Semaphore::acquire`]. It parks under the
+/// module's rule with the permits it needs; the grant takes them off the
+/// balance before the wake. Dropping it while parked grants whoever it
+/// held back; dropping it once granted keeps the permits taken (SMART
+/// returns credits through completion polling, not through the future).
 #[derive(Debug)]
 pub struct Acquire {
     sem: Semaphore,
     need: u64,
-    state: Rc<Cell<WaitState>>,
-    registered: bool,
+    key: Option<u64>,
 }
 
 impl Future for Acquire {
     type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        match self.state.get() {
-            WaitState::Granted => return Poll::Ready(()),
-            WaitState::Cancelled => unreachable!("cancelled acquire polled"),
-            WaitState::Waiting => {}
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let inner = &*this.sem.inner;
+        let mut waiters = inner.waiters.borrow_mut();
+        if let Some(key) = this.key {
+            return waiters.repoll(key, cx).map(|()| this.key = None);
         }
-        if !self.registered {
-            // Fast path only when nobody is ahead of us (FIFO).
-            if self.sem.inner.waiters.borrow().is_empty()
-                && self.sem.inner.permits.get() >= self.need as i64
-            {
-                self.sem
-                    .inner
-                    .permits
-                    .set(self.sem.inner.permits.get() - self.need as i64);
-                self.state.set(WaitState::Granted);
-                return Poll::Ready(());
-            }
-            let waiter = SemWaiter {
-                need: self.need,
-                waker: Wakeup::of(cx),
-                state: Rc::clone(&self.state),
-            };
-            self.sem.inner.waiters.borrow_mut().push_back(waiter);
-            self.registered = true;
+        // The fast path only when nobody is ahead (FIFO).
+        let permits = inner.permits.get();
+        if waiters.len() == 0 && permits >= this.need as i64 {
+            inner.permits.set(permits - this.need as i64);
+            return Poll::Ready(());
         }
+        this.key = Some(waiters.park(this.need, cx));
         Poll::Pending
     }
 }
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if self.registered && self.state.get() == WaitState::Waiting {
-            self.state.set(WaitState::Cancelled);
+        let Some(key) = self.key else { return };
+        let removed = self.sem.inner.waiters.borrow_mut().remove(key);
+        if removed {
+            self.sem.inner.grant_ready();
         }
-        // A granted-but-dropped acquire keeps its permits: the caller is
-        // responsible for releasing them (credits are replenished by
-        // completion polling in SMART).
     }
 }
 
@@ -702,29 +720,24 @@ impl ContendedLock {
     /// Acquires the lock, holds it for `hold`, releases it; the returned
     /// future completes at release time. Queueing and handoff penalties
     /// are added automatically; every call counts as a distinct owner
-    /// (see [`Self::exec_tagged`]).
+    /// (see [`Self::exec_as`]).
     pub async fn exec(&self, hold: Duration) {
         let tag = self.inner.fresh_tag.get();
         self.inner.fresh_tag.set(tag - 1);
-        self.exec_tagged(hold, tag).await;
-    }
-
-    /// Like [`Self::exec`], but waiters sharing the caller's `tag` do not
-    /// contribute to the handoff penalty.
-    ///
-    /// The penalty models cache-line bouncing between *spinning cores*; a
-    /// thread's own coroutines post sequentially and never truly spin
-    /// against each other, so callers tag acquisitions with their thread
-    /// identity and only cross-thread waiters inflate the cost. Queueing
-    /// (FIFO serialization of the hold times) applies regardless of tag.
-    pub async fn exec_tagged(&self, hold: Duration, tag: u64) {
         self.exec_inner(hold, tag, None).await;
     }
 
-    /// Like [`Self::exec_tagged`] with `actor.tid` as the tag, additionally
-    /// recording the whole lock section (wait + handoff penalty + hold) as a
+    /// Like [`Self::exec`], but owned by `actor.tid`: waiters of the same
+    /// thread do not contribute to the handoff penalty. Additionally
+    /// records the whole lock section (wait + handoff penalty + hold) as a
     /// `db_lock` span on the installed tracer, annotated with the time lost
     /// to contention and the number of cross-owner waiters seen at entry.
+    ///
+    /// The penalty models cache-line bouncing between *spinning cores*; a
+    /// thread's own coroutines post sequentially and never truly spin
+    /// against each other, so only cross-thread waiters inflate the cost.
+    /// Queueing (FIFO serialization of the hold times) applies regardless
+    /// of owner.
     pub async fn exec_as(&self, hold: Duration, actor: Actor, name: &'static str) {
         self.exec_inner(hold, actor.tid, Some((actor, name))).await;
         self.inner
@@ -798,11 +811,6 @@ impl ContendedLock {
         if *c == 0 {
             tags.remove(&tag);
         }
-    }
-
-    /// Number of tasks currently queued on (or holding) the lock.
-    pub fn queued(&self) -> u32 {
-        self.inner.queued.get()
     }
 
     /// Total acquisitions so far.
@@ -1062,21 +1070,6 @@ enum Slot<V> {
     Wanted(u64),
 }
 
-/// A pending claim: how many of its ids are still undelivered, and its
-/// wakeup until [`Claims::wake_ready`] spends it.
-#[derive(Debug)]
-struct ClaimWaiter {
-    key: u64,
-    left: usize,
-    wakeup: Option<Wakeup>,
-}
-
-/// Index of the pending claim registered under `key`: the queue is in
-/// registration order, hence sorted by key.
-fn waiter(waiters: &VecDeque<ClaimWaiter>, key: u64) -> Option<usize> {
-    waiters.binary_search_by_key(&key, |w| w.key).ok()
-}
-
 /// A keyed completion rendezvous: values are delivered by `u64` id, and
 /// a [`claim`](Claims::claim) of an id set resolves once every id in it
 /// is in.
@@ -1089,10 +1082,12 @@ fn waiter(waiters: &VecDeque<ClaimWaiter>, key: u64) -> Option<usize> {
 /// of a resolved claim [`take`](Claims::take)s its values before its
 /// next `.await`.
 ///
-/// Delivered values and the ids pending claims wait for share one
-/// [`DetMap`]; a delivery finds its claim by binary search in the
-/// key-sorted waiter queue, so no delivery scans the waiters (only a
-/// wake does, once per batch), and a steady claim/deliver churn
+/// Pending claims park under the module's rule, each with the number of
+/// its ids not yet delivered; a claim whose ids are all in is `Ready`
+/// when re-polled, woken or not. Delivered values and the ids pending
+/// claims wait for share one [`DetMap`]; a delivery finds its claim by
+/// binary search in the wait list, so no delivery scans the waiters
+/// (only a wake does, once per batch), and a steady claim/deliver churn
 /// allocates nothing.
 ///
 /// **Why registration order.** The completion hub's pump used to wake
@@ -1133,9 +1128,8 @@ fn waiter(waiters: &VecDeque<ClaimWaiter>, key: u64) -> Option<usize> {
 #[derive(Debug)]
 pub struct Claims<V> {
     slots: RefCell<DetMap<Slot<V>>>,
-    /// Pending claims in registration order. A new claim's key is one
-    /// past the last one's: a key outlives no claim, so reuse is safe.
-    waiters: RefCell<VecDeque<ClaimWaiter>>,
+    /// Pending claims with how many of their ids are still undelivered.
+    waiters: RefCell<WaitList<usize>>,
 }
 
 impl<V> Default for Claims<V> {
@@ -1159,19 +1153,23 @@ impl<V> Claims<V> {
             Some(Slot::Ready(_)) => panic!("id {id} delivered twice"),
         };
         let mut waiters = self.waiters.borrow_mut();
-        let i = waiter(&waiters, key).expect("a wanted id has a pending claim");
-        waiters[i].left -= 1;
+        let w = waiters.get_mut(key);
+        w.expect("a wanted id has a pending claim").data -= 1;
         true
     }
 
     /// Wakes every claim completed since the last call, in registration
     /// order. A waker must not re-enter this rendezvous.
     pub fn wake_ready(&self) {
-        let mut waiters = self.waiters.borrow_mut();
-        let ready = waiters
-            .iter_mut()
-            .filter_map(|w| w.wakeup.take_if(|_| w.left == 0));
-        ready.for_each(Wakeup::wake);
+        let queue = &mut self.waiters.borrow_mut().queue;
+        let mut i = 0;
+        while i < queue.len() {
+            if queue[i].data > 0 {
+                i += 1;
+            } else if let Some(w) = queue.remove(i) {
+                w.wakeup.wake();
+            }
+        }
     }
 
     /// Waits until every id in `ids` is delivered; then
@@ -1203,7 +1201,7 @@ impl<V> Claims<V> {
 
     /// Values delivered but not yet taken.
     pub fn unclaimed(&self) -> usize {
-        let wanted: usize = self.waiters.borrow().iter().map(|w| w.left).sum();
+        let wanted: usize = self.waiters.borrow().queue.iter().map(|w| w.data).sum();
         self.slots.borrow().len() - wanted
     }
 }
@@ -1220,26 +1218,25 @@ pub struct Claim<'a, V> {
 
 impl<V> Future for Claim<'_, V> {
     type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let (claims, ids) = (self.claims, self.ids);
-        let mut waiters = claims.waiters.borrow_mut();
-        if let Some(key) = self.key {
-            let i = waiter(&waiters, key).expect("a pending claim stays registered");
-            if waiters[i].left > 0 {
-                // Polled before its ids are in (a combinator re-polling
-                // its branches): refresh the wakeup.
-                waiters[i].wakeup = Some(Wakeup::of(cx));
-                return Poll::Pending;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let mut waiters = this.claims.waiters.borrow_mut();
+        if let Some(key) = this.key {
+            // All its ids are in: ready whether or not it was woken.
+            if waiters.get_mut(key).is_some_and(|w| w.data == 0) {
+                waiters.remove(key);
             }
-            waiters.remove(i);
-            self.key = None;
-            return Poll::Ready(());
+            return waiters.repoll(key, cx).map(|()| this.key = None);
         }
-        let key = waiters.back().map_or(0, |w| w.key + 1);
-        let mut slots = claims.slots.borrow_mut();
+        // The key `park` hands out below, if any id is missing.
+        let key = waiters.next_key;
+        let mut slots = this.claims.slots.borrow_mut();
         let mut left = 0;
-        for (i, &id) in ids.iter().enumerate() {
-            assert!(!ids[..i].contains(&id), "id {id} claimed twice at once");
+        for (i, &id) in this.ids.iter().enumerate() {
+            assert!(
+                !this.ids[..i].contains(&id),
+                "id {id} claimed twice at once"
+            );
             match slots.get(&id) {
                 None => left += 1,
                 Some(Slot::Wanted(_)) => panic!("id {id} is already claimed"),
@@ -1250,17 +1247,15 @@ impl<V> Future for Claim<'_, V> {
         if left == 0 {
             return Poll::Ready(());
         }
-        let wakeup = Some(Wakeup::of(cx));
-        waiters.push_back(ClaimWaiter { key, left, wakeup });
-        self.key = Some(key);
+        this.key = Some(waiters.park(left, cx));
         Poll::Pending
     }
 }
 
 impl<V> Drop for Claim<'_, V> {
     fn drop(&mut self) {
-        if let Some(key) = self.key {
-            self.claims.waiters.borrow_mut().retain(|w| w.key != key);
+        let Some(key) = self.key else { return };
+        if self.claims.waiters.borrow_mut().remove(key) {
             // No other pending claim waits for these ids.
             let mut slots = self.claims.slots.borrow_mut();
             for id in self.ids {
@@ -1687,6 +1682,93 @@ mod tests {
             let waker = Waker::from(Arc::clone(&self.1));
             self.0.as_mut().poll(&mut Context::from_waker(&waker))
         }
+    }
+
+    /// A waker that only counts its wakes.
+    #[derive(Default)]
+    struct Counter(AtomicU32);
+
+    impl Wake for Counter {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn counter() -> (Arc<Counter>, Waker) {
+        let c = Arc::new(Counter::default());
+        (Arc::clone(&c), Waker::from(c))
+    }
+
+    fn wakes(c: &Counter) -> u32 {
+        c.0.load(Ordering::Relaxed)
+    }
+
+    /// Polls `fut` once with `waker`, outside any simulation.
+    fn poll_with<F: Future + Unpin>(fut: &mut F, waker: &Waker) -> Poll<F::Output> {
+        Pin::new(fut).poll(&mut Context::from_waker(waker))
+    }
+
+    #[test]
+    fn a_repolled_acquire_wakes_its_latest_waker() {
+        let sem = Semaphore::new(0);
+        let ((a, wa), (b, wb)) = (counter(), counter());
+        let mut acquire = sem.acquire(1);
+        assert!(poll_with(&mut acquire, &wa).is_pending());
+        assert!(poll_with(&mut acquire, &wb).is_pending());
+        sem.release(1);
+        assert_eq!((wakes(&a), wakes(&b)), (0, 1));
+        assert!(poll_with(&mut acquire, &wb).is_ready());
+        assert_eq!(sem.available(), 0);
+    }
+
+    #[test]
+    fn a_dropped_notified_is_never_woken_nor_holds_back_the_next() {
+        let n = Notify::new();
+        let ((a, wa), (b, wb)) = (counter(), counter());
+        let (mut first, mut second) = (n.notified(), n.notified());
+        assert!(poll_with(&mut first, &wa).is_pending());
+        assert!(poll_with(&mut second, &wb).is_pending());
+        drop(first);
+        n.notify_one();
+        assert_eq!((wakes(&a), wakes(&b)), (0, 1));
+        assert!(poll_with(&mut second, &wb).is_ready());
+        // The notification went to `second`: none is stored.
+        assert!(poll_with(&mut n.notified(), &wb).is_pending());
+    }
+
+    #[test]
+    fn a_dropped_acquire_is_never_woken_nor_holds_back_the_next() {
+        let sem = Semaphore::new(0);
+        let ((a, wa), (b, wb)) = (counter(), counter());
+        let (mut first, mut second) = (sem.acquire(2), sem.acquire(1));
+        assert!(poll_with(&mut first, &wa).is_pending());
+        assert!(poll_with(&mut second, &wb).is_pending());
+        sem.release(1); // FIFO: `second` waits behind `first`
+        assert_eq!((wakes(&a), wakes(&b)), (0, 0));
+        drop(first);
+        assert_eq!((wakes(&a), wakes(&b)), (0, 1));
+        assert_eq!((sem.available(), sem.waiters()), (0, 0));
+        assert!(poll_with(&mut second, &wb).is_ready());
+    }
+
+    #[test]
+    fn a_dropped_claim_is_never_woken_nor_holds_back_the_next() {
+        let claims: Claims<&str> = Claims::default();
+        let ((a, wa), (b, wb)) = (counter(), counter());
+        let (mut first, mut second) = (claims.claim(&[1]), claims.claim(&[2]));
+        assert!(poll_with(&mut first, &wa).is_pending());
+        assert!(poll_with(&mut second, &wb).is_pending());
+        drop(first);
+        assert!(
+            !claims.deliver(1, "one"),
+            "a dropped claim waits for nothing"
+        );
+        assert!(claims.deliver(2, "two"));
+        claims.wake_ready();
+        assert_eq!((wakes(&a), wakes(&b)), (0, 1));
+        assert!(poll_with(&mut second, &wb).is_ready());
+        assert_eq!(claims.unclaimed(), 2);
+        assert_eq!([claims.take(1), claims.take(2)], ["one", "two"]);
     }
 
     #[test]
