@@ -14,8 +14,10 @@
 //! 5. **Fixed backoff limit** — the static `t_max` sweep that motivates
 //!    the dynamic limit (§4.3).
 
-use smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
-use smart_bench::{banner, run_bt, run_ht, BenchTable, BtParams, BtVariant, HtParams, Mode};
+use smart::{QpPolicy, SmartConfig};
+use smart_bench::{
+    banner, run, BenchTable, BtParams, BtVariant, HtParams, MicroOp, MicrobenchSpec, Mode, Spec,
+};
 use smart_rt::Duration;
 use smart_sherman::ShermanConfig;
 use smart_workloads::ycsb::Mix;
@@ -34,7 +36,8 @@ fn main() {
         spec.op = MicroOp::Read(8);
         spec.warmup = warmup;
         spec.measure = measure;
-        let r = run_microbench(&spec);
+        let spec = Spec::Micro(spec);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!(
             "  uars: driver-mapped, {medium} medium DBs: {:.1} MOPS",
             r.mops
@@ -50,7 +53,8 @@ fn main() {
         spec.op = MicroOp::Read(8);
         spec.warmup = warmup;
         spec.measure = measure;
-        let r = run_microbench(&spec);
+        let spec = Spec::Micro(spec);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!("  uars: thread-aware binding (96 DBs): {:.1} MOPS", r.mops);
         t1.row(&[&"thread-aware", &96, &format!("{:.2}", r.mops)]);
     }
@@ -71,7 +75,8 @@ fn main() {
         spec.op = MicroOp::Read(8);
         spec.warmup = warmup;
         spec.measure = measure;
-        let r = run_microbench(&spec);
+        let spec = Spec::Micro(spec);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!(
             "  wqe-cache {entries}: {:.1} MOPS (hit {:.2})",
             r.mops, r.wqe_hit_ratio
@@ -102,7 +107,8 @@ fn main() {
         });
         p.warmup = mode.pick(Duration::from_millis(3), Duration::from_millis(6));
         p.measure = measure;
-        let r = run_bt(&p);
+        let spec = Spec::Bt(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!("  hocl={hocl} cap={cap}: {:.2} MOPS", r.mops);
         t3.row(&[&hocl, &cap, &format!("{:.3}", r.mops)]);
     }
@@ -118,7 +124,8 @@ fn main() {
         });
         p.warmup = mode.pick(Duration::from_millis(3), Duration::from_millis(6));
         p.measure = measure;
-        let r = run_bt(&p);
+        let spec = Spec::Bt(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!("  spec-cache {entries}: {:.2} MOPS", r.mops);
         t4.row(&[&entries, &format!("{:.3}", r.mops)]);
     }
@@ -138,7 +145,8 @@ fn main() {
         let mut p = HtParams::new(cfg, 96, mode.pick(200_000, 2_000_000), Mix::UpdateOnly);
         p.warmup = mode.pick(Duration::from_millis(20), Duration::from_millis(40));
         p.measure = mode.pick(Duration::from_millis(5), Duration::from_millis(15));
-        let r = run_ht(&p);
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!(
             "  t_max={units}*t0: {:.2} MOPS, {:.2} retries/op",
             r.mops, r.avg_retries

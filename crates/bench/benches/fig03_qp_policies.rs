@@ -11,8 +11,10 @@
 //! inside the worker (sinks are not `Send`) and ships the rendered
 //! attribution back as a string, so output bytes match a sequential run.
 
-use smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
-use smart_bench::{banner, parallel_map, trace_requested, BenchTable, Mode};
+use smart::{QpPolicy, SmartConfig};
+use smart_bench::{
+    banner, parallel_map, run, trace_requested, BenchTable, MicroOp, MicrobenchSpec, Mode, Spec,
+};
 use smart_rt::Duration;
 use smart_trace::TraceSink;
 
@@ -53,9 +55,11 @@ fn main() {
         if trace && threads == max_threads {
             spec.trace = Some(TraceSink::new());
         }
-        let r = run_microbench(&spec);
+        let sink = spec.trace.clone();
+        let spec = Spec::Micro(spec);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         let mut log = format!("  {opname} {name} threads={threads}: {:.1} MOPS\n", r.mops);
-        if let Some(sink) = spec.trace.take() {
+        if let Some(sink) = sink {
             log.push_str(&sink.attribution().render());
         }
         (

@@ -6,8 +6,8 @@
 //! then degrades as the WQE cache thrashes; DRAM bytes/WR grow from
 //! ≈ 93 B to ≈ 180 B at 96 × 32.
 
-use smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
-use smart_bench::{banner, BenchTable, Mode};
+use smart::{QpPolicy, SmartConfig};
+use smart_bench::{banner, run, BenchTable, MicroOp, MicrobenchSpec, Mode, Spec};
 use smart_rt::Duration;
 
 fn main() {
@@ -41,7 +41,8 @@ fn main() {
                 spec.op = op;
                 spec.warmup = mode.pick(Duration::from_millis(1), Duration::from_millis(3));
                 spec.measure = mode.pick(Duration::from_millis(3), Duration::from_millis(10));
-                let r = run_microbench(&spec);
+                let spec = Spec::Micro(spec);
+                let r = run(&spec, &spec.single_plan(), 1).report;
                 eprintln!(
                     "  {opname} {threads}x{depth}: {:.1} MOPS, {:.0} B/WR",
                     r.mops, r.dram_bytes_per_op

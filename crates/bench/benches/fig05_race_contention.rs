@@ -7,7 +7,7 @@
 //! retry bottleneck that motivates SMART's conflict avoidance).
 
 use smart::{QpPolicy, SmartConfig};
-use smart_bench::{banner, run_ht, us, BenchTable, HtParams, Mode};
+use smart_bench::{banner, run, us, BenchTable, HtParams, Mode, Spec};
 use smart_rt::Duration;
 use smart_workloads::ycsb::Mix;
 
@@ -29,7 +29,8 @@ fn main() {
         );
         p.warmup = mode.pick(Duration::from_millis(2), Duration::from_millis(5));
         p.measure = mode.pick(Duration::from_millis(5), Duration::from_millis(20));
-        let r = run_ht(&p);
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!(
             "  threads={threads}: {:.2} MOPS p50={} p99={} retries={:.2}",
             r.mops,
@@ -61,7 +62,8 @@ fn main() {
         p.theta = theta;
         p.warmup = mode.pick(Duration::from_millis(2), Duration::from_millis(5));
         p.measure = mode.pick(Duration::from_millis(5), Duration::from_millis(20));
-        let r = run_ht(&p);
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!(
             "  theta={theta}: {:.2} MOPS p50={} p99={}",
             r.mops,

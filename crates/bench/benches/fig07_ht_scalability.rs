@@ -13,7 +13,7 @@
 //! sequential sweep (`SMART_BENCH_THREADS=1` forces one).
 
 use smart::{QpPolicy, SmartConfig};
-use smart_bench::{banner, parallel_map, run_ht, BenchTable, HtParams, Mode};
+use smart_bench::{banner, parallel_map, run, BenchTable, HtParams, Mode, Spec};
 use smart_rt::Duration;
 use smart_workloads::ycsb::Mix;
 
@@ -58,7 +58,8 @@ fn main() {
         let mut p = HtParams::new(cfg_of(threads), threads, keys, mix);
         p.warmup = warmup;
         p.measure = measure;
-        let r = run_ht(&p);
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         (
             format!("  {mixname} {sys} threads={threads}: {:.2} MOPS", r.mops),
             vec![
@@ -95,7 +96,8 @@ fn main() {
         p.compute_nodes = nodes;
         p.warmup = warmup;
         p.measure = measure;
-        let r = run_ht(&p);
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         (
             format!(
                 "  {mixname} {sys} nodes={nodes} ({} threads): {:.2} MOPS",

@@ -7,7 +7,7 @@
 //! decisive on skewed write-heavy at high thread counts.
 
 use smart::{QpPolicy, SmartConfig};
-use smart_bench::{banner, run_ht, BenchTable, HtParams, Mode};
+use smart_bench::{banner, run, BenchTable, HtParams, Mode, Spec};
 use smart_rt::Duration;
 use smart_workloads::ycsb::Mix;
 
@@ -46,7 +46,8 @@ fn main() {
                 let mut p = HtParams::new(cfg, threads, keys, mix);
                 p.warmup = mode.pick(Duration::from_millis(2), Duration::from_millis(5));
                 p.measure = mode.pick(Duration::from_millis(4), Duration::from_millis(15));
-                let r = run_ht(&p);
+                let spec = Spec::Ht(p);
+                let r = run(&spec, &spec.single_plan(), 1).report;
                 eprintln!("  {mixname} {name} threads={threads}: {:.2} MOPS", r.mops);
                 table.row(&[&mixname, &name, &threads, &format!("{:.3}", r.mops)]);
             }

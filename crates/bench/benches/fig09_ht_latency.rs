@@ -6,7 +6,7 @@
 //! dominates RACE's (paper: −69.6 % median, −80.6 % p99).
 
 use smart::{QpPolicy, SmartConfig};
-use smart_bench::{banner, run_ht, us, BenchTable, HtParams, Mode};
+use smart_bench::{banner, run, us, BenchTable, HtParams, Mode, Spec};
 use smart_rt::Duration;
 use smart_workloads::ycsb::Mix;
 
@@ -45,7 +45,8 @@ fn main() {
             p.pace = *pace;
             p.warmup = mode.pick(Duration::from_millis(2), Duration::from_millis(5));
             p.measure = mode.pick(Duration::from_millis(5), Duration::from_millis(15));
-            let r = run_ht(&p);
+            let spec = Spec::Ht(p);
+            let r = run(&spec, &spec.single_plan(), 1).report;
             let pace_us = pace.map_or(0, |d| d.as_micros() as u64);
             eprintln!(
                 "  {sys} pace={pace_us}us: {:.2} MOPS p50={} p99={}",

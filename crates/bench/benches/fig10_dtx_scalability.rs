@@ -6,7 +6,7 @@
 //! SmallBank, 2.6× on TATP).
 
 use smart::{QpPolicy, SmartConfig};
-use smart_bench::{banner, run_dtx, BenchTable, DtxParams, DtxWorkload, Mode};
+use smart_bench::{banner, run, BenchTable, DtxParams, DtxWorkload, Mode, Spec};
 use smart_rt::Duration;
 
 fn main() {
@@ -35,7 +35,8 @@ fn main() {
                 let mut p = DtxParams::new(cfg_of(threads), threads, workload, rows);
                 p.warmup = mode.pick(Duration::from_millis(2), Duration::from_millis(5));
                 p.measure = mode.pick(Duration::from_millis(4), Duration::from_millis(15));
-                let r = run_dtx(&p);
+                let spec = Spec::Dtx(p);
+                let r = run(&spec, &spec.single_plan(), 1).report;
                 eprintln!(
                     "  {wname} {sys} threads={threads}: {:.3} Mtxn/s (abort {:.1}%)",
                     r.mops,

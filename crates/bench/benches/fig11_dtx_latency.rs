@@ -6,7 +6,7 @@
 //! fraction of FORD+'s (paper: −71 % SmallBank, −77 % TATP).
 
 use smart::{QpPolicy, SmartConfig};
-use smart_bench::{banner, run_dtx, us, BenchTable, DtxParams, DtxWorkload, Mode};
+use smart_bench::{banner, run, us, BenchTable, DtxParams, DtxWorkload, Mode, Spec};
 use smart_rt::Duration;
 
 fn main() {
@@ -51,7 +51,8 @@ fn main() {
                 p.pace = *pace;
                 p.warmup = mode.pick(Duration::from_millis(2), Duration::from_millis(5));
                 p.measure = mode.pick(Duration::from_millis(5), Duration::from_millis(15));
-                let r = run_dtx(&p);
+                let spec = Spec::Dtx(p);
+                let r = run(&spec, &spec.single_plan(), 1).report;
                 let pace_us = pace.map_or(0, |d| d.as_micros() as u64);
                 eprintln!(
                     "  {wname} {sys} pace={pace_us}us: {:.3} Mtxn/s p50={}",

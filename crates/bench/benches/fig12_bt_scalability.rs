@@ -7,7 +7,7 @@
 //! thread-aware allocation is needed to scale the IOPS-bound variant
 //! past ~64 threads (paper: 2.0× total on read-only).
 
-use smart_bench::{banner, run_bt, BenchTable, BtParams, BtVariant, Mode};
+use smart_bench::{banner, run, BenchTable, BtParams, BtVariant, Mode, Spec};
 use smart_rt::Duration;
 use smart_workloads::ycsb::Mix;
 
@@ -40,7 +40,8 @@ fn main() {
                 let mut p = BtParams::new(variant, threads, keys, mix);
                 p.warmup = warmup;
                 p.measure = measure;
-                let r = run_bt(&p);
+                let spec = Spec::Bt(p);
+                let r = run(&spec, &spec.single_plan(), 1).report;
                 eprintln!(
                     "  {mixname} {} threads={threads}: {:.2} MOPS",
                     variant.name(),
@@ -71,7 +72,8 @@ fn main() {
                 p.compute_nodes = nodes;
                 p.warmup = warmup;
                 p.measure = measure;
-                let r = run_bt(&p);
+                let spec = Spec::Bt(p);
+                let r = run(&spec, &spec.single_plan(), 1).report;
                 eprintln!(
                     "  {mixname} {} nodes={nodes}: {:.2} MOPS",
                     variant.name(),

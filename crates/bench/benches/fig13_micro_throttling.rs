@@ -7,8 +7,8 @@
 //! +WorkReqThrot stays there even at 56+ threads / large batches where
 //! the unthrottled variants fall off the WQE cache.
 
-use smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
-use smart_bench::{banner, BenchTable, Mode};
+use smart::{QpPolicy, SmartConfig};
+use smart_bench::{banner, run, BenchTable, MicroOp, MicrobenchSpec, Mode, Spec};
 use smart_rt::Duration;
 
 fn configs(threads: usize) -> Vec<(&'static str, SmartConfig)> {
@@ -52,7 +52,8 @@ fn main() {
             spec.op = MicroOp::Read(8);
             spec.warmup = if throttled { warmup_throttled } else { warmup };
             spec.measure = measure;
-            let r = run_microbench(&spec);
+            let spec = Spec::Micro(spec);
+            let r = run(&spec, &spec.single_plan(), 1).report;
             eprintln!("  (a) {name} threads={threads}: {:.1} MOPS", r.mops);
             table.row(&[&name, &threads, &format!("{:.2}", r.mops)]);
         }
@@ -68,7 +69,8 @@ fn main() {
             spec.op = MicroOp::Read(8);
             spec.warmup = if throttled { warmup_throttled } else { warmup };
             spec.measure = measure;
-            let r = run_microbench(&spec);
+            let spec = Spec::Micro(spec);
+            let r = run(&spec, &spec.single_plan(), 1).report;
             eprintln!("  (b) {name} batch={batch}: {:.1} MOPS", r.mops);
             table_b.row(&[&name, &batch, &format!("{:.2}", r.mops)]);
         }

@@ -13,7 +13,7 @@
 //! sequential sweep.
 
 use smart::{QpPolicy, SmartConfig};
-use smart_bench::{banner, parallel_map, run_ht, trace_requested, BenchTable, HtParams, Mode};
+use smart_bench::{banner, parallel_map, run, trace_requested, BenchTable, HtParams, Mode, Spec};
 use smart_rt::Duration;
 use smart_trace::TraceSink;
 use smart_workloads::ycsb::Mix;
@@ -59,12 +59,14 @@ fn main() {
         if trace && threads == max_threads {
             p.trace = Some(TraceSink::new());
         }
-        let r = run_ht(&p);
+        let sink = p.trace.clone();
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         let mut log = format!(
             "  {name} threads={threads}: {:.2} MOPS, {:.2} retries/op\n",
             r.mops, r.avg_retries
         );
-        if let Some(sink) = p.trace.take() {
+        if let Some(sink) = sink {
             log.push_str(&sink.attribution().render());
         }
         (
@@ -93,7 +95,8 @@ fn main() {
         let mut p = HtParams::new(cfg, 96, keys, Mix::UpdateOnly);
         p.warmup = mode.pick(Duration::from_millis(30), Duration::from_millis(60));
         p.measure = mode.pick(Duration::from_millis(6), Duration::from_millis(20));
-        let r = run_ht(&p);
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         let total: u64 = r.retry_hist.iter().sum();
         let mut cells = Vec::new();
         for (retries, &count) in r.retry_hist.iter().enumerate().take(12) {

@@ -10,9 +10,7 @@
 //! retries.
 
 use smart::SmartConfig;
-use smart_bench::{
-    banner, run_dtx, run_ht, us, BenchTable, DtxParams, DtxWorkload, HtParams, Mode,
-};
+use smart_bench::{banner, run, us, BenchTable, DtxParams, DtxWorkload, HtParams, Mode, Spec};
 use smart_fault::FaultPlan;
 use smart_rt::Duration;
 use smart_workloads::ycsb::Mix;
@@ -39,7 +37,8 @@ fn main() {
     // (a) Hash-table goodput vs injected packet-loss rate. The 0-rate
     // plan is *passive*: it draws nothing from the PRNG, so the run must
     // match the no-injector baseline within noise (asserted at 1 %).
-    let baseline = run_ht(&ht_params(mode, threads, keys, None));
+    let spec = Spec::Ht(ht_params(mode, threads, keys, None));
+    let baseline = run(&spec, &spec.single_plan(), 1).report;
     eprintln!("  baseline (no injector): {:.3} MOPS", baseline.mops);
 
     let mut table = BenchTable::new(
@@ -57,7 +56,8 @@ fn main() {
     );
     for &rate in &[0.0, 0.001, 0.01, 0.05] {
         let plan = FaultPlan::new().with_packet_loss(rate);
-        let r = run_ht(&ht_params(mode, threads, keys, Some(plan)));
+        let spec = Spec::Ht(ht_params(mode, threads, keys, Some(plan)));
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!(
             "  loss={rate}: {:.3} MOPS injected={} recovered={} rec_p99={}",
             r.mops,
@@ -104,7 +104,8 @@ fn main() {
         .with_packet_loss(0.01)
         .with_rnr(0.005)
         .blade_crash_at(crash_at, 1, Duration::from_micros(200));
-    let r = run_ht(&ht_params(mode, threads, keys, Some(plan)));
+    let spec = Spec::Ht(ht_params(mode, threads, keys, Some(plan)));
+    let r = run(&spec, &spec.single_plan(), 1).report;
     assert!(r.conservation.is_empty(), "{:?}", r.conservation);
     assert!(r.faults_recovered > 0, "mixed plan recovered nothing");
     let mut cdf = BenchTable::new("fig_fault_b_recovery_cdf", &["permille", "latency_us"]);
@@ -149,7 +150,8 @@ fn main() {
         p.warmup = mode.pick(Duration::from_millis(2), Duration::from_millis(5));
         p.measure = mode.pick(Duration::from_millis(5), Duration::from_millis(20));
         p.fault = fault;
-        let r = run_dtx(&p);
+        let spec = Spec::Dtx(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         eprintln!(
             "  {label}: {:.3} MOPS abort={:.3} injected={} recovered={}",
             r.mops, r.abort_rate, r.faults_injected, r.faults_recovered

@@ -12,8 +12,8 @@
 //! seconds; the interval/epoch *ratio* — which is what the table is
 //! about — is preserved.
 
-use smart::{DynamicLoad, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
-use smart_bench::{banner, BenchTable, Mode};
+use smart::{QpPolicy, SmartConfig};
+use smart_bench::{banner, run, BenchTable, DynamicLoad, MicroOp, MicrobenchSpec, Mode, Spec};
 use smart_rt::Duration;
 
 fn main() {
@@ -48,7 +48,8 @@ fn main() {
             spec.warmup = Duration::from_micros(70_000 / scale);
             let window = (interval * 1000 / scale * 4).max(40_000 / scale);
             spec.measure = Duration::from_micros(window);
-            let r = smart::run_microbench(&spec);
+            let spec = Spec::Micro(spec);
+            let r = run(&spec, &spec.single_plan(), 1).report;
             eprintln!(
                 "  interval={interval}ms throttled={throttled}: {:.1} MOPS",
                 r.mops

@@ -3,11 +3,10 @@
 //! Everything else in this repo measures *virtual* time; this binary is
 //! the one place that holds a stopwatch to the executor. It runs pinned
 //! fig03/fig07/fig14 configurations (fixed seeds, fixed windows —
-//! independent of `SMART_BENCH_MODE`) through `run_microbench` and
-//! `run_ht` — one engine worker on the calling thread under a
-//! single-domain plan —
-//! reports how many scheduling events (task polls + timer fires) the
-//! simulator processed per second of wall time, and writes
+//! independent of `SMART_BENCH_MODE`) through `smart_bench::run` — one
+//! engine worker on the calling thread under the spec's single-domain
+//! plan — reports how many scheduling events (task polls + timer fires)
+//! the simulator processed per second of wall time, and writes
 //! `BENCH_SIM.json` (schema v4) at the repo root. Every result records
 //! the `DomainPlan` shape it ran under (`plan`/`domains`), so a recorded
 //! wall clock can never be mistaken for a differently-partitioned run.
@@ -38,8 +37,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
-use smart_bench::{parallel_map_with, run, run_ht, serve_spec, worker_threads, HtParams, Spec};
+use smart::{QpPolicy, SmartConfig};
+use smart_bench::{
+    parallel_map_with, run, serve_spec, worker_threads, HtParams, MicroOp, MicrobenchSpec, Spec,
+};
 use smart_rnic::DomainPlan;
 use smart_rt::Duration;
 use smart_serve::run_serve_decomposed;
@@ -55,7 +56,7 @@ const DECOMPOSED_WORKERS: usize = 4;
 const DECOMPOSED_SPEEDUP_GATE: f64 = 1.3;
 
 /// One pinned config timed under a single-domain plan on one engine
-/// worker (`run_microbench` for fig03, `run_ht` for the others).
+/// worker.
 struct PerfResult {
     name: &'static str,
     events: u64,
@@ -134,7 +135,8 @@ fn fig03() -> PerfResult {
         spec.op = MicroOp::Read(8);
         spec.warmup = Duration::from_millis(1);
         spec.measure = Duration::from_millis(4);
-        let report = run_microbench(&spec);
+        let spec = Spec::Micro(spec);
+        let report = run(&spec, &spec.single_plan(), 1).report;
         (report.sim_events, report.mops)
     })
 }
@@ -151,7 +153,8 @@ fn fig07_params(seed: u64) -> HtParams {
 /// wake-path stress test (768 coroutines contending on buckets).
 fn fig07() -> PerfResult {
     best_of("fig07_writeheavy_96t", || {
-        let r = run_ht(&fig07_params(42));
+        let spec = Spec::Ht(fig07_params(42));
+        let r = run(&spec, &spec.single_plan(), 1).report;
         (r.sim_events, r.mops)
     })
 }
@@ -168,7 +171,8 @@ fn fig14() -> PerfResult {
         let mut p = HtParams::new(cfg, 96, 100_000, Mix::UpdateOnly);
         p.warmup = Duration::from_millis(1);
         p.measure = Duration::from_millis(2);
-        let r = run_ht(&p);
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         (r.sim_events, r.mops)
     })
 }
@@ -205,8 +209,10 @@ fn sweep_speedup() -> SweepResult {
     let workers = sweep_workers(points);
     let time_with = |w: usize| {
         let start = Instant::now();
-        let mops: Vec<f64> =
-            parallel_map_with(w, seeds.clone(), |_, seed| run_ht(&fig07_params(seed)).mops);
+        let mops: Vec<f64> = parallel_map_with(w, seeds.clone(), |_, seed| {
+            let spec = Spec::Ht(fig07_params(seed));
+            run(&spec, &spec.single_plan(), 1).report.mops
+        });
         assert_eq!(mops.len(), points);
         start.elapsed()
     };

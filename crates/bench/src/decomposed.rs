@@ -1,22 +1,23 @@
-//! The one driver: every closed-loop workload runs through [`run`],
-//! which runs it through [`smart_rnic::run_decomposed`].
+//! The one driver: every closed-loop workload and the microbench run
+//! through [`run`], which runs them through
+//! [`smart_rnic::run_decomposed`].
 //!
-//! [`run`] takes a [`Spec`] — a hash-table, transaction or B+Tree run —
-//! and any [`DomainPlan`]. The workload's scenario runs in domain 0. Its
-//! phase controller — written once, here — sleeps through the warm-up,
-//! opens the measure window, sleeps through it, closes it (the workers
-//! exit after their in-flight operation) and quiesces every
-//! `SmartContext`'s controller coroutines; the engine then runs to
-//! quiescence, so in-flight recoveries finish on their own and no fixed
-//! drain window is needed. [`crate::run_ht`], [`crate::run_dtx`] and
-//! [`crate::run_bt`] are [`run`] under [`DomainPlan::single`] on one
-//! engine worker.
+//! [`run`] takes a [`Spec`] — a hash-table, transaction, B+Tree or
+//! microbench run — and any [`DomainPlan`]; [`Spec::single_plan`] is the
+//! plan that keeps every blade in the compute domain. The workload's
+//! scenario runs in domain 0. The closed-loop phase controller — written
+//! once, here — sleeps through the warm-up, opens the measure window,
+//! sleeps through it, closes it (the workers exit after their in-flight
+//! operation) and quiesces every `SmartContext`'s controller coroutines;
+//! the engine then runs to quiescence, so in-flight recoveries finish on
+//! their own and no fixed drain window is needed. The microbench keeps
+//! its own phase controller ([`crate::microbench`]) and runs under its
+//! spec's schedule policy; every other spec runs FIFO.
 //!
-//! Compute-side verbs cross to the blade domains over
-//! [`BladeRequest`](smart_rnic::BladeRequest)/[`BladeReply`](smart_rnic::BladeReply)
-//! channels at fabric one-way latency (the conservative lookahead), and
-//! a blade the plan keeps in domain 0 — every blade, under
-//! [`DomainPlan::single`] — is served in place. Every blade domain
+//! Compute-side verbs cross to the blade domains over typed request and
+//! reply channels at fabric one-way latency (the conservative
+//! lookahead), and a blade the plan keeps in domain 0 — every blade,
+//! under [`DomainPlan::single`] — is served in place. Every blade domain
 //! replays the workload's deterministic preload, so its blades are
 //! authoritative without state shipping, and installs its share of the
 //! fault plan: the driver lowers the plan onto the partition
@@ -36,12 +37,16 @@ use smart_rnic::{run_decomposed, ClusterConfig, Decomposed, DomainPlan};
 use smart_rt::SchedulePolicy;
 use smart_sherman::ShermanConfig;
 
+use crate::microbench::{self, reserve, MicrobenchSpec};
 use crate::runners::{
     load_bt, load_dtx, load_ht, start_bt, start_dtx, start_ht, BtParams, DtxParams, DtxWorkload,
     HtParams, RunReport,
 };
 
-/// A closed-loop workload [`run`] can run under any [`DomainPlan`].
+/// A workload [`run`] can run under any [`DomainPlan`].
+// A spec is built once per run: its size costs nothing, and boxing the
+// largest variant would only add noise at every call site.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum Spec {
     /// A hash-table run (RACE / SMART-HT).
@@ -50,6 +55,8 @@ pub enum Spec {
     Dtx(DtxParams),
     /// A B+Tree run (Sherman+ / SMART-BT).
     Bt(BtParams),
+    /// A raw-verb microbench run (§3, Figures 3, 4 and 13, Table 1).
+    Micro(MicrobenchSpec),
 }
 
 impl Spec {
@@ -69,7 +76,18 @@ impl Spec {
                 let blades = p.compute_nodes.max(2);
                 ClusterConfig::with_region(p.compute_nodes, blades, mb64 + p.keys * 64)
             }
+            Spec::Micro(s) => ClusterConfig {
+                rnic: s.rnic.clone(),
+                ..ClusterConfig::with_region(1, s.blades, s.region_bytes)
+            },
         }
+    }
+
+    /// The plan that keeps every blade in the compute domain: the run
+    /// steps one simulation, and the engine has nothing to overlap.
+    pub fn single_plan(&self) -> DomainPlan {
+        let cfg = self.cluster_config();
+        DomainPlan::single(cfg.compute_nodes as u32, cfg.memory_blades as u32)
     }
 }
 
@@ -82,12 +100,15 @@ enum Preload {
     Ht(u64),
     Dtx(DtxWorkload, u64),
     Bt(ShermanConfig, u64),
+    /// The microbench's region reservation, per blade.
+    Micro(u64),
 }
 
 /// Runs `spec` decomposed over `plan`, executable by up to
 /// `engine_workers` OS threads; the spec's trace sink, when set, is
 /// installed in the compute domain. `report.sim_events` sums scheduling
-/// events over all domains.
+/// events over all domains. `run(&spec, &spec.single_plan(), 1)` steps
+/// one simulation on the calling thread.
 ///
 /// The result is byte-identical for every `engine_workers` value — that
 /// is the PDES contract this driver inherits.
@@ -97,16 +118,18 @@ enum Preload {
 /// Panics if the plan hosts a compute node outside domain 0 or does not
 /// cover the spec's cluster shape.
 pub fn run(spec: &Spec, plan: &DomainPlan, engine_workers: usize) -> Decomposed<RunReport> {
-    let (seed, fault, preload) = match spec {
-        Spec::Ht(p) => (p.seed, &p.fault, Preload::Ht(p.keys)),
-        Spec::Dtx(p) => (p.seed, &p.fault, Preload::Dtx(p.workload, p.rows)),
-        Spec::Bt(p) => (p.seed, &p.fault, Preload::Bt(p.tree_config(), p.keys)),
+    let fifo = SchedulePolicy::Fifo;
+    let (seed, policy, fault, preload) = match spec {
+        Spec::Ht(p) => (p.seed, fifo, &p.fault, Preload::Ht(p.keys)),
+        Spec::Dtx(p) => (p.seed, fifo, &p.fault, Preload::Dtx(p.workload, p.rows)),
+        Spec::Bt(p) => (p.seed, fifo, &p.fault, Preload::Bt(p.tree_config(), p.keys)),
+        Spec::Micro(s) => (s.seed, s.schedule, &None, Preload::Micro(s.region_bytes)),
     };
     let lowered = fault.clone().unwrap_or_default().lower_onto(plan);
     let spec0 = spec.clone();
     let mut d = run_decomposed(
         seed,
-        SchedulePolicy::Fifo,
+        policy,
         spec.cluster_config(),
         plan,
         engine_workers,
@@ -115,6 +138,7 @@ pub fn run(spec: &Spec, plan: &DomainPlan, engine_workers: usize) -> Decomposed<
                 Spec::Ht(p) => start_ht(h, cluster, p),
                 Spec::Dtx(p) => start_dtx(h, cluster, p),
                 Spec::Bt(p) => start_bt(h, cluster, p),
+                Spec::Micro(s) => return microbench::start(h, cluster, s),
             });
             let (hh, s) = (h.clone(), Rc::clone(&scenario));
             h.spawn(async move {
@@ -134,6 +158,7 @@ pub fn run(spec: &Spec, plan: &DomainPlan, engine_workers: usize) -> Decomposed<
                 Preload::Ht(keys) => drop(load_ht(blades, *keys)),
                 Preload::Dtx(workload, rows) => drop(load_dtx(blades, *workload, *rows)),
                 Preload::Bt(tree, keys) => drop(load_bt(blades, tree, *keys)),
+                Preload::Micro(region) => reserve(blades, *region),
             }
             FaultInjector::install_share(cluster, &lowered[domain.index()].1);
             Box::new(|_, _| String::new())

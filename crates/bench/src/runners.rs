@@ -6,8 +6,7 @@
 //! and every worker coroutine spawned — built by its `start_*` function
 //! over a deterministic preload (`load_ht`, `load_dtx`, `load_bt`) that
 //! every domain of a plan replays. [`crate::run`] drives any of them
-//! under any [`DomainPlan`]; [`run_ht`], [`run_dtx`] and [`run_bt`] are
-//! views of it under [`DomainPlan::single`] on one engine worker.
+//! under any `DomainPlan`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -16,7 +15,7 @@ use smart::{SmartConfig, SmartContext, SmartCoro, SmartThread};
 use smart_fault::{FaultInjector, FaultPlan};
 use smart_ford::{backoff_after_abort, SmallBank, Tatp};
 use smart_race::{RaceConfig, RaceHashTable};
-use smart_rnic::{Cluster, DomainPlan, MemoryBlade};
+use smart_rnic::{Cluster, MemoryBlade};
 use smart_rt::metrics::Counter;
 use smart_rt::{Duration, SimHandle, SimTime};
 use smart_serve::{AdmissionConfig, MembershipPlan, RatePlan, ServeSpec};
@@ -26,8 +25,6 @@ use smart_workloads::latency::LatencyRecorder;
 use smart_workloads::smallbank::SmallBankGenerator;
 use smart_workloads::tatp::TatpGenerator;
 use smart_workloads::ycsb::{Mix, YcsbGenerator, YcsbOp};
-
-use crate::decomposed::{run, Spec};
 
 /// Common measurement output.
 #[derive(Clone, Debug, Default)]
@@ -47,6 +44,13 @@ pub struct RunReport {
     pub retry_hist: Vec<u64>,
     /// Abort rate over the window (transaction runs).
     pub abort_rate: f64,
+    /// Average PCIe-inbound DRAM bytes per WR over the window (Figure
+    /// 4b's metric; microbench runs, 0 otherwise).
+    pub dram_bytes_per_op: f64,
+    /// WQE-cache hit ratio over the whole run (microbench runs).
+    pub wqe_hit_ratio: f64,
+    /// MTT/MPT cache hit ratio over the whole run (microbench runs).
+    pub mtt_hit_ratio: f64,
     /// Fault completions injected by the chaos layer over the whole run,
     /// warm-up included (0 without a fault plan).
     pub faults_injected: u64,
@@ -279,13 +283,6 @@ impl ClosedLoop {
     }
 }
 
-/// Runs `spec` under its single plan on one engine worker.
-fn sequential(spec: Spec) -> RunReport {
-    let cfg = spec.cluster_config();
-    let plan = DomainPlan::single(cfg.compute_nodes as u32, cfg.memory_blades as u32);
-    run(&spec, &plan, 1).report
-}
-
 // ---------------------------------------------------------------------------
 // Hash table (RACE / SMART-HT)
 // ---------------------------------------------------------------------------
@@ -412,13 +409,6 @@ pub(crate) fn start_ht(h: &SimHandle, cluster: &Cluster, p: &HtParams) -> Closed
     run
 }
 
-/// Runs a hash-table experiment: [`crate::run`] under
-/// [`DomainPlan::single`](smart_rnic::DomainPlan::single) on one engine
-/// worker.
-pub fn run_ht(p: &HtParams) -> RunReport {
-    sequential(Spec::Ht(p.clone()))
-}
-
 // ---------------------------------------------------------------------------
 // Distributed transactions (FORD+ / SMART-DTX)
 // ---------------------------------------------------------------------------
@@ -540,13 +530,6 @@ pub(crate) fn start_dtx(h: &SimHandle, cluster: &Cluster, p: &DtxParams) -> Clos
         }
     };
     run
-}
-
-/// Runs a transaction experiment: [`crate::run`] under
-/// [`DomainPlan::single`](smart_rnic::DomainPlan::single) on one engine
-/// worker.
-pub fn run_dtx(p: &DtxParams) -> RunReport {
-    sequential(Spec::Dtx(p.clone()))
 }
 
 // ---------------------------------------------------------------------------
@@ -701,13 +684,6 @@ pub(crate) fn start_bt(h: &SimHandle, cluster: &Cluster, p: &BtParams) -> Closed
         }
     });
     run
-}
-
-/// Runs a B+Tree experiment: [`crate::run`] under
-/// [`DomainPlan::single`](smart_rnic::DomainPlan::single) on one engine
-/// worker.
-pub fn run_bt(p: &BtParams) -> RunReport {
-    sequential(Spec::Bt(p.clone()))
 }
 
 /// The standard serve scenario at a given client population and offered

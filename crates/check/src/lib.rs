@@ -20,7 +20,7 @@
 //!   sides (a lost update). A CAS closing the window is exempt: it
 //!   revalidates the read atomically, which is exactly how the RACE
 //!   retry protocol stays correct.
-//! * **seeded schedule exploration** ([`explore`]) — drives a workload
+//! * **seeded schedule exploration** ([`explore()`]) — drives a workload
 //!   closure once per schedule salt and aggregates findings, stuck-task
 //!   counts and workload invariant violations into a deterministic
 //!   report. Every perturbed schedule is a legal total order of the same

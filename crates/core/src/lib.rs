@@ -54,7 +54,6 @@ pub mod conflict;
 pub mod context;
 pub mod coro;
 pub mod hub;
-pub mod microbench;
 pub mod pool;
 pub mod report;
 pub mod route;
@@ -67,7 +66,6 @@ pub use conflict::ConflictControl;
 pub use context::SmartContext;
 pub use coro::{FaultError, OpGuard, SmartCoro};
 pub use hub::CompletionHub;
-pub use microbench::{run_microbench, DynamicLoad, MicroOp, MicrobenchReport, MicrobenchSpec};
 pub use pool::QpPool;
 pub use report::{ContentionReport, DoorbellReport};
 pub use route::ShardRouter;

@@ -11,7 +11,7 @@
 //! | `Fabric` | submits RNIC work (verb post, doorbell ring, CQE wait) |
 //! | `Spawn` | creates a new coroutine on the executor |
 //! | `Await` | contains a suspension point |
-//! | `Alloc` | heap-allocates (`format!`/`vec!`/`Box::new`/`to_string`…) |
+//! | `Alloc` | heap-allocates (`format!`/`vec!`/`Box::new`/`Rc::new`/`collect`…) |
 //!
 //! The lattice is the powerset ordered by inclusion; join is bitwise or.
 //! [`crate::flow`] seeds intrinsic effects from each fn body and joins
@@ -120,9 +120,22 @@ pub const SPAWN_METHODS: &[&str] = &["spawn", "spawn_detached"];
 /// probe-cell registration).
 pub const SHARED_MUT_METHODS: &[&str] = &["set", "borrow_mut", "probe_cell"];
 
-/// Allocating method names (path-call allocators like `Vec::new` are
-/// matched separately in the flow walk).
-pub const ALLOC_METHODS: &[&str] = &["to_string", "to_vec", "with_capacity"];
+/// Allocating method names.
+pub const ALLOC_METHODS: &[&str] = &["to_string", "to_vec", "with_capacity", "collect"];
+
+/// Allocating path calls, `(type, fn)`; `T::with_capacity(…)` also
+/// seeds `Alloc`, whatever `T` is.
+pub const ALLOC_PATHS: &[(&str, &str)] = &[
+    ("Vec", "new"),
+    ("String", "new"),
+    ("Box", "new"),
+    ("Box", "pin"),
+    ("Rc", "new"),
+    ("Arc", "new"),
+];
+
+/// Allocating macros, as `name!`.
+pub const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
 /// Each seed table with the atom a call to one of its names seeds.
 const SEEDS: [(Effects, &[&str]); 6] = [

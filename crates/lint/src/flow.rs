@@ -22,7 +22,7 @@
 //! * bare `f(…)` → fns named `f` in the same file, else the unique
 //!   workspace free fn of that name;
 //! * anything still unresolved links to the unique workspace method of
-//!   that name, unless the name is in the [`UBIQUITOUS`] deny list
+//!   that name, unless the name is in the `UBIQUITOUS` deny list
 //!   (std-vocabulary like `len`/`push`/`clone`, where a unique workspace
 //!   homonym would wire unrelated std calls into the graph).
 //!
@@ -40,7 +40,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::effects::{
-    self, domain_of, intrinsic_root, method_seed, parse_effects_json, Domain, Effects, EFFECTS_PATH,
+    self, domain_of, intrinsic_root, method_seed, parse_effects_json, Domain, Effects,
+    ALLOC_MACROS, ALLOC_PATHS, EFFECTS_PATH,
 };
 use crate::items::{self, FnItem};
 use crate::lex::{is_path_sep, Tok};
@@ -470,7 +471,7 @@ fn scan_fn(
 
         if name == "await" && prev_dot {
             out.intrinsic = out.intrinsic.join(Effects::AWAIT);
-        } else if next_bang && (name == "format" || name == "vec") {
+        } else if next_bang && ALLOC_MACROS.contains(&name) {
             out.intrinsic = out.intrinsic.join(Effects::ALLOC);
         } else if prev_dot && next_paren {
             // Method call.
@@ -546,10 +547,7 @@ fn resolve_path_call(
     let expanded = res.expand(segs);
     let name = expanded.last().expect("non-empty path").clone();
     let qual = expanded[expanded.len() - 2].clone();
-    // `Vec::new()` / `String::new()` / `Box::new()` / `T::with_capacity`.
-    if (name == "new" && ["Vec", "String", "Box"].contains(&qual.as_str()))
-        || name == "with_capacity"
-    {
+    if ALLOC_PATHS.contains(&(qual.as_str(), name.as_str())) || name == "with_capacity" {
         out.intrinsic = out.intrinsic.join(Effects::ALLOC);
     }
     if qual == "self" || qual == "Self" {

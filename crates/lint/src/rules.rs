@@ -2,7 +2,7 @@
 //!
 //! Every rule is a pure function from scanned sources to diagnostics;
 //! the driver in [`crate::run_lint`] handles file discovery and
-//! scanning, and [`diag`] marks pragma-suppressed findings. The banned
+//! scanning, and `diag` marks pragma-suppressed findings. The banned
 //! APIs of rules 1–4 and 8 are one table, [`BANNED`]: [`banned_apis`]
 //! matches its written forms on the tokens of each line of [`crate::lex`]
 //! (so `Instant :: now` and `Instant::now` both match while anything
@@ -1138,7 +1138,7 @@ const CALIBRATIONS: [Calibration; 5] = [
     },
 ];
 
-/// Extracts the §4 constants from DESIGN.md prose, in [`CALIBRATIONS`]
+/// Extracts the §4 constants from DESIGN.md prose, in `CALIBRATIONS`
 /// order. Returns Err with the first missing anchor phrase when the doc
 /// was reworded past recognition — the lint then fails, which is exactly
 /// the drift signal we want.

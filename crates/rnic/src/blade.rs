@@ -4,7 +4,7 @@
 //! execute atomically at the blade's atomic unit in arrival order. Blades
 //! have near-zero compute (§2.1) — they never post requests; their RNIC
 //! only has a responder pipeline, modelled once in
-//! [`MemoryBlade::serve`] whichever domain the blade lives in.
+//! `MemoryBlade::serve` whichever domain the blade lives in.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -89,7 +89,7 @@ impl MemoryBlade {
     /// # Panics
     ///
     /// Panics if a port is already attached.
-    pub fn attach_remote(&self, port: Rc<RemotePort>) {
+    pub(crate) fn attach_remote(&self, port: Rc<RemotePort>) {
         let mut slot = self.remote.borrow_mut();
         assert!(
             slot.is_none(),
@@ -100,7 +100,7 @@ impl MemoryBlade {
     }
 
     /// The attached remote port, if this blade is a decomposed shadow.
-    pub fn remote_port(&self) -> Option<Rc<RemotePort>> {
+    pub(crate) fn remote_port(&self) -> Option<Rc<RemotePort>> {
         self.remote.borrow().clone()
     }
 
@@ -136,7 +136,7 @@ impl MemoryBlade {
 
     /// Whether the blade is currently down (fault injection). While
     /// crashed, one-sided operations targeting it surface as
-    /// [`CqeError::Timeout`](crate::CqeError::Timeout) completions and RPC
+    /// [`CqeError::Timeout`] completions and RPC
     /// calls stall until restart.
     pub fn is_crashed(&self) -> bool {
         self.crashed.get()
@@ -152,7 +152,7 @@ impl MemoryBlade {
 
     /// Brings the blade back up, bumping its registration epoch: memory
     /// regions registered before the crash are stale, and requesters see
-    /// one [`CqeError::MrRevoked`](crate::CqeError::MrRevoked) completion
+    /// one [`CqeError::MrRevoked`] completion
     /// per QP before their re-registered handles work again.
     pub fn restart(&self) {
         self.crashed.set(false);

@@ -92,11 +92,6 @@ impl DomainPlan {
         self.domains
     }
 
-    /// True when every entity shares one domain (no parallelism to host).
-    pub fn is_single(&self) -> bool {
-        self.domains == 1
-    }
-
     /// The scheduling domain hosting a compute node.
     ///
     /// # Panics
@@ -136,7 +131,7 @@ mod tests {
     #[test]
     fn single_plan_is_sequential() {
         let p = DomainPlan::single(3, 2);
-        assert!(p.is_single());
+        assert_eq!(p.domains(), 1);
         assert_eq!(p.domains(), 1);
         assert!(!p.crossing(NodeId(2), BladeId(1)));
     }
@@ -153,8 +148,8 @@ mod tests {
 
     #[test]
     fn for_workers_round_robins_and_degenerates() {
-        assert!(DomainPlan::for_workers(1, 4, 8).is_single());
-        assert!(DomainPlan::for_workers(4, 4, 0).is_single());
+        assert_eq!(DomainPlan::for_workers(1, 4, 8).domains(), 1);
+        assert_eq!(DomainPlan::for_workers(4, 4, 0).domains(), 1);
         let p = DomainPlan::for_workers(2, 1, 5);
         assert_eq!(p.domains(), 3);
         assert_eq!(p.blade_domain(BladeId(0)), DomainId(1));

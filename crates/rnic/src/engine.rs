@@ -2,14 +2,14 @@
 //!
 //! A work request's blade half is `MemoryBlade::serve`. When the blade
 //! shares the requester's domain, the verb lifecycle calls it directly;
-//! under a [`DomainPlan`](crate::DomainPlan) that puts the blade in a
+//! under a [`DomainPlan`] that puts the blade in a
 //! domain of its own, this module carries the call across: the blade
 //! becomes a real PDES engine domain, and the requester side of
 //! [`verbs`](crate::qp::Qp::post_send) crosses to it over a typed
-//! [`BladeLink`] — a [`BladeRequest`] travelling requester → blade and a
-//! [`BladeReply`] travelling back, each paying the fabric's one-way
+//! `BladeLink` — a `BladeRequest` travelling requester → blade and a
+//! `BladeReply` travelling back, each paying the fabric's one-way
 //! latency (exactly the plan's conservative lookahead) — and
-//! [`spawn_blade_engine`] runs the same `serve` on the blade's side.
+//! `spawn_blade_engine` runs the same `serve` on the blade's side.
 //!
 //! Wiring ([`run_decomposed`], the one place it is written; the engine
 //! drivers in `smart-bench`/`smart-serve` supply the scenario):
@@ -19,18 +19,18 @@
 //!   allocator and direct memory writes, no RNG and no simulated time —
 //!   so blade state needs no shipping: the owning domain's copy is
 //!   authoritative, every other domain holds an inert shadow;
-//! * domain 0 binds the requester ends and attaches a [`RemotePort`] to
-//!   each crossing blade's shadow ([`MemoryBlade::attach_remote`]); the
+//! * domain 0 binds the requester ends and attaches a `RemotePort` to
+//!   each crossing blade's shadow (`MemoryBlade::attach_remote`); the
 //!   verb lifecycle consults the port instead of serving locally. The
 //!   port's dispatcher delivers each reply into a
-//!   [`Claims`](smart_rt::sync::Claims) rendezvous keyed by slot and
+//!   [`Claims`] rendezvous keyed by slot and
 //!   wakes only the roundtrip waiting on that slot. A
 //!   blade the plan co-locates with domain 0 gets no port, and a
 //!   [`DomainPlan::single`](crate::DomainPlan::single) plan gives none at
 //!   all: the engine then runs domain 0 alone;
 //! * each blade domain runs the caller's bootstrap callback (application
 //!   preload plus its lowered fault sub-plan — both stay out of this
-//!   crate), binds the responder ends and calls [`spawn_blade_engine`] on
+//!   crate), binds the responder ends and calls `spawn_blade_engine` on
 //!   its authoritative blades; its finish artifact is one line per blade;
 //! * the engine's [`smart_rt::pdes::PdesReport`] is folded into a
 //!   [`Decomposed`] result.
@@ -55,7 +55,7 @@ use crate::types::{BladeId, CqeError, NodeId, OneSidedOp, OpResult};
 /// per-port correlation id ([`RemotePort`] allocates them densely) —
 /// `wr_id`s cannot serve here because different QPs reuse them.
 #[derive(Clone, Debug)]
-pub struct BladeRequest {
+pub(crate) struct BladeRequest {
     /// Port-local correlation id, echoed in the matching [`BladeReply`].
     pub slot: u64,
     /// The operation to execute at the blade.
@@ -67,7 +67,7 @@ pub struct BladeRequest {
 
 /// The blade engine's answer to a [`BladeRequest`].
 #[derive(Clone, Debug)]
-pub struct BladeReply {
+pub(crate) struct BladeReply {
     /// Correlation id of the request this answers.
     pub slot: u64,
     /// The executed result, or the error the blade surfaced (a crashed
@@ -79,7 +79,7 @@ pub struct BladeReply {
 /// The channel pair connecting a requester domain to one blade's engine
 /// domain, both directions at fabric one-way latency. Bind each token in
 /// its owning domain ([`smart_rt::pdes::DomainCtx::bind_tx`]/`bind_rx`).
-pub struct BladeLink {
+pub(crate) struct BladeLink {
     /// Request send side — bind inside the requester domain.
     pub req_tx: TxToken<BladeRequest>,
     /// Request receive side — bind inside the blade domain.
@@ -96,7 +96,7 @@ pub struct BladeLink {
 ///
 /// Panics if `requester == responder` or the fabric latency is zero (no
 /// conservative lookahead to exploit).
-pub fn blade_link(
+pub(crate) fn blade_link(
     builder: &mut PdesBuilder,
     requester: DomainId,
     responder: DomainId,
@@ -118,7 +118,7 @@ pub fn blade_link(
 /// [`BladeRequest`] and claims its slot; a dispatcher task (spawned by
 /// [`RemotePort::install`]) delivers each [`BladeReply`] to that slot and
 /// wakes its claimer.
-pub struct RemotePort {
+pub(crate) struct RemotePort {
     tx: PdesSender<BladeRequest>,
     replies: Claims<Result<OpResult, CqeError>>,
     next_slot: Cell<u64>,
@@ -179,7 +179,7 @@ impl RemotePort {
 /// Call once per authoritative blade from the blade domain's setup
 /// closure, with its cluster's config and the domain-bound `rx`/`tx`
 /// ends of the blade's [`BladeLink`].
-pub fn spawn_blade_engine(
+pub(crate) fn spawn_blade_engine(
     blade: &Rc<MemoryBlade>,
     cluster: &ClusterConfig,
     rx: PdesReceiver<BladeRequest>,
@@ -235,10 +235,10 @@ pub struct Decomposed<R> {
     pub envelopes: u64,
     /// Request envelopes delivered into blade domains. In a fault-free
     /// run this equals `cross_domain_wrs` — every crossing work request
-    /// becomes exactly one [`BladeRequest`].
+    /// becomes exactly one `BladeRequest`.
     pub blade_requests: u64,
     /// Work requests the compute side counted as crossing the partition
-    /// ([`crate::NodeCounters::cross_domain_wrs`] summed over nodes —
+    /// ([`crate::ComputeNode::cross_domain_wrs`] summed over nodes —
     /// diagnostics-only, never part of golden-visible output).
     pub cross_domain_wrs: u64,
     /// Concatenated blade-domain artifacts: one
@@ -253,7 +253,7 @@ pub struct Decomposed<R> {
 /// all client state live in domain 0 (a local domain on the calling
 /// thread, so the `Rc` graph `compute` builds — a caller-held trace sink
 /// included — never crosses a thread); every other domain of the plan
-/// runs its blades behind [`spawn_blade_engine`].
+/// runs its blades behind `spawn_blade_engine`.
 ///
 /// `compute` builds the scenario on domain 0's handle and cluster (ports
 /// already attached) and returns its finish hook, which runs once the

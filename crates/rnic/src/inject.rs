@@ -7,7 +7,7 @@
 //! executes, and a recovery layer that reposts it gets exactly-once
 //! semantics at the blade.
 //!
-//! Independent of the hook, [`Qp`](crate::Qp) error state and
+//! Independent of the hook, [`Qp`] error state and
 //! [`MemoryBlade`](crate::MemoryBlade) crash state are first-class model
 //! state, checked under one rule whichever domain the blade lives in:
 //! the QP at post and at departure (requester side), the crash state on

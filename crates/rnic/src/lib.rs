@@ -79,7 +79,6 @@ pub use config::{BladeConfig, ClusterConfig, FabricConfig, RnicConfig};
 pub use device::DeviceContext;
 pub use domain::DomainPlan;
 pub use doorbell::{Doorbell, DoorbellBinding, DoorbellKind};
-pub use engine::{blade_link, spawn_blade_engine, BladeLink, BladeReply, BladeRequest, RemotePort};
 pub use engine::{run_decomposed, BladeArtifact, Decomposed};
 pub use inject::{FaultHook, InjectDecision};
 pub use node::{ComputeNode, NodeCounters};

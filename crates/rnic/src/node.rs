@@ -126,13 +126,8 @@ impl ComputeNode {
     /// account for cross-domain work requests. Called by
     /// [`crate::Cluster::new_with_plan`]; harmless to omit (everything is
     /// then treated as same-domain).
-    pub fn install_domain_plan(&self, plan: Rc<DomainPlan>) {
+    pub(crate) fn install_domain_plan(&self, plan: Rc<DomainPlan>) {
         *self.domain_plan.borrow_mut() = Some(plan);
-    }
-
-    /// The scheduling-domain plan installed on this node, if any.
-    pub fn domain_plan(&self) -> Option<Rc<DomainPlan>> {
-        self.domain_plan.borrow().clone()
     }
 
     /// Work requests posted to a blade in a different scheduling domain.

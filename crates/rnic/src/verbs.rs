@@ -20,7 +20,7 @@
 //!
 //! Stage 3 runs in this task when the blade shares the requester's
 //! domain, and in the blade's engine domain behind a
-//! [`RemotePort`](crate::RemotePort) otherwise — the same code either way;
+//! [`RemotePort`](crate::engine::RemotePort) otherwise — the same code either way;
 //! the two arms differ only in how the flights are paid (one timer each
 //! here, one PDES channel each there).
 //!

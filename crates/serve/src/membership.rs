@@ -4,7 +4,7 @@
 //! A [`MembershipPlan`] is the control-plane story ("blade 2 leaves at
 //! 40 ms and rejoins at 70 ms"); it lowers onto two existing mechanisms:
 //!
-//! * the [`ShardRouter`](smart::ShardRouter) view changes at the
+//! * the [`ShardRouter`] view changes at the
 //!   *announced* leave instant, so new requests re-route to survivors,
 //!   and again at the rejoin instant;
 //! * a [`FaultPlan`] blade-crash window starting one `grace` after the

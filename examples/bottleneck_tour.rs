@@ -3,9 +3,8 @@
 //!
 //! Run with: `cargo run --release --example bottleneck_tour`
 
-use smart_lab::smart::{
-    run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig, SmartContext,
-};
+use smart_bench::{run, MicroOp, MicrobenchSpec, Spec};
+use smart_lab::smart::{QpPolicy, SmartConfig, SmartContext};
 use smart_lab::smart_rnic::{Cluster, ClusterConfig, RemoteAddr};
 use smart_lab::smart_rt::{Duration, Simulation};
 
@@ -19,7 +18,8 @@ fn bench(policy: QpPolicy, threads: usize, depth: usize, throttle: bool) -> f64 
         Duration::from_millis(1)
     };
     spec.measure = Duration::from_millis(3);
-    run_microbench(&spec).mops
+    let spec = Spec::Micro(spec);
+    run(&spec, &spec.single_plan(), 1).report.mops
 }
 
 fn main() {

@@ -14,8 +14,8 @@
 
 use std::rc::Rc;
 
-use smart_bench::parallel_map;
-use smart_lab::smart::{run_microbench, MicrobenchSpec, SmartConfig, SmartContext};
+use smart_bench::{parallel_map, run, MicrobenchSpec, Spec};
+use smart_lab::smart::{SmartConfig, SmartContext};
 use smart_lab::smart_check::{
     check_sink, probe_events, recording_sink, ExploreReport, Finding, RunReport,
 };
@@ -31,7 +31,8 @@ fn fig03_run(policy: SchedulePolicy, salt: u64) -> RunReport {
     spec.measure = Duration::from_micros(800);
     spec.schedule = policy;
     spec.trace = Some(sink.clone());
-    run_microbench(&spec);
+    let spec = Spec::Micro(spec);
+    run(&spec, &spec.single_plan(), 1);
     RunReport {
         salt,
         policy,

@@ -8,7 +8,8 @@
 //! per simulated thread, with DB-lock waits, RNIC pipeline service,
 //! fabric transfers and backoff sleeps as spans on the virtual timeline.
 
-use smart_lab::smart::{run_microbench, MicrobenchSpec, QpPolicy, SmartConfig};
+use smart_bench::{run, MicrobenchSpec, Spec};
+use smart_lab::smart::{QpPolicy, SmartConfig};
 use smart_lab::smart_rt::Duration;
 use smart_lab::smart_trace::{Category, TraceSink};
 
@@ -29,7 +30,9 @@ fn main() {
     let sink = TraceSink::new();
     spec.trace = Some(sink.clone());
 
-    let report = run_microbench(&spec);
+    let spec = Spec::Micro(spec);
+
+    let report = run(&spec, &spec.single_plan(), 1).report;
     println!(
         "shared-qp, {threads} threads: {:.1} MOPS over {} ops",
         report.mops, report.ops

@@ -11,8 +11,10 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use smart_bench::{run_bt, run_dtx, run_ht, BtParams, BtVariant, DtxParams, DtxWorkload, HtParams};
-use smart_lab::smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
+use smart_bench::{
+    run, BtParams, BtVariant, DtxParams, DtxWorkload, HtParams, MicroOp, MicrobenchSpec, Spec,
+};
+use smart_lab::smart::{QpPolicy, SmartConfig};
 use smart_lab::smart_rt::Duration;
 use smart_lab::smart_workloads::ycsb::Mix;
 
@@ -131,11 +133,10 @@ fn cmd_micro(args: &Args) -> Result<(), String> {
         Duration::from_millis(2)
     };
     spec.measure = Duration::from_millis(args.u64("ms", 5)?);
-    let r = run_microbench(&spec);
-    println!(
-        "micro {policy:?} threads={threads} depth={} op={op:?} throttle={throttle}",
-        spec.depth
-    );
+    let depth = spec.depth;
+    let spec = Spec::Micro(spec);
+    let r = run(&spec, &spec.single_plan(), 1).report;
+    println!("micro {policy:?} threads={threads} depth={depth} op={op:?} throttle={throttle}");
     println!(
         "  {:.2} MOPS | {:.1} DRAM B/WR | WQE hit {:.3} | MTT hit {:.3}",
         r.mops, r.dram_bytes_per_op, r.wqe_hit_ratio, r.mtt_hit_ratio
@@ -161,7 +162,8 @@ fn cmd_ht(args: &Args) -> Result<(), String> {
         parse_mix(&args.get("mix", "read-heavy"))?,
     );
     p.measure = Duration::from_millis(args.u64("ms", 5)?);
-    let r = run_ht(&p);
+    let spec = Spec::Ht(p.clone());
+    let r = run(&spec, &spec.single_plan(), 1).report;
     println!(
         "ht system={system} threads={threads} mix={:?} keys={}",
         p.mix, p.keys
@@ -188,7 +190,8 @@ fn cmd_dtx(args: &Args) -> Result<(), String> {
         args.u64("rows", 20_000)?,
     );
     p.measure = Duration::from_millis(args.u64("ms", 5)?);
-    let r = run_dtx(&p);
+    let spec = Spec::Dtx(p.clone());
+    let r = run(&spec, &spec.single_plan(), 1).report;
     println!(
         "dtx system={system} threads={threads} workload={workload:?} rows={}",
         p.rows
@@ -218,7 +221,8 @@ fn cmd_bt(args: &Args) -> Result<(), String> {
         parse_mix(&args.get("mix", "read-only"))?,
     );
     p.measure = Duration::from_millis(args.u64("ms", 5)?);
-    let r = run_bt(&p);
+    let spec = Spec::Bt(p.clone());
+    let r = run(&spec, &spec.single_plan(), 1).report;
     println!(
         "bt system={} threads={threads} mix={:?} keys={}",
         variant.name(),

@@ -5,7 +5,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use smart_lab::smart::{run_microbench, MicrobenchSpec, QpPolicy, SmartConfig, SmartContext};
+use smart_bench::{run, MicrobenchSpec, Spec};
+use smart_lab::smart::{QpPolicy, SmartConfig, SmartContext};
 use smart_lab::smart_check::{
     check_sink, explore, probe_events, recording_sink, Finding, RunReport,
 };
@@ -208,7 +209,8 @@ fn fig03_microbench_is_clean_across_16_schedules() {
         spec.measure = Duration::from_micros(400);
         spec.schedule = policy;
         spec.trace = Some(sink.clone());
-        let bench = run_microbench(&spec);
+        let spec = Spec::Micro(spec);
+        let bench = run(&spec, &spec.single_plan(), 1).report;
         assert!(bench.ops > 0, "bench made progress");
         RunReport {
             salt,
@@ -394,7 +396,8 @@ fn baseline_config_microbench_is_clean() {
         spec.measure = Duration::from_micros(300);
         spec.schedule = policy;
         spec.trace = Some(sink.clone());
-        run_microbench(&spec);
+        let spec = Spec::Micro(spec);
+        run(&spec, &spec.single_plan(), 1);
         RunReport {
             salt,
             policy,

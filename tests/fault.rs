@@ -7,7 +7,7 @@
 
 use std::rc::Rc;
 
-use smart_bench::{parallel_map, run_ht, HtParams};
+use smart_bench::{parallel_map, run, HtParams, Spec};
 use smart_lab::smart::{RetryPolicy, SmartConfig, SmartContext, SmartThread};
 use smart_lab::smart_fault::{FaultInjector, FaultPlan};
 use smart_lab::smart_ford::{backoff_after_abort, DtxError, RecordId, SmallBank};
@@ -178,7 +178,8 @@ fn same_seed_chaos_runs_are_byte_identical() {
         p.measure = Duration::from_millis(2);
         p.seed = seed;
         p.fault = Some(FaultPlan::new().with_packet_loss(0.01));
-        let r = run_ht(&p);
+        let spec = Spec::Ht(p);
+        let r = run(&spec, &spec.single_plan(), 1).report;
         assert!(r.conservation.is_empty(), "{:?}", r.conservation);
         assert!(r.faults_injected > 0, "1 % loss injected nothing");
         assert!(r.faults_recovered > 0, "nothing recovered");

@@ -35,8 +35,8 @@
 //! engine domains: fig07 and a serve phase run under partitions that
 //! cover a domain per blade, blades sharing one remote domain, and a
 //! blade co-located with the compute domain next to a remote one, and
-//! SmallBank and SMART-BT run with a domain per blade, at 1/2/4/8
-//! engine workers. Every leg — report bytes, blade-domain
+//! SmallBank, SMART-BT and the fig03 microbench run with a domain per
+//! blade, at 1/2/4/8 engine workers. Every leg — report bytes, blade-domain
 //! artifacts, epoch/envelope counters and trace hash — must match the
 //! committed golden exactly, so the bytes are pinned across worker
 //! counts and across commits. The fingerprints are also published under
@@ -45,12 +45,10 @@
 use std::path::PathBuf;
 
 use smart_bench::{
-    run, run_bt, run_dtx, run_ht, serve_spec, BtParams, BtVariant, DtxParams, DtxWorkload,
-    HtParams, RunReport, Spec,
+    run, serve_spec, BtParams, BtVariant, DtxParams, DtxWorkload, HtParams, MicroOp,
+    MicrobenchSpec, RunReport, Spec,
 };
-use smart_lab::smart::{
-    run_microbench, MicroOp, MicrobenchReport, MicrobenchSpec, QpPolicy, SmartConfig,
-};
+use smart_lab::smart::{QpPolicy, SmartConfig};
 use smart_lab::smart_fault::FaultPlan;
 use smart_lab::smart_rnic::{BladeId, DomainPlan};
 use smart_lab::smart_rt::pdes::DomainId;
@@ -93,10 +91,9 @@ fn assert_golden(name: &str, got: &str) {
     );
 }
 
-/// One fig03-style microbench point (thread-aware doorbell QPs, depth 8)
-/// with a tracer installed, under the given tie-break policy.
-fn fig03_run(schedule: SchedulePolicy) -> (String, String) {
-    let sink = TraceSink::with_capacity(TRACE_EVENTS);
+/// The fig03-style microbench point (thread-aware doorbell QPs, depth
+/// 8, one blade).
+fn fig03_spec() -> MicrobenchSpec {
     let mut spec = MicrobenchSpec::new(
         SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 4),
         4,
@@ -106,30 +103,39 @@ fn fig03_run(schedule: SchedulePolicy) -> (String, String) {
     spec.warmup = Duration::from_micros(300);
     spec.measure = Duration::from_millis(1);
     spec.seed = 42;
+    spec
+}
+
+/// One fig03 point with a tracer installed, under the given tie-break
+/// policy.
+fn fig03_run(schedule: SchedulePolicy) -> (String, String) {
+    let sink = TraceSink::with_capacity(TRACE_EVENTS);
+    let mut spec = fig03_spec();
     spec.trace = Some(sink.clone());
     spec.schedule = schedule;
-    let report = run_microbench(&spec);
+    let threads = spec.threads;
+    let report = single(Spec::Micro(spec));
     assert_quiesced(
         &format!("fig03 {schedule:?}"),
         report.live_tasks,
-        spec.threads,
+        threads,
         0,
     );
     (micro_fingerprint(&report), sink.chrome_json())
 }
 
-/// Renders a [`MicrobenchReport`] in its derived `Debug` form without
-/// `sim_events` and `live_tasks`, which [`report_fingerprint`] leaves out
-/// of [`RunReport`] goldens too.
-fn micro_fingerprint(r: &MicrobenchReport) -> String {
-    let MicrobenchReport {
+/// Renders a microbench [`RunReport`] in the derived `Debug` form of the
+/// report type the microbench had before it joined [`RunReport`] (the
+/// window's ops and rate, DRAM bytes per WR and the two cache hit
+/// ratios), so its goldens keep their bytes.
+fn micro_fingerprint(r: &RunReport) -> String {
+    let RunReport {
         ops,
         mops,
         dram_bytes_per_op,
         wqe_hit_ratio,
         mtt_hit_ratio,
-        sim_events: _,
-        live_tasks: _,
+        ..
     } = r;
     format!(
         "MicrobenchReport {{ ops: {ops:?}, mops: {mops:?}, dram_bytes_per_op: \
@@ -153,7 +159,7 @@ fn fault_run() -> (String, String) {
     p.seed = 1907;
     p.trace = Some(sink.clone());
     p.fault = Some(plan);
-    let report = run_ht(&p);
+    let report = single(Spec::Ht(p.clone()));
     assert_quiesced("fault", report.live_tasks, p.threads, 0);
     (report_fingerprint(&report), sink.chrome_json())
 }
@@ -171,6 +177,9 @@ fn report_fingerprint(r: &RunReport) -> String {
         avg_retries,
         retry_hist,
         abort_rate,
+        dram_bytes_per_op: _,
+        wqe_hit_ratio: _,
+        mtt_hit_ratio: _,
         faults_injected,
         faults_seen,
         faults_recovered,
@@ -189,6 +198,11 @@ fn report_fingerprint(r: &RunReport) -> String {
          recovery_p50={recovery_p50:?}\nrecovery_p99={recovery_p99:?}\n\
          conservation={conservation:?}\n"
     )
+}
+
+/// `spec` under its single plan on one engine worker.
+fn single(spec: Spec) -> RunReport {
+    run(&spec, &spec.single_plan(), 1).report
 }
 
 /// The stranded-task gate. Once a run has quiesced, domain 0 holds only
@@ -285,11 +299,12 @@ fn traced_cell(threads: usize, run: impl FnOnce(TraceSink) -> RunReport) -> Stri
     )
 }
 
-/// Runs one hash-table cell through `run_ht` with a tracer installed.
+/// Runs one hash-table cell under its single plan with a tracer
+/// installed.
 fn inline_ht_cell(mut p: HtParams) -> String {
     traced_cell(p.compute_nodes * p.threads, |sink| {
         p.trace = Some(sink);
-        run_ht(&p)
+        single(Spec::Ht(p))
     })
 }
 
@@ -330,7 +345,7 @@ fn dtx_smallbank_small_inline_matches_golden() {
     p.measure = Duration::from_millis(1);
     let fp = traced_cell(p.threads, |sink| {
         p.trace = Some(sink);
-        run_dtx(&p)
+        single(Spec::Dtx(p))
     });
     assert!(!fp.starts_with("ops=0\n"), "no transaction committed");
     assert_golden("inline_dtx_smallbank.fp.txt", &fp);
@@ -343,7 +358,7 @@ fn bt_smart_small_inline_matches_golden() {
     p.measure = Duration::from_millis(1);
     let fp = traced_cell(p.threads, |sink| {
         p.trace = Some(sink);
-        run_bt(&p)
+        single(Spec::Bt(p))
     });
     assert!(!fp.starts_with("ops=0\n"), "no tree operation completed");
     assert_golden("inline_bt_smart.fp.txt", &fp);
@@ -380,7 +395,7 @@ fn fault_seed_sweep_inline_matches_golden() {
         p.measure = Duration::from_millis(1);
         p.seed = 1907 + seed;
         p.fault = Some(plan);
-        let report = run_ht(&p);
+        let report = single(Spec::Ht(p.clone()));
         assert_quiesced(
             &format!("sweep seed {seed}"),
             report.live_tasks,
@@ -466,21 +481,26 @@ fn with_trace(spec: &Spec, sink: TraceSink) -> Spec {
         Spec::Ht(p) => p.trace = Some(sink),
         Spec::Dtx(p) => p.trace = Some(sink),
         Spec::Bt(p) => p.trace = Some(sink),
+        Spec::Micro(s) => s.trace = Some(sink),
     }
     spec
 }
 
-/// Runs a closed-loop cell of `threads` `SmartThread`s decomposed over
-/// `plan` with a tracer installed, through [`assert_decomposed_golden`].
+/// Runs a cell of `threads` `SmartThread`s decomposed over `plan` with a
+/// tracer installed, through [`assert_decomposed_golden`].
 fn assert_closed_loop_matrix(label: &str, spec: &Spec, plan: &DomainPlan, threads: usize) {
     let remote = remote_blades(plan, spec.cluster_config().memory_blades as u32);
+    let fingerprint = match spec {
+        Spec::Micro(_) => micro_fingerprint,
+        _ => report_fingerprint,
+    };
     assert_decomposed_golden(label, remote, |workers| {
         let sink = TraceSink::with_capacity(TRACE_EVENTS);
         let d = run(&with_trace(spec, sink.clone()), plan, workers);
         assert_quiesced(label, d.live_tasks, threads, remote);
         format!(
             "{}blade_log:\n{}epochs={} envelopes={} blade_requests={}\n{}",
-            report_fingerprint(&d.report),
+            fingerprint(&d.report),
             d.blade_log,
             d.epochs,
             d.envelopes,
@@ -508,6 +528,24 @@ fn matrix_fig07_decomposed_plans_are_byte_identical_across_engine_workers() {
         let label = format!("decomposed_fig07_{pname}");
         assert_closed_loop_matrix(&label, &Spec::Ht(p.clone()), &plan, p.threads);
     }
+}
+
+#[test]
+fn matrix_fig03_decomposed_per_blade_is_byte_identical_across_engine_workers() {
+    // The fig03 point on two blades, each in its own domain. The golden
+    // was captured from the microbench's own plan-taking entry before it
+    // became `Spec::Micro` of the one driver.
+    let mut spec = fig03_spec();
+    spec.blades = 2;
+    spec.region_bytes = 1 << 20;
+    let threads = spec.threads;
+    let plan = DomainPlan::per_blade(1, 2);
+    assert_closed_loop_matrix(
+        "decomposed_fig03_per_blade",
+        &Spec::Micro(spec),
+        &plan,
+        threads,
+    );
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! doorbells the lock vanishes from the profile and the ~2 µs fabric
 //! roundtrip dominates instead.
 
-use smart_lab::smart::{run_microbench, MicrobenchSpec, QpPolicy, SmartConfig};
+use smart_bench::{run, MicrobenchSpec, Spec};
+use smart_lab::smart::{QpPolicy, SmartConfig};
 use smart_lab::smart_rt::Duration;
 use smart_lab::smart_trace::{Category, TraceSink};
 
@@ -16,7 +17,8 @@ fn attributed_run(policy: QpPolicy) -> (f64, u64) {
     spec.measure = Duration::from_millis(1);
     let sink = TraceSink::new();
     spec.trace = Some(sink.clone());
-    let report = run_microbench(&spec);
+    let spec = Spec::Micro(spec);
+    let report = run(&spec, &spec.single_plan(), 1).report;
     assert!(report.ops > 0, "no ops completed under {policy:?}");
 
     let attr = sink.attribution();

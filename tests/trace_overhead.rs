@@ -3,29 +3,32 @@
 //! the *same* simulated schedule. We assert exact op-count equality —
 //! strictly stronger than the "within 2 %" acceptance criterion.
 
-use smart_lab::smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
+use smart_bench::{run, MicroOp, MicrobenchSpec, RunReport, Spec};
+use smart_lab::smart::{QpPolicy, SmartConfig};
 use smart_lab::smart_rt::Duration;
 use smart_lab::smart_trace::TraceSink;
 
-fn spec(trace: Option<TraceSink>) -> MicrobenchSpec {
-    let mut spec = MicrobenchSpec::new(
+/// One microbench run with `trace` as its sink.
+fn bench(trace: Option<TraceSink>) -> RunReport {
+    let mut micro = MicrobenchSpec::new(
         SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 16),
         16,
         8,
     );
-    spec.op = MicroOp::Read(8);
-    spec.warmup = Duration::from_micros(500);
-    spec.measure = Duration::from_millis(2);
-    spec.trace = trace;
-    spec
+    micro.op = MicroOp::Read(8);
+    micro.warmup = Duration::from_micros(500);
+    micro.measure = Duration::from_millis(2);
+    micro.trace = trace;
+    let spec = Spec::Micro(micro);
+    run(&spec, &spec.single_plan(), 1).report
 }
 
 #[test]
 fn tracing_has_zero_simulated_time_overhead() {
-    let baseline = run_microbench(&spec(None));
-    let disabled = run_microbench(&spec(Some(TraceSink::disabled())));
+    let baseline = bench(None);
+    let disabled = bench(Some(TraceSink::disabled()));
     let enabled_sink = TraceSink::new();
-    let enabled = run_microbench(&spec(Some(enabled_sink.clone())));
+    let enabled = bench(Some(enabled_sink.clone()));
 
     assert_eq!(
         baseline.ops, disabled.ops,
