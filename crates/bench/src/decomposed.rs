@@ -198,11 +198,9 @@ mod tests {
         assert_eq!(seq.envelopes, par.envelopes);
         assert!(seq.report.ops > 0, "no progress through blade domains");
         // Every crossing work request is one request envelope plus one
-        // reply envelope; nothing else crosses.
+        // reply envelope; nothing else crosses. (The engine itself
+        // asserts that no remote blade's shadow served a request.)
+        assert!(seq.blade_requests > 0, "no request crossed the partition");
         assert_eq!(seq.envelopes, 2 * seq.blade_requests);
-        assert_eq!(
-            seq.cross_domain_wrs, seq.blade_requests,
-            "fault-free run: every crossing WR reaches its blade domain"
-        );
     }
 }

@@ -82,14 +82,19 @@ impl std::fmt::Debug for FaultInjector {
 
 impl FaultInjector {
     /// Installs a blade domain's share of a plan lowered with
-    /// [`FaultPlan::lower_onto`] on that domain's cluster replica, if the
-    /// share schedules anything. Only the crash/restart timeline matters
-    /// there: nothing posts in a blade domain, so the probabilistic draws
-    /// never fire (the timeline task keeps its own reference to the
+    /// [`FaultPlan::lower_onto`] on that domain's cluster, if the share
+    /// schedules anything: only the blade crash/restart timeline runs
+    /// there. A blade domain's cluster has no compute nodes — nothing
+    /// posts in it — so no hook is installed and no probabilistic draw
+    /// ever fires (the timeline task keeps its own reference to the
     /// injector).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event names a node or blade the cluster doesn't have.
     pub fn install_share(cluster: &Cluster, share: &FaultPlan) {
         if !share.events().is_empty() {
-            FaultInjector::install(cluster, share.clone());
+            FaultInjector::start(cluster, share.clone());
         }
     }
 
@@ -106,7 +111,17 @@ impl FaultInjector {
             !cluster.compute_nodes().is_empty(),
             "fault injection needs at least one compute node"
         );
-        let handle = cluster.compute(0).handle().clone();
+        let injector = FaultInjector::start(cluster, plan);
+        for node in cluster.compute_nodes() {
+            node.install_fault_hook(Rc::clone(&injector) as Rc<dyn FaultHook>);
+        }
+        injector
+    }
+
+    /// Builds the injector for `plan` on the cluster's simulation and
+    /// spawns the timeline task that applies its scheduled events.
+    fn start(cluster: &Cluster, plan: FaultPlan) -> Rc<Self> {
+        let handle = cluster.handle().clone();
         for ev in plan.events() {
             match ev.kind {
                 FaultEventKind::QpError { node, .. } => assert!(
@@ -133,9 +148,6 @@ impl FaultInjector {
             qp_errors: Counter::new(),
             blade_crashes: Counter::new(),
         });
-        for node in cluster.compute_nodes() {
-            node.install_fault_hook(Rc::clone(&injector) as Rc<dyn FaultHook>);
-        }
         // Expand crash events into crash + restart entries and replay them
         // in time order from one driver task.
         let mut timeline: Vec<(SimTime, TimelineAction)> = Vec::new();
@@ -403,6 +415,25 @@ mod tests {
         );
         assert_eq!(inj.on_wr(&qp, &wr(2)), InjectDecision::Deliver);
         assert_eq!(inj.stats().mr_revoked, 1);
+    }
+
+    #[test]
+    fn share_on_a_blade_only_cluster_runs_the_crash_timeline() {
+        let mut sim = Simulation::new(5);
+        let c = Cluster::new(sim.handle(), ClusterConfig::new(0, 2));
+        let share =
+            FaultPlan::new().blade_crash_at(Duration::from_micros(10), 1, Duration::from_micros(5));
+        FaultInjector::install_share(&c, &share);
+        sim.run_for(Duration::from_micros(9));
+        assert!(!c.blade(1).is_crashed());
+        sim.run_for(Duration::from_micros(2));
+        assert!(c.blade(1).is_crashed(), "crashed at 10 us");
+        assert!(!c.blade(0).is_crashed());
+        sim.run_for(Duration::from_micros(3));
+        assert!(c.blade(1).is_crashed(), "still down at 14 us");
+        sim.run_for(Duration::from_micros(2));
+        assert!(!c.blade(1).is_crashed(), "restarted at 15 us");
+        assert_eq!((c.blade(0).epoch(), c.blade(1).epoch()), (0, 1));
     }
 
     #[test]

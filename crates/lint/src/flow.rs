@@ -432,6 +432,27 @@ fn first_workspace_type<'a>(
         .find_map(|s| type_crate(types, s, krate).map(|c| (s.clone(), c)))
 }
 
+/// The `(` that calls the ident at `i`: right after it, or after a
+/// turbofish (`collect::<Vec<_>>(`).
+fn call_paren(toks: &[Tok], i: usize) -> Option<usize> {
+    let mut j = i + 1;
+    if is_path_sep(toks, j) && toks.get(j + 2).is_some_and(|t| t.is_punct('<')) {
+        let mut depth = 0;
+        for (k, t) in toks.iter().enumerate().skip(j + 2) {
+            if t.is_punct('<') {
+                depth += 1;
+            } else if t.is_punct('>') && !toks[k - 1].is_punct('-') {
+                depth -= 1;
+                if depth == 0 {
+                    j = k + 1;
+                    break;
+                }
+            }
+        }
+    }
+    toks.get(j).is_some_and(|t| t.is_punct('(')).then_some(j)
+}
+
 /// Walks one fn body, seeding intrinsic effects and resolving call
 /// edges and rule sites.
 fn scan_fn(
@@ -466,14 +487,13 @@ fn scan_fn(
             return i + 1;
         };
         let prev_dot = i >= 1 && toks[i - 1].is_punct('.');
-        let next_paren = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
         let next_bang = toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
 
         if name == "await" && prev_dot {
             out.intrinsic = out.intrinsic.join(Effects::AWAIT);
         } else if next_bang && ALLOC_MACROS.contains(&name) {
             out.intrinsic = out.intrinsic.join(Effects::ALLOC);
-        } else if prev_dot && next_paren {
+        } else if let Some(open) = call_paren(toks, i).filter(|_| prev_dot) {
             // Method call.
             let seed = method_seed(name);
             out.intrinsic = out.intrinsic.join(seed);
@@ -482,7 +502,7 @@ fn scan_fn(
                 record_shared_site(&recv, types, krate, t.line, &mut out.shared);
             }
             if seed.contains(Effects::SPAWN) {
-                record_escapes(toks, binds, types, krate, i, close, &mut out.escapes);
+                record_escapes(toks, binds, types, krate, open, close, &mut out.escapes);
             }
             let edge_type = match &recv {
                 Recv::SelfDirect => item.impl_type.clone(),
@@ -644,20 +664,20 @@ fn record_shared_site(
 }
 
 /// Records `Rc<WorkspaceType>` bindings captured inside the argument
-/// span of a `.spawn(…)` whose name token sits at `i`.
+/// span of a `.spawn(…)` whose argument list opens at `open`.
 fn record_escapes(
     toks: &[Tok],
     binds: &Bindings,
     types: &BTreeMap<String, BTreeSet<String>>,
     krate: &str,
-    i: usize,
+    open: usize,
     body_close: usize,
     out: &mut Vec<Site>,
 ) {
-    let close = items::matching(toks, i + 1, '(', ')').min(body_close);
-    let line = toks[i].line;
+    let close = items::matching(toks, open, '(', ')').min(body_close);
+    let line = toks[open].line;
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    for j in i + 2..close {
+    for j in open + 1..close {
         let Some(name) = toks[j].ident() else {
             continue;
         };

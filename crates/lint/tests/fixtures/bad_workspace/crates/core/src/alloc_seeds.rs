@@ -16,3 +16,5 @@ pub fn alloc_vec_macro() -> usize { vec![0u8; 4].len() }
 pub fn alloc_format_macro() -> usize { format!("{}", 1).len() }
 
 pub fn alloc_collect(xs: &[u8]) -> Vec<u8> { xs.iter().copied().collect() }
+
+pub fn alloc_collect_turbofish(xs: &[u8]) -> usize { xs.iter().copied().collect::<Vec<u8>>().len() }

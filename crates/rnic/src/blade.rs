@@ -37,8 +37,6 @@ pub struct MemoryBlade {
     ops: Counter,
     crashed: Cell<bool>,
     epoch: Cell<u64>,
-    /// Raw scheduling-domain id the cluster's plan assigns this blade.
-    domain: Cell<u32>,
     /// Requester-side port to this blade's engine domain, when the blade
     /// is a domain-0 shadow in a decomposed run. `None` (the default):
     /// the verb lifecycle serves this copy in place.
@@ -77,7 +75,6 @@ impl MemoryBlade {
             ops: Counter::new(),
             crashed: Cell::new(false),
             epoch: Cell::new(0),
-            domain: Cell::new(0),
             remote: RefCell::new(None),
         })
     }
@@ -102,16 +99,6 @@ impl MemoryBlade {
     /// The attached remote port, if this blade is a decomposed shadow.
     pub(crate) fn remote_port(&self) -> Option<Rc<RemotePort>> {
         self.remote.borrow().clone()
-    }
-
-    /// The scheduling domain this blade is assigned to (domain 0 — the
-    /// sequential default — until a cluster plan tags it).
-    pub fn domain(&self) -> smart_rt::pdes::DomainId {
-        smart_rt::pdes::DomainId(self.domain.get())
-    }
-
-    pub(crate) fn set_domain(&self, d: smart_rt::pdes::DomainId) {
-        self.domain.set(d.0);
     }
 
     /// This blade's id.

@@ -9,36 +9,36 @@
 //!   classic sequential simulation, [`DomainPlan::per_blade`] puts each
 //!   blade in its own domain, and [`DomainPlan::for_workers`] round-robins
 //!   blades over the available worker threads;
-//! * the **lookahead** is the fabric's fixed one-way latency
-//!   ([`DomainPlan::lookahead`]): a work request posted at time *t* cannot
-//!   affect the responding blade before *t + latency*, which is precisely
-//!   the conservative-synchronization window the coordinator exploits.
+//! * the **lookahead** is the fabric's fixed one-way latency: a work
+//!   request posted at time *t* cannot affect the responding blade before
+//!   *t + latency*, so every blade channel is declared at that latency,
+//!   which is precisely the conservative-synchronization window the
+//!   coordinator exploits.
 //!
-//! The channels that carry verbs between domains, and the wiring that
-//! turns a plan into a running engine topology, live in
-//! [`crate::engine`].
+//! The plan is read in one place, [`crate::engine::run_decomposed`],
+//! which declares the channels that carry verbs between domains and
+//! turns the plan into a running engine topology. The cluster model —
+//! [`crate::Cluster`], [`crate::ComputeNode`], [`crate::Qp`],
+//! [`crate::MemoryBlade`] — never sees it.
 //!
 //! smart-flow's `cross-domain-shared-state` and `rc-escape` rules prove
 //! statically that simulated thread domains and the fabric interact only
-//! through NIC verbs; the plan's [`DomainPlan::crossing`] predicate is the
-//! dynamic mirror of that proof — the cluster counts every work request
-//! that crosses a domain boundary so the equivalence tests can assert the
-//! partition actually exercised cross-domain traffic.
-
-use std::time::Duration;
+//! through NIC verbs. The engine's shadow check is the dynamic mirror of
+//! that proof: once the engine is quiescent, domain 0 asserts that every
+//! blade it reaches through a remote port served nothing on its own
+//! shadow copy, so every work request to that blade crossed the
+//! partition as a request envelope.
 
 use smart_rt::pdes::DomainId;
 
-use crate::config::FabricConfig;
 use crate::types::{BladeId, NodeId};
 
 /// Assignment of compute nodes and memory blades to scheduling domains.
 ///
 /// Domain 0 always hosts the compute nodes (and, with them, the fabric
 /// requester side); blades may share it or live in their own domains.
-/// The plan is pure data: it never changes simulation behaviour, only
-/// where domains are hosted and which work requests are counted as
-/// cross-domain.
+/// The plan is pure data: it says only which domain hosts each node and
+/// blade.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DomainPlan {
     domains: u32,
@@ -109,19 +109,6 @@ impl DomainPlan {
     pub fn blade_domain(&self, blade: BladeId) -> DomainId {
         DomainId(self.blade_domain[blade.0 as usize])
     }
-
-    /// Whether a work request from `node` to `blade` crosses a scheduling
-    /// domain boundary.
-    pub fn crossing(&self, node: NodeId, blade: BladeId) -> bool {
-        self.node_domain[node.0 as usize] != self.blade_domain[blade.0 as usize]
-    }
-
-    /// The conservative lookahead this plan supports: the fabric's fixed
-    /// one-way latency. Nothing posted in one domain can be observed in
-    /// another sooner than this.
-    pub fn lookahead(&self, fabric: &FabricConfig) -> Duration {
-        fabric.one_way_latency
-    }
 }
 
 #[cfg(test)]
@@ -132,8 +119,8 @@ mod tests {
     fn single_plan_is_sequential() {
         let p = DomainPlan::single(3, 2);
         assert_eq!(p.domains(), 1);
-        assert_eq!(p.domains(), 1);
-        assert!(!p.crossing(NodeId(2), BladeId(1)));
+        assert_eq!(p.node_domain(NodeId(2)), DomainId(0));
+        assert_eq!(p.blade_domain(BladeId(1)), DomainId(0));
     }
 
     #[test]
@@ -143,7 +130,6 @@ mod tests {
         assert_eq!(p.node_domain(NodeId(1)), DomainId(0));
         assert_eq!(p.blade_domain(BladeId(0)), DomainId(1));
         assert_eq!(p.blade_domain(BladeId(2)), DomainId(3));
-        assert!(p.crossing(NodeId(0), BladeId(0)));
     }
 
     #[test]
@@ -164,7 +150,8 @@ mod tests {
     fn custom_plan_counts_domains_from_max() {
         let p = DomainPlan::custom(vec![0, 2], vec![1, 1, 0]);
         assert_eq!(p.domains(), 3);
-        assert!(p.crossing(NodeId(0), BladeId(0)));
-        assert!(!p.crossing(NodeId(0), BladeId(2)));
+        assert_eq!(p.node_domain(NodeId(1)), DomainId(2));
+        assert_eq!(p.blade_domain(BladeId(0)), DomainId(1));
+        assert_eq!(p.blade_domain(BladeId(2)), DomainId(0));
     }
 }

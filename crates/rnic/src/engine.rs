@@ -8,27 +8,34 @@
 //! [`verbs`](crate::qp::Qp::post_send) crosses to it over a typed
 //! `BladeLink` — a `BladeRequest` travelling requester → blade and a
 //! `BladeReply` travelling back, each paying the fabric's one-way
-//! latency (exactly the plan's conservative lookahead) — and
+//! latency (exactly the engine's conservative lookahead) — and
 //! `spawn_blade_engine` runs the same `serve` on the blade's side.
 //!
-//! Wiring ([`run_decomposed`], the one place it is written; the engine
-//! drivers in `smart-bench`/`smart-serve` supply the scenario):
+//! Wiring ([`run_decomposed`], the one place it is written and the only
+//! code in this crate that reads a [`DomainPlan`]; the engine drivers in
+//! `smart-bench`/`smart-serve` supply the scenario). The cluster model
+//! never learns how it is partitioned: every domain builds a plain
+//! [`Cluster`], and the plan decides only which blades get ports and
+//! engines.
 //!
 //! * every domain replays the *same deterministic bootstrap* — building
-//!   the full cluster and loading application state uses only the bump
+//!   the blades and loading application state uses only the bump
 //!   allocator and direct memory writes, no RNG and no simulated time —
 //!   so blade state needs no shipping: the owning domain's copy is
 //!   authoritative, every other domain holds an inert shadow;
-//! * domain 0 binds the requester ends and attaches a `RemotePort` to
-//!   each crossing blade's shadow (`MemoryBlade::attach_remote`); the
-//!   verb lifecycle consults the port instead of serving locally. The
-//!   port's dispatcher delivers each reply into a
-//!   [`Claims`] rendezvous keyed by slot and
-//!   wakes only the roundtrip waiting on that slot. A
-//!   blade the plan co-locates with domain 0 gets no port, and a
+//! * domain 0 builds the full cluster, binds the requester ends and
+//!   attaches a `RemotePort` to each crossing blade's shadow
+//!   (`MemoryBlade::attach_remote`); the verb lifecycle consults the
+//!   port instead of serving locally. The port's dispatcher delivers
+//!   each reply into a [`Claims`] rendezvous keyed by slot and wakes
+//!   only the roundtrip waiting on that slot. A blade the plan
+//!   co-locates with domain 0 gets no port, and a
 //!   [`DomainPlan::single`](crate::DomainPlan::single) plan gives none at
-//!   all: the engine then runs domain 0 alone;
-//! * each blade domain runs the caller's bootstrap callback (application
+//!   all: the engine then runs domain 0 alone. Once the engine is
+//!   quiescent, domain 0 checks that no shadow behind a port served a
+//!   request: a request that missed its port would have run there;
+//! * each blade domain builds a cluster with zero compute nodes (nothing
+//!   posts there), runs the caller's bootstrap callback (application
 //!   preload plus its lowered fault sub-plan — both stay out of this
 //!   crate), binds the responder ends and calls `spawn_blade_engine` on
 //!   its authoritative blades; its finish artifact is one line per blade;
@@ -215,8 +222,8 @@ pub(crate) fn spawn_blade_engine(
 pub type BladeArtifact = Box<dyn Fn(usize, &MemoryBlade) -> String>;
 
 /// Outcome of [`run_decomposed`]: the scenario's report plus the
-/// engine's partition counters. Everything in here is independent of the
-/// engine worker count.
+/// engine's counters. Everything in here is independent of the engine
+/// worker count.
 #[derive(Clone, Debug)]
 pub struct Decomposed<R> {
     /// What the compute domain's finish hook returned.
@@ -233,14 +240,12 @@ pub struct Decomposed<R> {
     pub epochs: u64,
     /// Envelopes routed across domains, requests and replies combined.
     pub envelopes: u64,
-    /// Request envelopes delivered into blade domains. In a fault-free
-    /// run this equals `cross_domain_wrs` — every crossing work request
-    /// becomes exactly one `BladeRequest`.
+    /// Request envelopes delivered into blade domains: one per work
+    /// request to a remote blade, each answered by one reply envelope,
+    /// so `envelopes == 2 * blade_requests`. Domain 0 asserts that no
+    /// remote blade's shadow served anything, so no such request was
+    /// executed on the wrong side of the partition.
     pub blade_requests: u64,
-    /// Work requests the compute side counted as crossing the partition
-    /// ([`crate::ComputeNode::cross_domain_wrs`] summed over nodes —
-    /// diagnostics-only, never part of golden-visible output).
-    pub cross_domain_wrs: u64,
     /// Concatenated blade-domain artifacts: one
     /// `blade<i> <extra>served=<n> epoch=<e>` line per remote blade,
     /// from the authoritative copies.
@@ -257,10 +262,11 @@ pub struct Decomposed<R> {
 ///
 /// `compute` builds the scenario on domain 0's handle and cluster (ports
 /// already attached) and returns its finish hook, which runs once the
-/// engine is quiescent. `bootstrap` runs in every blade domain on that
-/// domain's own replica of the cluster, before the blade engines start:
-/// it must replay the same deterministic preload `compute` performs, and
-/// is the place to install the domain's lowered fault sub-plan.
+/// engine is quiescent. `bootstrap` runs in every blade domain, before
+/// the blade engines start, on that domain's own cluster: every blade of
+/// `cfg` and no compute node. It must replay the same deterministic
+/// preload `compute` performs on the blades, and is the place to
+/// install the domain's lowered fault sub-plan.
 ///
 /// A single-domain plan is the degenerate case: no blade crosses, so
 /// the engine has no channels and runs domain 0 alone.
@@ -268,7 +274,8 @@ pub struct Decomposed<R> {
 /// # Panics
 ///
 /// Panics if the plan hosts a compute node outside domain 0 or does not
-/// cover `cfg`'s cluster shape.
+/// cover `cfg`'s cluster shape, and if a blade behind a remote port
+/// served a request on its domain-0 shadow.
 pub fn run_decomposed<R: 'static>(
     seed: u64,
     policy: SchedulePolicy,
@@ -297,26 +304,40 @@ pub fn run_decomposed<R: 'static>(
         }
     }
 
-    let out: Rc<RefCell<Option<(R, u64)>>> = Rc::new(RefCell::new(None));
-    let (out0, cfg0, plan0) = (Rc::clone(&out), cfg.clone(), plan.clone());
+    let out: Rc<RefCell<Option<R>>> = Rc::new(RefCell::new(None));
+    let (out0, cfg0) = (Rc::clone(&out), cfg.clone());
     b.add_local_domain("compute", move |ctx: &DomainCtx| {
         let h = ctx.handle();
-        let cluster = Cluster::new_with_plan(h.clone(), cfg0, plan0);
+        let cluster = Cluster::new(h.clone(), cfg0);
         for (i, tx, rx) in ports {
             let port = RemotePort::install(&h, ctx.bind_tx(tx), ctx.bind_rx(rx));
             cluster.blade(i).attach_remote(port);
         }
         let finish = compute(&h, &cluster);
         Box::new(move |_: &DomainCtx| {
-            *out0.borrow_mut() = Some((finish(), cluster.cross_domain_wrs()));
+            *out0.borrow_mut() = Some(finish());
+            // A blade behind a port is served only in its own domain: its
+            // shadow here must never have executed a request.
+            for blade in cluster.blades() {
+                assert!(
+                    blade.remote_port().is_none() || blade.ops_served() == 0,
+                    "blade {} served requests on its domain-0 shadow",
+                    blade.id().0
+                );
+            }
             Vec::new()
         })
     });
 
     for (d, ends) in engines.into_iter().enumerate().skip(1) {
-        let (cfg1, plan1, bootstrap) = (cfg.clone(), plan.clone(), bootstrap.clone());
+        // A blade domain builds only blades: nothing posts there.
+        let cfg1 = ClusterConfig {
+            compute_nodes: 0,
+            ..cfg.clone()
+        };
+        let bootstrap = bootstrap.clone();
         b.add_domain(&format!("blades-d{d}"), move |ctx: &DomainCtx| {
-            let cluster = Cluster::new_with_plan(ctx.handle(), cfg1, plan1);
+            let cluster = Cluster::new(ctx.handle(), cfg1);
             let extra = bootstrap(&cluster, DomainId(d as u32));
             let mut blades = Vec::new();
             for (i, rx, tx) in ends {
@@ -339,7 +360,7 @@ pub fn run_decomposed<R: 'static>(
     }
 
     let engine = b.run(engine_workers);
-    let (report, cross_domain_wrs) = out.borrow_mut().take().expect("compute domain must finish");
+    let report = out.borrow_mut().take().expect("compute domain must finish");
     let remote = &engine.domains[1..];
     Decomposed {
         report,
@@ -349,7 +370,6 @@ pub fn run_decomposed<R: 'static>(
         epochs: engine.epochs,
         envelopes: engine.envelopes,
         blade_requests: remote.iter().map(|d| d.delivered).sum(),
-        cross_domain_wrs,
         blade_log: remote
             .iter()
             .map(|d| String::from_utf8_lossy(&d.artifact))

@@ -10,7 +10,6 @@ use smart_rt::SimHandle;
 
 use crate::config::{FabricConfig, RnicConfig};
 use crate::device::DeviceContext;
-use crate::domain::DomainPlan;
 use crate::inject::FaultHook;
 use crate::lru::LruCache;
 use crate::types::NodeId;
@@ -43,12 +42,6 @@ pub struct ComputeNode {
     pub(crate) mtt: RefCell<LruCache>,
     /// MTT/MPT hit/miss statistics.
     pub(crate) mtt_stats: HitStats,
-    /// Scheduling-domain plan installed by the cluster (PDES accounting).
-    pub(crate) domain_plan: RefCell<Option<Rc<DomainPlan>>>,
-    /// Work requests whose target blade lives in a different scheduling
-    /// domain than this node. Deliberately *not* part of [`NodeCounters`]:
-    /// that struct's `Debug` output feeds golden-byte comparisons.
-    pub(crate) cross_domain_wrs: Counter,
     next_ctx: Cell<u32>,
 }
 
@@ -116,24 +109,8 @@ impl ComputeNode {
             wqe_stats: HitStats::new(),
             mtt,
             mtt_stats: HitStats::new(),
-            domain_plan: RefCell::new(None),
-            cross_domain_wrs: Counter::new(),
             next_ctx: Cell::new(0),
         })
-    }
-
-    /// Installs the cluster's scheduling-domain plan so the node can
-    /// account for cross-domain work requests. Called by
-    /// [`crate::Cluster::new_with_plan`]; harmless to omit (everything is
-    /// then treated as same-domain).
-    pub(crate) fn install_domain_plan(&self, plan: Rc<DomainPlan>) {
-        *self.domain_plan.borrow_mut() = Some(plan);
-    }
-
-    /// Work requests posted to a blade in a different scheduling domain.
-    /// Zero when no plan is installed or the plan is single-domain.
-    pub fn cross_domain_wrs(&self) -> u64 {
-        self.cross_domain_wrs.get()
     }
 
     /// This node's id.

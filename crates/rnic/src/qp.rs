@@ -274,11 +274,6 @@ impl Qp {
         }
         let node = self.ctx.node();
         let n = wrs.len() as u32;
-        if let Some(plan) = node.domain_plan.borrow().as_ref() {
-            if plan.crossing(node.id(), self.target.id()) {
-                node.cross_domain_wrs.add(wrs.len() as u64);
-            }
-        }
         self.posted.set(self.posted.get() + wrs.len() as u64);
         self.outstanding.set(self.outstanding.get() + n);
         // Appending to the send queue is a blind write on the QP's queue

@@ -227,7 +227,7 @@ pub(crate) async fn lifecycle(qp: Rc<Qp>, wr: WorkRequest, actor: Actor) {
             }
         }
         // The blade is an engine domain: the request and reply channels
-        // each pay the one-way flight (the plan's lookahead) and the blade
+        // each pay the one-way flight (the engine's lookahead) and the blade
         // engine runs `serve` on the authoritative copy.
         Some(port) => {
             if extra_latency > Duration::ZERO {

@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use smart_rnic::{BladeId, DomainPlan, FabricConfig, NodeId, OneSidedOp, RemoteAddr, WorkRequest};
+use smart_rnic::{BladeId, DomainPlan, FabricConfig, OneSidedOp, RemoteAddr, WorkRequest};
 use smart_rt::pdes::{DomainCtx, DomainId, PdesBuilder, RxToken, TxToken};
 use smart_rt::rng::SimRng;
 use smart_trace::LogHistogram;
@@ -77,7 +77,7 @@ fn partitions(topo: &Topology) -> Vec<(String, DomainPlan)> {
 /// identical across *worker counts* for a fixed partition.
 fn run_partition(topo: &Topology, plan: &DomainPlan, workers: usize) -> (String, String) {
     let fabric = FabricConfig::default();
-    let lat_ns = plan.lookahead(&fabric).as_nanos() as u64;
+    let lat_ns = fabric.one_way_latency.as_nanos() as u64;
     let mut b = PdesBuilder::new(0x5EED ^ topo.seed);
 
     // One private channel pair (work requests out, the cell's old value
@@ -90,7 +90,7 @@ fn run_partition(topo: &Topology, plan: &DomainPlan, workers: usize) -> (String,
     let mut requester_ends: Vec<Option<(TxToken<WorkRequest>, RxToken<u64>)>> = Vec::new();
     for r in 0..topo.requesters {
         let blade = BladeId(topo.blade_of(r));
-        if !plan.crossing(NodeId(0), blade) {
+        if plan.blade_domain(blade) == DomainId(0) {
             requester_ends.push(None);
             continue;
         }
@@ -184,7 +184,7 @@ fn run_partition(topo: &Topology, plan: &DomainPlan, workers: usize) -> (String,
     }
 
     let crossing = (0..requesters)
-        .filter(|&r| plan.crossing(NodeId(0), BladeId(topo.blade_of(r))))
+        .filter(|&r| plan.blade_domain(BladeId(topo.blade_of(r))) != DomainId(0))
         .count() as u64;
     let report = b.run(workers);
     assert_eq!(

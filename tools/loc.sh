@@ -3,23 +3,20 @@
 #
 #   tools/loc.sh [<git-rev>]
 #
-# Counts crates/*/src/**/*.rs. In each file everything from the first
-# `#[cfg(test)]` line onward is left out, and so are blank lines and
-# lines holding only a `//` comment (doc comments included). Prints a
-# markdown table; given a git rev, it also counts that rev's tree (from
-# `git archive`, the working tree is not touched) and adds the per-crate
+# Counts crates/*/src/**/*.rs through tools/nontest.awk: items gated by
+# `#[cfg(test)]`, blank lines and lines holding only a `//` comment (doc
+# comments included) are left out. Prints a markdown table; given a git
+# rev, it also counts that rev's tree (from `git archive`, the working
+# tree is not touched) with this tree's filter and adds the per-crate
 # delta. Run from anywhere inside the repository.
 set -eu
 
 cd "$(git rev-parse --show-toplevel)"
+filter=$PWD/tools/nontest.awk
 
 count() { # <root>: prints "<crate> <lines>" per crate, sorted by crate
-    (cd "$1" && find crates/*/src -name '*.rs' | sort | xargs awk '
-        FNR == 1 { tests = 0; split(FILENAME, part, "/"); crate = part[2] }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
-        tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-        { lines[crate]++ }
-        END { for (c in lines) print c, lines[c] }' | sort)
+    (cd "$1" && find crates/*/src -name '*.rs' | sort | xargs awk -f "$filter" |
+        awk -F/ '{ lines[$2]++ } END { for (c in lines) print c, lines[c] }' | sort)
 }
 
 if [ $# -eq 0 ]; then
