@@ -27,4 +27,4 @@ pub use decomposed::{run, Spec};
 pub use microbench::{DynamicLoad, MicroOp, MicrobenchSpec};
 pub use report::{banner, trace_requested, us, BenchTable, Mode};
 pub use runners::{serve_spec, BtParams, BtVariant, DtxParams, DtxWorkload, HtParams, RunReport};
-pub use sweep::{parallel_map, parallel_map_with, run_jobs, worker_threads};
+pub use sweep::parallel_map;

@@ -74,10 +74,10 @@ pub struct RunReport {
     pub conservation: Vec<String>,
     /// Simulator scheduling events (task polls + timer fires) processed
     /// over the whole run, from [`smart_rt::metrics::ExecutorMetrics`].
-    /// This is the denominator of the wall-clock `ns/event` figure in the
-    /// `smart-bench` perf harness. Excluded from the scheduler-equivalence
-    /// goldens: purging cancelled timers changes how many events the
-    /// executor processes without changing simulated behaviour.
+    /// `examples/decomposed_speedup.rs` prints it per leg. Excluded from
+    /// the scheduler-equivalence goldens: purging cancelled timers
+    /// changes how many events the executor processes without changing
+    /// simulated behaviour.
     pub sim_events: u64,
     /// Tasks still live in the compute domain once the run quiesced
     /// ([`smart_rnic::Decomposed::live_tasks`]): the parked CQ pumps and

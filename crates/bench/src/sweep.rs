@@ -37,7 +37,7 @@ use std::thread;
 /// work-stealing cursor, slot merging — went completely unexercised
 /// there. Oversubscribing a 1-core host costs a few percent; never
 /// running the code CI exists to cover costs a lot more.
-pub fn worker_threads(jobs: usize) -> usize {
+fn worker_threads(jobs: usize) -> usize {
     let hw = thread::available_parallelism().map_or(1, |n| n.get());
     let cap = match std::env::var("SMART_BENCH_THREADS")
         .ok()
@@ -69,22 +69,8 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let workers = worker_threads(items.len());
-    parallel_map_with(workers, items, f)
-}
-
-/// [`parallel_map`] with an explicit worker count, ignoring
-/// `SMART_BENCH_THREADS`. `workers <= 1` runs the plain sequential loop
-/// on the calling thread; the perf harness uses that to time the same
-/// sweep sequentially and in parallel without touching the environment.
-pub fn parallel_map_with<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
     let n = items.len();
-    let workers = workers.min(n.max(1));
+    let workers = worker_threads(n);
     if workers <= 1 {
         return items
             .into_iter()
@@ -112,12 +98,6 @@ where
         .into_iter()
         .map(|slot| slot.into_inner().unwrap().expect("job produced no result"))
         .collect()
-}
-
-/// Boxed-job variant of [`parallel_map`] for sweeps whose points have
-/// heterogeneous closures (e.g. one chaos run per `(seed, app)` pair).
-pub fn run_jobs<R: Send>(jobs: Vec<Box<dyn FnOnce() -> R + Send>>) -> Vec<R> {
-    parallel_map(jobs, |_, job| job())
 }
 
 #[cfg(test)]
@@ -166,14 +146,6 @@ mod tests {
             assert_eq!(idx, i);
             assert_eq!(v, 10 + i as u64);
         }
-    }
-
-    #[test]
-    fn boxed_jobs_preserve_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..16u64)
-            .map(|i| Box::new(move || i + 100) as Box<dyn FnOnce() -> u64 + Send>)
-            .collect();
-        assert_eq!(run_jobs(jobs), (100..116).collect::<Vec<u64>>());
     }
 
     #[test]
