@@ -345,7 +345,10 @@ impl HtParams {
 }
 
 fn ht_table_config(keys: u64) -> RaceConfig {
-    // Size for ~50 % slot occupancy: slots = 2^depth × buckets × 8.
+    // Start at the depth that would hold the keys at 50 % occupancy
+    // (slots = 2^depth × buckets × 8). First-fit two-choice placement
+    // overflows a bucket pair long before that: a 1 M-key load splits 56
+    // of its 64 subtables and ends at about 25 % occupancy.
     let buckets_per_subtable = 1 << 12;
     let slots_per_subtable = (buckets_per_subtable * 8) as u64;
     let want = (keys * 2).max(slots_per_subtable);

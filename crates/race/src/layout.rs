@@ -111,16 +111,38 @@ fn splitmix_bytes(bytes: &[u8], seed: u64) -> u64 {
     h
 }
 
+/// Length in bytes of the (8-byte padded) block holding a key of
+/// `key_len` bytes and a value of `value_len` bytes.
+pub fn block_len(key_len: usize, value_len: usize) -> usize {
+    (8 + key_len + value_len).div_ceil(8) * 8
+}
+
+/// Serializes a key/value block into `buf`, padding included.
+///
+/// # Panics
+///
+/// Panics unless `buf` is exactly [`block_len`]`(key.len(), value.len())`
+/// bytes long.
+pub fn encode_block_into(buf: &mut [u8], key: &[u8], value: &[u8]) {
+    assert_eq!(
+        buf.len(),
+        block_len(key.len(), value.len()),
+        "block buffer must fit the block exactly"
+    );
+    let (header, body) = buf.split_at_mut(8);
+    header[..4].copy_from_slice(&(key.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&(value.len() as u32).to_le_bytes());
+    let (k, rest) = body.split_at_mut(key.len());
+    k.copy_from_slice(key);
+    let (v, pad) = rest.split_at_mut(value.len());
+    v.copy_from_slice(value);
+    pad.fill(0);
+}
+
 /// Serializes a key/value block (8-byte padded).
 pub fn encode_block(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let raw = 8 + key.len() + value.len();
-    let padded = raw.div_ceil(8) * 8;
-    let mut buf = Vec::with_capacity(padded);
-    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    buf.extend_from_slice(key);
-    buf.extend_from_slice(value);
-    buf.resize(padded, 0);
+    let mut buf = vec![0; block_len(key.len(), value.len())];
+    encode_block_into(&mut buf, key, value);
     buf
 }
 
@@ -212,6 +234,17 @@ mod tests {
             let (dk, dv) = decode_block(&buf).expect("valid block");
             assert_eq!((dk, dv), (k, v));
         }
+    }
+
+    #[test]
+    fn encode_into_overwrites_stale_padding() {
+        let mut buf = [0xEE; 24];
+        assert_eq!(block_len(3, 5), 16);
+        encode_block_into(&mut buf[..16], b"key", b"value");
+        assert_eq!(&buf[..16], encode_block(b"key", b"value").as_slice());
+        encode_block_into(&mut buf[..16], b"k", b"v");
+        assert_eq!(&buf[..16], encode_block(b"k", b"v").as_slice());
+        assert_eq!(buf[16..], [0xEE; 8]);
     }
 
     #[test]

@@ -268,3 +268,45 @@ fn get_direct_matches_rdma_get() {
         assert_eq!(t.get_direct(b"missing"), None);
     });
 }
+
+#[test]
+fn rdma_insert_that_splits_keeps_every_key() {
+    let sim = Simulation::new(14);
+    let cluster = Cluster::new(sim.handle(), ClusterConfig::new(1, 1));
+    let cfg = RaceConfig {
+        buckets_per_subtable: 8, // tiny: the RDMA inserts must split
+        initial_depth: 0,
+        ..Default::default()
+    };
+    let table = RaceHashTable::create(cluster.blades(), cfg);
+    for k in 0..40u64 {
+        table.load(&k.to_le_bytes(), &k.to_be_bytes());
+    }
+    let before = table.subtable_count();
+    let ctx = SmartContext::new(
+        cluster.compute(0),
+        cluster.blades(),
+        SmartConfig::smart_full(1),
+    );
+    let coro = ctx.create_thread().coroutine();
+    let t = Rc::clone(&table);
+    let mut sim = sim;
+    sim.block_on(async move {
+        for k in 40..600u64 {
+            t.insert(&coro, &k.to_le_bytes(), &k.to_be_bytes())
+                .await
+                .expect("insert");
+        }
+    });
+    assert!(
+        table.subtable_count() > before,
+        "the RDMA inserts must have split the table"
+    );
+    for k in 0..600u64 {
+        assert_eq!(
+            table.get_direct(&k.to_le_bytes()),
+            Some(k.to_be_bytes().to_vec()),
+            "key {k} lost across a split"
+        );
+    }
+}

@@ -88,7 +88,8 @@ pub struct ExecutorMetrics {
 
 impl ExecutorMetrics {
     /// Total scheduling events processed: task polls plus timer fires.
-    /// This is the event count the perf harness divides wall time by.
+    /// `benchmark/`'s `rt.host_ns_per_event` and
+    /// `examples/decomposed_speedup.rs` divide host time by this count.
     pub fn events(&self) -> u64 {
         self.polls + self.timers_fired
     }
